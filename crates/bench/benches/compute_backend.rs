@@ -49,8 +49,8 @@ use std::sync::Mutex;
 
 use diva_tensor::{
     conv2d, conv2d_backward_data, conv2d_backward_weight, matmul, matmul_reference, parallel,
-    set_l1_reorder, set_scalar_reference_mode, set_simd_enabled, Backend, Conv2dGeom, DivaRng,
-    Tensor,
+    set_l1_reorder, set_scalar_reference_mode, set_simd_enabled, sq_norm, Backend, Conv2dGeom,
+    DivaRng, Tensor,
 };
 
 /// GFLOP/s for a GEMM of the given shape at the measured seconds/iter.
@@ -408,13 +408,10 @@ fn naive_example_norm(x: &Tensor, gy: &Tensor, geom: &Conv2dGeom, i: usize) -> f
     let gw = conv2d_backward_weight(&xi, &gi, geom);
     let dims = gi.shape().dims().to_vec();
     let (c, p, q) = (dims[1], dims[2], dims[3]);
-    let mut bias_sq = 0.0f64;
-    for ci in 0..c {
-        let base = ci * p * q;
-        let s: f32 = gi.data()[base..base + p * q].iter().sum();
-        bias_sq += f64::from(s) * f64::from(s);
-    }
-    gw.squared_norm() + bias_sq
+    let gb: Vec<f32> = (0..c)
+        .map(|ci| gi.data()[ci * p * q..(ci + 1) * p * q].iter().sum())
+        .collect();
+    gw.squared_norm() + sq_norm(&gb)
 }
 
 fn bench_conv_first_backward(h: &mut Harness, sink: &mut PerfSink) {

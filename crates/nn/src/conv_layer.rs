@@ -17,11 +17,12 @@
 //! per-example `im2col` path (`tests/conv_fused_parity.rs`).
 
 use diva_tensor::{
-    conv2d_backward_data_from_rows, nchw_to_rows, parallel, Conv2dGeom, DivaRng, PackCache,
-    PatchBuffer, Tensor,
+    conv2d_backward_data_from_rows, nchw_to_rows, Conv2dGeom, DivaRng, PackCache, PatchBuffer,
+    Tensor,
 };
 
 use crate::layer::{BackwardOutput, GradMode, ParamGrads};
+use crate::per_example::{self, PerExampleGrads};
 
 /// A 2-D convolution layer with square filters and optional bias.
 #[derive(Clone, Debug)]
@@ -144,18 +145,20 @@ impl Conv2dLayer {
                 ParamGrads::PerBatch(out)
             }
             // Per-example derivation is independent across the batch
-            // (Algorithm 1 lines 16–25): fan the `(C_in·R·S, P·Q, C_out)`
-            // per-example GEMMs out over the shared pool, each a strided
-            // row-window of the shared patch buffer.
-            GradMode::PerExample => ParamGrads::PerExample(parallel::par_map(b, |i| {
-                self.example_grads(cache, &gy_rows, i)
-            })),
-            GradMode::NormOnly => ParamGrads::SqNorms(parallel::par_map(b, |i| {
-                self.example_grads(cache, &gy_rows, i)
-                    .iter()
-                    .map(Tensor::squared_norm)
-                    .sum()
-            })),
+            // (Algorithm 1 lines 16–25): the `(C_in·R·S, P·Q, C_out)`
+            // per-example GEMMs fan out over the shared pool, each a strided
+            // row-window of the shared patch buffer written straight into
+            // the example's arena (or scratch) row.
+            GradMode::PerExample => {
+                ParamGrads::PerExample(PerExampleGrads::build(b, &self.params(), |i, row| {
+                    self.write_example(cache, &gy_rows, i, row)
+                }))
+            }
+            GradMode::NormOnly => {
+                ParamGrads::SqNorms(per_example::sq_norms(b, &self.params(), |i, row| {
+                    self.write_example(cache, &gy_rows, i, row)
+                }))
+            }
         };
         let grad_input = need_input_grad.then(|| {
             conv2d_backward_data_from_rows(&gy_rows, &self.weight, &self.geom, b, &cache.dgrad_pack)
@@ -163,14 +166,14 @@ impl Conv2dLayer {
         BackwardOutput { grad_input, grads }
     }
 
-    fn example_grads(&self, cache: &Conv2dCache, gy_rows: &Tensor, i: usize) -> Vec<Tensor> {
-        let gw = cache.patches.backward_weight_example(gy_rows, i);
-        let mut out = vec![gw];
+    /// Writes example `i`'s `[G(W), G(b)]` over a per-example row.
+    fn write_example(&self, cache: &Conv2dCache, gy_rows: &Tensor, i: usize, row: &mut [f32]) {
+        let (weight, bias) = row.split_at_mut(self.geom.weight_len());
+        cache.patches.backward_weight_example(gy_rows, i, weight);
         if self.bias.is_some() {
             let (p, q) = self.geom.out_hw();
-            out.push(bias_grad_example(gy_rows, i, p * q));
+            bias_grad_example(gy_rows, i, p * q, bias);
         }
-        out
     }
 
     /// Immutable parameter views.
@@ -208,20 +211,17 @@ fn bias_grad(grad_out: &Tensor) -> Tensor {
     out
 }
 
-/// Per-example bias gradient from the `(N·P·Q, C_out)` row layout: sums
-/// example `i`'s rows per channel. Each channel accumulates in ascending
-/// spatial order, the same order as [`bias_grad`] on the sliced example, so
-/// the result is bit-identical to the naive path.
-fn bias_grad_example(gy_rows: &Tensor, i: usize, pq: usize) -> Tensor {
-    let (_, c) = gy_rows.dims2();
-    let mut out = Tensor::zeros(&[c]);
-    let ov = out.data_mut();
+/// Per-example bias gradient from the `(N·P·Q, C_out)` row layout, written
+/// over `out`: sums example `i`'s rows per channel. Each channel accumulates
+/// in ascending spatial order, the same order as [`bias_grad`] on the sliced
+/// example, so the result is bit-identical to the naive path.
+fn bias_grad_example(gy_rows: &Tensor, i: usize, pq: usize, out: &mut [f32]) {
+    out.fill(0.0);
     for r in i * pq..(i + 1) * pq {
-        for (acc, &v) in ov.iter_mut().zip(gy_rows.row(r)) {
+        for (acc, &v) in out.iter_mut().zip(gy_rows.row(r)) {
             *acc += v;
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -240,7 +240,7 @@ mod tests {
             .grads
             .expect_per_batch();
         let per_ex = match layer.backward(&cache, &g, GradMode::PerExample).grads {
-            ParamGrads::PerExample(p) => p,
+            ParamGrads::PerExample(p) => p.examples(),
             other => panic!("unexpected {other:?}"),
         };
         for (pi, batch_grad) in batch.iter().enumerate() {
@@ -279,7 +279,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         };
         let per_ex = match layer.backward(&cache, &g, GradMode::PerExample).grads {
-            ParamGrads::PerExample(p) => p,
+            ParamGrads::PerExample(p) => p.examples(),
             other => panic!("unexpected {other:?}"),
         };
         for (i, ex) in per_ex.iter().enumerate() {

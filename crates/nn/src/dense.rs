@@ -6,9 +6,10 @@
 //! Figure 6 "MLP layer" row. That K=1 shape is the pathological case for
 //! weight-stationary systolic arrays that motivates DiVa.
 
-use diva_tensor::{matmul, matmul_nt, matmul_tn, parallel, DivaRng, Tensor};
+use diva_tensor::{matmul, matmul_nt, matmul_tn, parallel, sq_norm, DivaRng, Tensor};
 
 use crate::layer::{BackwardOutput, GradMode, ParamGrads};
+use crate::per_example::PerExampleGrads;
 
 /// A fully-connected layer computing `Y = X·W (+ b)`.
 ///
@@ -109,9 +110,11 @@ impl Dense {
                 }
                 ParamGrads::PerBatch(out)
             }
-            GradMode::PerExample => ParamGrads::PerExample(parallel::par_map(b, |i| {
-                self.example_grads(cache, grad_out, i)
-            })),
+            GradMode::PerExample => {
+                ParamGrads::PerExample(PerExampleGrads::build(b, &self.params(), |i, row| {
+                    self.write_example(cache, grad_out, i, row)
+                }))
+            }
             GradMode::NormOnly => {
                 // Goodfellow's identity: the per-example dense weight
                 // gradient is the rank-1 outer product `x_i ⊗ g_i`, so
@@ -120,17 +123,8 @@ impl Dense {
                 // DP-SGD(R) first pass (paper Algorithm 1 lines 28–42).
                 let has_bias = self.bias.is_some();
                 let norms = parallel::par_map(b, |i| {
-                    let sx: f64 = cache
-                        .x
-                        .row(i)
-                        .iter()
-                        .map(|&v| f64::from(v) * f64::from(v))
-                        .sum();
-                    let sg: f64 = grad_out
-                        .row(i)
-                        .iter()
-                        .map(|&v| f64::from(v) * f64::from(v))
-                        .sum();
+                    let sx = sq_norm(cache.x.row(i));
+                    let sg = sq_norm(grad_out.row(i));
                     sx * sg + if has_bias { sg } else { 0.0 }
                 });
                 ParamGrads::SqNorms(norms)
@@ -139,17 +133,20 @@ impl Dense {
         BackwardOutput { grad_input, grads }
     }
 
-    /// The per-example gradient of example `i`: `x_i ⊗ g_i` (and `g_i` for
-    /// the bias). This is the `(I, 1, O)` GEMM of the paper's Figure 6.
-    fn example_grads(&self, cache: &DenseCache, grad_out: &Tensor, i: usize) -> Vec<Tensor> {
-        let xi = Tensor::from_vec(cache.x.row(i).to_vec(), &[1, self.input]);
-        let gi = Tensor::from_vec(grad_out.row(i).to_vec(), &[1, self.output]);
-        let gw = matmul_tn(&xi, &gi);
-        let mut out = vec![gw];
-        if self.bias.is_some() {
-            out.push(gi.reshape(&[self.output]));
+    /// Writes example `i`'s gradient over an arena row: `x_i ⊗ g_i` — the
+    /// `(I, 1, O)` GEMM of the paper's Figure 6, one product per element —
+    /// then `g_i` for the bias.
+    fn write_example(&self, cache: &DenseCache, grad_out: &Tensor, i: usize, row: &mut [f32]) {
+        let g = grad_out.row(i);
+        let (weight, bias) = row.split_at_mut(self.input * self.output);
+        for (dst, &x) in weight.chunks_exact_mut(self.output).zip(cache.x.row(i)) {
+            for (d, &gv) in dst.iter_mut().zip(g) {
+                *d = x * gv;
+            }
         }
-        out
+        if self.bias.is_some() {
+            bias.copy_from_slice(g);
+        }
     }
 
     /// Immutable parameter views (`[weight]` or `[weight, bias]`).
@@ -204,7 +201,7 @@ mod tests {
             .grads
             .expect_per_batch();
         let per_ex = match layer.backward(&cache, &g, GradMode::PerExample).grads {
-            ParamGrads::PerExample(p) => p,
+            ParamGrads::PerExample(p) => p.examples(),
             other => panic!("unexpected {other:?}"),
         };
         for (pi, batch_grad) in batch.iter().enumerate() {
@@ -229,7 +226,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         };
         let per_ex = match layer.backward(&cache, &g, GradMode::PerExample).grads {
-            ParamGrads::PerExample(p) => p,
+            ParamGrads::PerExample(p) => p.examples(),
             other => panic!("unexpected {other:?}"),
         };
         for (i, ex) in per_ex.iter().enumerate() {

@@ -9,6 +9,7 @@
 use diva_tensor::{DivaRng, Tensor};
 
 use crate::layer::{BackwardOutput, GradMode, ParamGrads};
+use crate::per_example::{self, PerExampleGrads};
 
 /// An embedding table mapping integer token ids to dense vectors.
 ///
@@ -108,35 +109,35 @@ impl Embedding {
         );
         let grad_input = Some(Tensor::zeros(&[b, t]));
 
-        let example_grad = |ex: usize| -> Tensor {
-            let mut g = Tensor::zeros(&[self.vocab, self.dim]);
+        // Writes example `ex`'s dense `(vocab, dim)` gradient over `g`.
+        let write_example = |ex: usize, g: &mut [f32]| {
+            g.fill(0.0);
             for ti in 0..t {
                 let id = cache.ids[ex * t + ti];
                 let src = (ex * t + ti) * self.dim;
                 let dst = id * self.dim;
                 for d in 0..self.dim {
-                    g.data_mut()[dst + d] += grad_out.data()[src + d];
+                    g[dst + d] += grad_out.data()[src + d];
                 }
             }
-            g
         };
 
         let grads = match mode {
             GradMode::PerBatch => {
                 let mut g = Tensor::zeros(&[self.vocab, self.dim]);
+                let mut example = Tensor::zeros(&[self.vocab, self.dim]);
                 for ex in 0..b {
-                    g.add_assign(&example_grad(ex));
+                    write_example(ex, example.data_mut());
+                    g.add_assign(&example);
                 }
                 ParamGrads::PerBatch(vec![g])
             }
             GradMode::PerExample => {
-                ParamGrads::PerExample(diva_tensor::parallel::par_map(b, |ex| {
-                    vec![example_grad(ex)]
-                }))
+                ParamGrads::PerExample(PerExampleGrads::build(b, &self.params(), write_example))
             }
-            GradMode::NormOnly => ParamGrads::SqNorms(diva_tensor::parallel::par_map(b, |ex| {
-                example_grad(ex).squared_norm()
-            })),
+            GradMode::NormOnly => {
+                ParamGrads::SqNorms(per_example::sq_norms(b, &self.params(), write_example))
+            }
         };
         BackwardOutput { grad_input, grads }
     }
@@ -201,7 +202,7 @@ mod tests {
             .grads
             .expect_per_batch();
         let per_ex = match emb.backward(&cache, &g, GradMode::PerExample).grads {
-            ParamGrads::PerExample(p) => p,
+            ParamGrads::PerExample(p) => p.examples(),
             other => panic!("unexpected {other:?}"),
         };
         let mut sum = Tensor::zeros(&[6, 3]);
@@ -232,7 +233,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         };
         let per_ex = match emb.backward(&cache, &g, GradMode::PerExample).grads {
-            ParamGrads::PerExample(p) => p,
+            ParamGrads::PerExample(p) => p.examples(),
             other => panic!("unexpected {other:?}"),
         };
         for (i, ex) in per_ex.iter().enumerate() {

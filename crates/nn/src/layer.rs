@@ -7,6 +7,7 @@ use crate::dense::{Dense, DenseCache};
 use crate::embedding::{Embedding, EmbeddingCache};
 use crate::lstm::{Lstm, LstmCache};
 use crate::norm::{GroupNorm, GroupNormCache};
+use crate::per_example::PerExampleGrads;
 use crate::pool::{AvgPool2d, MaxPool2d, PoolCache};
 use crate::simple::{
     Flatten, FlattenCache, Relu, ReluCache, Sigmoid, SigmoidCache, Tanh, TanhCache,
@@ -42,8 +43,9 @@ pub enum ParamGrads {
     None,
     /// Reduced gradients, one tensor per parameter (same shapes as params).
     PerBatch(Vec<Tensor>),
-    /// Per-example gradients: `grads[example][param]`.
-    PerExample(Vec<Vec<Tensor>>),
+    /// Per-example gradients in a `(B, P)` arena, with each example's
+    /// squared norm taken as its row was written.
+    PerExample(PerExampleGrads),
     /// Per-example squared L2 norms of this layer's weight gradient,
     /// `sq_norms[example]`.
     SqNorms(Vec<f64>),

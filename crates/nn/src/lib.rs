@@ -16,6 +16,12 @@
 //! squared norms, and immediately discards them — which is exactly the
 //! memory saving DP-SGD(R) exploits (paper Section II-C).
 //!
+//! `PerExample` gradients are written once into a recycled `(B, P)` arena
+//! per layer, with each example's norm taken as its row is written and the
+//! clip-weighted reduce run as one column-split `K = B` pass
+//! ([`PerExampleGrads`], the software counterpart of DiVa's
+//! post-processing unit).
+//!
 //! Compute: every GEMM a layer issues runs on `diva_tensor`'s blocked
 //! kernel, and the per-example fan-outs (`PerExample` / `NormOnly`) are
 //! batch-parallel over the workspace-wide keep-alive pool
@@ -56,6 +62,7 @@ mod layer;
 mod lstm;
 mod network;
 mod norm;
+mod per_example;
 mod pool;
 mod simple;
 
@@ -66,6 +73,7 @@ pub use layer::{BackwardOutput, GradMode, Layer, LayerCache, ParamGrads};
 pub use lstm::Lstm;
 pub use network::{Network, NetworkGrads};
 pub use norm::GroupNorm;
+pub use per_example::PerExampleGrads;
 pub use pool::{AvgPool2d, MaxPool2d};
 pub use simple::{Flatten, Relu, Sigmoid, Tanh};
 

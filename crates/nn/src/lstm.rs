@@ -14,9 +14,10 @@
 // rewrites would obscure the (row, column, timestep) structure.
 #![allow(clippy::needless_range_loop)]
 
-use diva_tensor::{matmul, matmul_nt, matmul_tn, DivaRng, Tensor};
+use diva_tensor::{matmul, matmul_nt, matmul_tn, outer_product_accumulate, DivaRng, Tensor};
 
 use crate::layer::{BackwardOutput, GradMode, ParamGrads};
+use crate::per_example::{self, PerExampleGrads};
 
 /// A single-layer LSTM mapping `(B, T, input)` to the hidden-state sequence
 /// `(B, T, hidden)`. Initial hidden and cell states are zero.
@@ -235,16 +236,15 @@ impl Lstm {
                 ParamGrads::PerBatch(vec![gw_ih, gw_hh, gb])
             }
             GradMode::PerExample => {
-                ParamGrads::PerExample(diva_tensor::parallel::par_map(b, |r| {
-                    self.example_grads(cache, &dz_per_t, r)
+                ParamGrads::PerExample(PerExampleGrads::build(b, &self.params(), |r, row| {
+                    self.write_example(cache, &dz_per_t, r, row)
                 }))
             }
-            GradMode::NormOnly => ParamGrads::SqNorms(diva_tensor::parallel::par_map(b, |r| {
-                self.example_grads(cache, &dz_per_t, r)
-                    .iter()
-                    .map(Tensor::squared_norm)
-                    .sum()
-            })),
+            GradMode::NormOnly => {
+                ParamGrads::SqNorms(per_example::sq_norms(b, &self.params(), |r, row| {
+                    self.write_example(cache, &dz_per_t, r, row)
+                }))
+            }
         };
 
         BackwardOutput {
@@ -253,25 +253,22 @@ impl Lstm {
         }
     }
 
-    /// Per-example gradients for example `r`: the `(I, L, 4H)` and
-    /// `(H, L, 4H)` GEMMs of Figure 6's time-series row.
-    fn example_grads(&self, cache: &LstmCache, dz_per_t: &[Tensor], r: usize) -> Vec<Tensor> {
-        let t_len = dz_per_t.len();
-        let (i_dim, h_dim) = (self.input, self.hidden);
-        let mut gw_ih = Tensor::zeros(&[i_dim, 4 * h_dim]);
-        let mut gw_hh = Tensor::zeros(&[h_dim, 4 * h_dim]);
-        let mut gb = Tensor::zeros(&[4 * h_dim]);
+    /// Writes example `r`'s `[G(W_ih), G(W_hh), G(b)]` over a per-example
+    /// row: the `(I, L, 4H)` and `(H, L, 4H)` GEMMs of Figure 6's
+    /// time-series row, as `L` outer-product accumulations.
+    fn write_example(&self, cache: &LstmCache, dz_per_t: &[Tensor], r: usize, row: &mut [f32]) {
+        let h4 = 4 * self.hidden;
+        row.fill(0.0);
+        let (gw_ih, rest) = row.split_at_mut(self.input * h4);
+        let (gw_hh, gb) = rest.split_at_mut(self.hidden * h4);
         for (t, dz) in dz_per_t.iter().enumerate() {
             let dz_r = dz.row(r);
-            let x_t = time_slice_row(&cache.x, t, r);
-            diva_tensor::outer_product_accumulate(&mut gw_ih, &x_t, dz_r);
-            diva_tensor::outer_product_accumulate(&mut gw_hh, cache.h[t].row(r), dz_r);
-            for (acc, &v) in gb.data_mut().iter_mut().zip(dz_r) {
+            outer_product_accumulate(gw_ih, time_slice_row(&cache.x, t, r), dz_r);
+            outer_product_accumulate(gw_hh, cache.h[t].row(r), dz_r);
+            for (acc, &v) in gb.iter_mut().zip(dz_r) {
                 *acc += v;
             }
-            let _ = t_len;
         }
-        vec![gw_ih, gw_hh, gb]
     }
 
     /// Immutable parameter views: `[w_ih, w_hh, bias]`.
@@ -297,12 +294,12 @@ fn time_slice(x: &Tensor, t: usize) -> Tensor {
     out
 }
 
-/// Extracts `(t, r)` from `(B, T, F)` as a flat `F`-vector.
-fn time_slice_row(x: &Tensor, t: usize, r: usize) -> Vec<f32> {
+/// The `(t, r)` entry of `(B, T, F)` as a flat `F`-vector.
+fn time_slice_row(x: &Tensor, t: usize, r: usize) -> &[f32] {
     let dims = x.shape().dims();
     let (t_len, f) = (dims[1], dims[2]);
     let src = (r * t_len + t) * f;
-    x.data()[src..src + f].to_vec()
+    &x.data()[src..src + f]
 }
 
 #[cfg(test)]
@@ -404,7 +401,7 @@ mod tests {
             .grads
             .expect_per_batch();
         let per_ex = match lstm.backward(&cache, &g, GradMode::PerExample).grads {
-            ParamGrads::PerExample(p) => p,
+            ParamGrads::PerExample(p) => p.examples(),
             other => panic!("unexpected {other:?}"),
         };
         for (pi, batch_grad) in batch.iter().enumerate() {

@@ -1,6 +1,6 @@
 //! Sequential networks and whole-network gradient plumbing.
 
-use diva_tensor::{parallel, Tensor};
+use diva_tensor::Tensor;
 
 use crate::layer::{GradMode, Layer, LayerCache, ParamGrads};
 
@@ -160,42 +160,34 @@ impl Network {
 
 impl NetworkGrads {
     /// For per-example gradients: the squared L2 norm of each example's
-    /// full (all-layer) gradient vector — Algorithm 1 line 22.
+    /// full (all-layer) gradient vector — Algorithm 1 line 22 — as the sum
+    /// of the per-layer norms in layer order.
     ///
-    /// Works for both `PerExample` (sums tensor norms) and `SqNorms`
-    /// (sums the pre-computed per-layer squared norms, as DP-SGD(R)'s first
-    /// pass does).
+    /// Both `PerExample` (whose arena took each row's norm as the row was
+    /// written) and `SqNorms` (DP-SGD(R)'s first pass) carry their norms
+    /// already, so this only adds `B` numbers per layer.
     ///
     /// # Panics
     ///
     /// Panics if the gradients are per-batch, or per-example counts differ
     /// across layers.
     pub fn per_example_sq_norms(&self) -> Vec<f64> {
-        let mut norms: Option<Vec<f64>> = None;
-        for g in &self.layers {
-            let layer_norms: Option<Vec<f64>> = match g {
-                ParamGrads::None => None,
-                ParamGrads::PerExample(per_ex) => Some(parallel::par_map(per_ex.len(), |i| {
-                    per_ex[i].iter().map(Tensor::squared_norm).sum()
-                })),
-                ParamGrads::SqNorms(n) => Some(n.clone()),
-                ParamGrads::PerBatch(_) => {
-                    panic!("per-example norms requested from per-batch gradients")
-                }
-            };
-            if let Some(ln) = layer_norms {
-                match &mut norms {
-                    None => norms = Some(ln),
-                    Some(acc) => {
-                        assert_eq!(acc.len(), ln.len(), "batch size mismatch across layers");
-                        for (a, b) in acc.iter_mut().zip(ln) {
-                            *a += b;
-                        }
-                    }
-                }
+        let mut layers = self
+            .per_layer_sq_norms()
+            .into_iter()
+            .filter(|norms| !norms.is_empty());
+        let mut total = layers.next().unwrap_or_default();
+        for norms in layers {
+            assert_eq!(
+                total.len(),
+                norms.len(),
+                "batch size mismatch across layers"
+            );
+            for (acc, n) in total.iter_mut().zip(norms) {
+                *acc += n;
             }
         }
-        norms.unwrap_or_default()
+        total
     }
 
     /// Per-layer, per-example squared gradient norms: `out[layer][example]`.
@@ -211,10 +203,7 @@ impl NetworkGrads {
             .iter()
             .map(|g| match g {
                 ParamGrads::None => Vec::new(),
-                ParamGrads::PerExample(per_ex) => per_ex
-                    .iter()
-                    .map(|ex| ex.iter().map(Tensor::squared_norm).sum())
-                    .collect(),
+                ParamGrads::PerExample(per_ex) => per_ex.sq_norms().to_vec(),
                 ParamGrads::SqNorms(n) => n.clone(),
                 ParamGrads::PerBatch(_) => {
                     panic!("per-layer norms requested from per-batch gradients")
@@ -240,60 +229,19 @@ impl NetworkGrads {
         self.reduce_with(&per_layer)
     }
 
-    /// Shared clip-reduce core: one job per parameter tensor, each a single
-    /// deterministic pass over the batch (`acc += wᵢ · gᵢ` in example
-    /// order), fanned out over the shared pool. Because every job keeps the
-    /// serial accumulation order, the result is bit-identical whatever the
-    /// thread count.
+    /// Shared clip-reduce core: each layer's arena reduces through
+    /// [`crate::PerExampleGrads::weighted_sum`] — column blocks across the
+    /// shared pool, examples accumulated in order, so the result is
+    /// bit-identical whatever the thread count.
     fn reduce_with(&self, weights: &[&[f64]]) -> NetworkGrads {
-        let jobs: Vec<(usize, usize)> = self
-            .layers
-            .iter()
-            .enumerate()
-            .flat_map(|(li, g)| {
-                let n_params = match g {
-                    ParamGrads::None => 0,
-                    ParamGrads::PerExample(per_ex) => {
-                        assert_eq!(
-                            per_ex.len(),
-                            weights[li].len(),
-                            "weight count mismatch in layer {li}"
-                        );
-                        per_ex.first().map_or(0, Vec::len)
-                    }
-                    other => {
-                        panic!("weighted reduce requires per-example gradients, got {other:?}")
-                    }
-                };
-                (0..n_params).map(move |pi| (li, pi))
-            })
-            .collect();
-        let mut reduced = parallel::par_map(jobs.len(), |j| {
-            let (li, pi) = jobs[j];
-            let ParamGrads::PerExample(per_ex) = &self.layers[li] else {
-                unreachable!("job list only references per-example layers")
-            };
-            let mut acc = Tensor::zeros(per_ex[0][pi].shape().dims());
-            for (ex, &w) in per_ex.iter().zip(weights[li]) {
-                diva_tensor::add_scaled(&mut acc, &ex[pi], w as f32);
-            }
-            acc
-        })
-        .into_iter();
         let layers = self
             .layers
             .iter()
-            .map(|g| match g {
+            .zip(weights)
+            .map(|(g, w)| match g {
                 ParamGrads::None => ParamGrads::None,
-                ParamGrads::PerExample(per_ex) => {
-                    let n_params = per_ex.first().map_or(0, Vec::len);
-                    ParamGrads::PerBatch(
-                        (0..n_params)
-                            .map(|_| reduced.next().expect("job list covers every param"))
-                            .collect(),
-                    )
-                }
-                _ => unreachable!("validated while building the job list"),
+                ParamGrads::PerExample(per_ex) => ParamGrads::PerBatch(per_ex.weighted_sum(w)),
+                other => panic!("weighted reduce requires per-example gradients, got {other:?}"),
             })
             .collect();
         NetworkGrads { layers }
@@ -323,9 +271,9 @@ impl NetworkGrads {
 
     /// Reduces per-example gradients into per-batch gradients, scaling each
     /// example `i` by `weights[i]` first (weights of all-ones gives the
-    /// plain sum). This is Algorithm 1 lines 23–24 without the noise: a
-    /// single fused pass per parameter — no clipped per-example copies are
-    /// materialized — parallelized across parameter tensors.
+    /// plain sum). This is Algorithm 1 lines 23–24 without the noise: one
+    /// `K = B` pass over each layer's arena — no clipped per-example copies
+    /// are materialized — parallelized across column blocks.
     ///
     /// # Panics
     ///

@@ -15,6 +15,7 @@
 use diva_tensor::Tensor;
 
 use crate::layer::{BackwardOutput, GradMode, ParamGrads};
+use crate::per_example::PerExampleGrads;
 
 /// Group normalization over NCHW tensors: channels are split into `groups`,
 /// each normalized to zero mean / unit variance per example, then scaled by
@@ -175,13 +176,13 @@ impl GroupNorm {
                 }
                 ParamGrads::PerBatch(vec![dgamma, dbeta])
             }
-            GradMode::PerExample => ParamGrads::PerExample(
-                dgammas
-                    .into_iter()
-                    .zip(dbetas)
-                    .map(|(g, b)| vec![g, b])
-                    .collect(),
-            ),
+            GradMode::PerExample => {
+                ParamGrads::PerExample(PerExampleGrads::build(n, &self.params(), |ni, row| {
+                    let (dgamma, dbeta) = row.split_at_mut(c);
+                    dgamma.copy_from_slice(dgammas[ni].data());
+                    dbeta.copy_from_slice(dbetas[ni].data());
+                }))
+            }
             GradMode::NormOnly => ParamGrads::SqNorms(
                 dgammas
                     .iter()
@@ -331,7 +332,7 @@ mod tests {
             .grads
             .expect_per_batch();
         let per_ex = match gn.backward(&cache, &g, GradMode::PerExample).grads {
-            ParamGrads::PerExample(p) => p,
+            ParamGrads::PerExample(p) => p.examples(),
             other => panic!("unexpected {other:?}"),
         };
         for pi in 0..2 {

@@ -1,0 +1,324 @@
+//! The per-example gradient arena and the software post-processing unit
+//! (PPU) of vanilla DP-SGD.
+//!
+//! Algorithm 1 (lines 16–25) derives every example's weight gradient, takes
+//! its norm, clips it and reduces. Here one layer's per-example gradients
+//! live in a single `(B, P)` row-major arena ([`PerExampleGrads`]): row `i`
+//! is example `i`'s gradient, the layer's parameter tensors laid end to end.
+//!
+//! * **Written once, into recycled rows.** The batch-parallel task that
+//!   derives example `i` writes row `i` in place — no per-example tensor, no
+//!   copy. The backing buffer comes from a process-wide free list and goes
+//!   back to it on drop, so a training loop reuses the same pages step after
+//!   step: a multi-MiB allocation is past the allocator's mmap threshold,
+//!   and a fresh one per step pays a page-fault storm (the reason the GEMM
+//!   packs into per-thread scratch too).
+//! * **Norms while hot.** DiVa's PPU derives gradient norms from output rows
+//!   as they drain from the GEMM engine, so per-example gradients never make
+//!   a second trip (`diva_pearray`'s `Ppu`). In software, the task that
+//!   wrote row `i` takes its squared norm right after writing it, while the
+//!   row is still in cache; `NetworkGrads::per_example_sq_norms` then only
+//!   adds `B` numbers per layer.
+//! * **Reduced in parallel.** The clip-weighted reduce is the `(1, B, P)`
+//!   GEMM `factorsᵀ × G` over the arena, cut into column blocks across the
+//!   pool ([`diva_tensor::weighted_row_sum`]).
+//!
+//! `NormOnly` (the first pass of DP-SGD(R)) runs the same row writers
+//! through [`sq_norms`]: each example's row goes into a recycled scratch
+//! buffer, its norm is taken and the buffer handed back, so memory scales
+//! with the examples in flight, never with `B`.
+
+use std::fmt;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use diva_tensor::{parallel, sq_norm, weighted_row_sum, Tensor};
+
+/// Free buffers kept for reuse: more than the parameterized layers of any
+/// network in this workspace plus the in-flight `NormOnly` scratch rows.
+/// Past it, the smallest buffer is released.
+const FREE_BUFFERS: usize = 16;
+
+static FREE: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
+
+fn free_list() -> MutexGuard<'static, Vec<Vec<f32>>> {
+    // Every critical section is a single push or removal, so the list is
+    // valid even if a holder panicked.
+    FREE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// An `f32` buffer drawn from the free list and handed back on drop.
+struct Recycled(Vec<f32>);
+
+impl Recycled {
+    /// A buffer of exactly `len` elements, best fit from the free list.
+    /// Its contents are unspecified (an earlier user's data): every user
+    /// overwrites each element before reading it.
+    fn take(len: usize) -> Self {
+        let reused = {
+            let mut free = free_list();
+            free.iter()
+                .enumerate()
+                .filter(|(_, buf)| buf.capacity() >= len)
+                .min_by_key(|(_, buf)| buf.capacity())
+                .map(|(i, _)| i)
+                .map(|i| free.swap_remove(i))
+        };
+        let mut buf = reused.unwrap_or_default();
+        // Shrinking keeps the pages; growing zero-fills only the new tail.
+        buf.resize(len, 0.0);
+        Self(buf)
+    }
+}
+
+impl Clone for Recycled {
+    fn clone(&self) -> Self {
+        let mut copy = Self::take(self.0.len());
+        copy.0.copy_from_slice(&self.0);
+        copy
+    }
+}
+
+impl Drop for Recycled {
+    fn drop(&mut self) {
+        let buf = std::mem::take(&mut self.0);
+        if buf.capacity() == 0 {
+            return;
+        }
+        let mut free = free_list();
+        free.push(buf);
+        if free.len() > FREE_BUFFERS {
+            if let Some(smallest) = (0..free.len()).min_by_key(|&i| free[i].capacity()) {
+                free.swap_remove(smallest);
+            }
+        }
+    }
+}
+
+/// One layer's per-example weight gradients: a `(B, P)` arena whose row `i`
+/// holds example `i`'s gradient (the layer's parameter tensors, in
+/// [`crate::Layer::params`] order, laid end to end), plus each row's squared
+/// L2 norm, taken by the task that wrote the row.
+#[derive(Clone)]
+pub struct PerExampleGrads {
+    rows: Recycled,
+    batch: usize,
+    shapes: Vec<Vec<usize>>,
+    /// `offsets[p]..offsets[p + 1]` is parameter `p`'s segment of a row.
+    offsets: Vec<usize>,
+    sq_norms: Vec<f64>,
+}
+
+impl PerExampleGrads {
+    /// Derives `batch` per-example gradients for a layer with parameters
+    /// `params`: `write(i, row)` writes example `i`'s gradient over `row`
+    /// and must overwrite every element (the row is recycled memory).
+    /// Examples fan out over the shared pool in fixed contiguous ranges;
+    /// each row's squared norm is taken right after `write` returns.
+    pub(crate) fn build<F>(batch: usize, params: &[&Tensor], write: F) -> Self
+    where
+        F: Fn(usize, &mut [f32]) + Sync,
+    {
+        let (shapes, offsets) = layout(params);
+        let width = row_width(&offsets);
+        let mut rows = Recycled::take(batch * width);
+        let mut slots: Vec<(&mut [f32], f64)> =
+            rows.0.chunks_mut(width).map(|row| (row, 0.0)).collect();
+        parallel::par_chunks_mut(&mut slots, 1, |i, slot| {
+            let (row, norm) = &mut slot[0];
+            write(i, row);
+            *norm = row_sq_norm(row, &offsets);
+        });
+        let sq_norms = slots.into_iter().map(|(_, norm)| norm).collect();
+        Self {
+            rows,
+            batch,
+            shapes,
+            offsets,
+            sq_norms,
+        }
+    }
+
+    /// The number of examples `B`.
+    pub fn batch(&self) -> usize {
+        self.batch
+    }
+
+    /// The shapes of the layer's parameter tensors, in row order.
+    pub fn param_shapes(&self) -> &[Vec<usize>] {
+        &self.shapes
+    }
+
+    /// Example `i`'s gradient of parameter `p`, flattened.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= batch` or `p` is not a parameter index.
+    pub fn param(&self, i: usize, p: usize) -> &[f32] {
+        assert!(
+            i < self.batch,
+            "example {i} out of bounds for batch {}",
+            self.batch
+        );
+        let row = i * row_width(&self.offsets);
+        &self.rows.0[row + self.offsets[p]..row + self.offsets[p + 1]]
+    }
+
+    /// Each example's squared L2 norm, taken while its row was hot.
+    pub fn sq_norms(&self) -> &[f64] {
+        &self.sq_norms
+    }
+
+    /// Copies the arena out as `examples[i][p]` tensors (for inspection and
+    /// tests; the training path never materializes them).
+    pub fn examples(&self) -> Vec<Vec<Tensor>> {
+        (0..self.batch)
+            .map(|i| {
+                self.shapes
+                    .iter()
+                    .enumerate()
+                    .map(|(p, shape)| Tensor::from_vec(self.param(i, p).to_vec(), shape))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The clip-weighted reduce `Σᵢ weights[i] · gᵢ`, one tensor per
+    /// parameter: the `(1, B, P)` GEMM `weightsᵀ × G` over the arena, column
+    /// blocks split across the pool. Examples accumulate in order with one
+    /// fused multiply-add each, so the result is bit-identical to adding
+    /// `weights[i] · gᵢ` one example at a time with
+    /// [`diva_tensor::add_scaled`], at any thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len() != batch`.
+    pub fn weighted_sum(&self, weights: &[f64]) -> Vec<Tensor> {
+        assert_eq!(weights.len(), self.batch, "one weight per example required");
+        let weights: Vec<f32> = weights.iter().map(|&w| w as f32).collect();
+        let width = row_width(&self.offsets);
+        self.shapes
+            .iter()
+            .zip(self.offsets.windows(2))
+            .map(|(shape, seg)| {
+                let mut acc = Tensor::zeros(shape);
+                let rows = self.rows.0.get(seg[0]..).unwrap_or_default();
+                weighted_row_sum(rows, width, &weights, acc.data_mut());
+                acc
+            })
+            .collect()
+    }
+}
+
+impl fmt::Debug for PerExampleGrads {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PerExampleGrads")
+            .field("batch", &self.batch)
+            .field("param_shapes", &self.shapes)
+            .field("sq_norms", &self.sq_norms)
+            .finish_non_exhaustive()
+    }
+}
+
+/// `NormOnly` through a layer's row writer: example `i`'s gradient is
+/// written into a recycled scratch row (`write` overwrites every element,
+/// as for [`PerExampleGrads::build`]), its squared norm taken while hot and
+/// the row handed back.
+pub(crate) fn sq_norms<F>(batch: usize, params: &[&Tensor], write: F) -> Vec<f64>
+where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
+    let (_, offsets) = layout(params);
+    let width = row_width(&offsets);
+    parallel::par_map(batch, |i| {
+        let mut row = Recycled::take(width);
+        write(i, &mut row.0);
+        row_sq_norm(&row.0, &offsets)
+    })
+}
+
+/// Parameter shapes and segment offsets (`params.len() + 1` entries) of an
+/// arena row.
+fn layout(params: &[&Tensor]) -> (Vec<Vec<usize>>, Vec<usize>) {
+    let shapes = params.iter().map(|p| p.shape().dims().to_vec()).collect();
+    let offsets = std::iter::once(0)
+        .chain(params.iter().scan(0, |end, p| {
+            *end += p.len();
+            Some(*end)
+        }))
+        .collect();
+    (shapes, offsets)
+}
+
+fn row_width(offsets: &[usize]) -> usize {
+    offsets.last().copied().unwrap_or(0)
+}
+
+/// The PPU's norm of one row: `sq_norm` of each parameter segment, summed
+/// in parameter order — the same number as summing
+/// [`Tensor::squared_norm`] over the example's parameter tensors.
+fn row_sq_norm(row: &[f32], offsets: &[usize]) -> f64 {
+    offsets
+        .windows(2)
+        .map(|seg| sq_norm(&row[seg[0]..seg[1]]))
+        .sum()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{GradMode, Layer, Network, ParamGrads};
+    use diva_tensor::{softmax_cross_entropy, DivaRng};
+
+    /// Recycled rows are written over, never read: with the free list
+    /// seeded with NaN buffers of every arena size this network asks for,
+    /// each layer's per-example gradients still sum to its per-batch
+    /// gradient and its norms match the copied-out tensors.
+    #[test]
+    fn recycled_rows_never_leak_stale_data() {
+        let mut rng = DivaRng::seed_from_u64(40);
+        let net = Network::new(vec![
+            Layer::conv2d(1, 3, 3, 1, 1, 6, 6, &mut rng),
+            Layer::group_norm(3, 3),
+            Layer::relu(),
+            Layer::flatten(),
+            Layer::dense(3 * 36, 5, true, &mut rng),
+            Layer::relu(),
+            Layer::dense(5, 4, false, &mut rng),
+        ]);
+        let b = 3;
+        for layer in net.layers() {
+            let width: usize = layer.params().iter().map(|p| p.len()).sum();
+            if width > 0 {
+                drop(Recycled(vec![f32::NAN; b * width]));
+                drop(Recycled(vec![f32::NAN; width]));
+            }
+        }
+        let x = Tensor::uniform(&[b, 1, 6, 6], -1.0, 1.0, &mut rng);
+        let (y, caches) = net.forward(&x);
+        let grad = softmax_cross_entropy(&y, &[0, 1, 3]).grad_logits;
+        let per_ex = net.backward(&caches, &grad, GradMode::PerExample);
+        let batch = net.backward(&caches, &grad, GradMode::PerBatch);
+        let norms = net.backward(&caches, &grad, GradMode::NormOnly);
+        for ((pe, pb), no) in per_ex.layers.iter().zip(&batch.layers).zip(&norms.layers) {
+            let (ParamGrads::PerExample(pe), ParamGrads::PerBatch(pb)) = (pe, pb) else {
+                continue;
+            };
+            let examples = pe.examples();
+            for (p, total) in pb.iter().enumerate() {
+                let mut sum = Tensor::zeros(total.shape().dims());
+                for ex in &examples {
+                    sum.add_assign(&ex[p]);
+                }
+                assert!(sum.max_abs_diff(total) < 1e-4, "param {p} diverged");
+            }
+            let ParamGrads::SqNorms(no) = no else {
+                panic!("NormOnly must yield norms");
+            };
+            for (i, ex) in examples.iter().enumerate() {
+                let copied: f64 = ex.iter().map(Tensor::squared_norm).sum();
+                assert_eq!(pe.sq_norms()[i], copied, "hot norm {i} differs");
+                assert!((no[i] - copied).abs() <= 1e-6 * copied.max(1.0));
+            }
+        }
+    }
+}

@@ -26,11 +26,18 @@ fn forward_loss(net: &Network, b: usize, rng: &mut DivaRng) -> (Vec<diva_nn::Lay
     (caches, loss.grad_logits)
 }
 
-/// Straightforward serial weighted reduction used as the oracle.
+/// Straightforward serial weighted reduction over the arena's examples,
+/// copied out as tensors — the oracle. Also checks the norms the arena
+/// took while writing each row against the copied-out tensors.
 fn reduce_serial(grads: &NetworkGrads, weights: &[f64]) -> Vec<Tensor> {
     let mut out = Vec::new();
     for g in &grads.layers {
-        if let ParamGrads::PerExample(per_ex) = g {
+        if let ParamGrads::PerExample(arena) = g {
+            let per_ex = arena.examples();
+            for (ex, &hot) in per_ex.iter().zip(arena.sq_norms()) {
+                let copied: f64 = ex.iter().map(Tensor::squared_norm).sum();
+                assert_eq!(hot, copied, "norm taken while writing differs");
+            }
             for pi in 0..per_ex[0].len() {
                 let mut acc = Tensor::zeros(per_ex[0][pi].shape().dims());
                 for (ex, &w) in per_ex.iter().zip(weights) {
@@ -43,8 +50,9 @@ fn reduce_serial(grads: &NetworkGrads, weights: &[f64]) -> Vec<Tensor> {
     out
 }
 
-/// The parallel weighted reduce is bit-identical to serial accumulation
-/// for every worker count (each job keeps the serial example order).
+/// The column-split `K = B` reduce over the arena is bit-identical to
+/// serial accumulation for every worker count, and so are the norms the
+/// arena takes while writing each row.
 #[test]
 fn weighted_reduce_is_bitwise_stable_across_thread_counts() {
     let mut rng = DivaRng::seed_from_u64(21);
@@ -54,11 +62,20 @@ fn weighted_reduce_is_bitwise_stable_across_thread_counts() {
         let per_ex = net.backward(&caches, &grad_loss, GradMode::PerExample);
         let weights: Vec<f64> = (0..b).map(|i| 1.0 / (1.0 + i as f64)).collect();
         let oracle = reduce_serial(&per_ex, &weights);
+        let norms = per_ex.per_example_sq_norms();
         for backend in [
             Backend::serial(),
             Backend::with_threads(2),
             Backend::with_threads(5),
         ] {
+            let rebuilt =
+                backend.install(|| net.backward(&caches, &grad_loss, GradMode::PerExample));
+            assert_eq!(
+                rebuilt.per_example_sq_norms(),
+                norms,
+                "b={b} {}",
+                backend.label()
+            );
             let reduced = backend.install(|| per_ex.weighted_reduce(&weights));
             let flat = reduced.flatten_per_batch();
             let oracle_flat: Vec<f32> = oracle.iter().flat_map(|t| t.data().to_vec()).collect();

@@ -120,24 +120,28 @@ fn fused_per_example_grads_are_bit_identical_to_naive_path() {
             for &threads in &[1usize, 4, 8] {
                 let fused = Backend::with_threads(threads)
                     .install(|| layer.backward(&cache, &gy, GradMode::PerExample));
-                let ParamGrads::PerExample(per_ex) = &fused.grads else {
+                let ParamGrads::PerExample(arena) = &fused.grads else {
                     panic!("PerExample must yield per-example gradients");
                 };
-                assert_eq!(per_ex.len(), batch);
-                for (i, ex) in per_ex.iter().enumerate() {
+                assert_eq!(arena.batch(), batch);
+                for i in 0..batch {
                     let naive = naive_example_grads(&x, &gy, &geom, i);
-                    assert_eq!(ex.len(), naive.len());
-                    for (pi, (f, n)) in ex.iter().zip(&naive).enumerate() {
+                    assert_eq!(arena.param_shapes().len(), naive.len());
+                    for (pi, n) in naive.iter().enumerate() {
                         // The naive gradient keeps a leading batch dim of
                         // 1 on neither tensor (both are (Cout, Cin, R, S)
                         // / (Cout,)); compare raw data bit-for-bit.
                         assert_eq!(
-                            f.data(),
+                            arena.param(i, pi),
                             n.data(),
                             "param {pi} of example {i} diverged: {geom:?} b={batch} \
                              threads={threads}"
                         );
                     }
+                    // The norm taken while the row was hot is the naive
+                    // path's norm, bit for bit.
+                    let naive_norm: f64 = naive.iter().map(Tensor::squared_norm).sum();
+                    assert_eq!(arena.sq_norms()[i], naive_norm, "norm {i}: {geom:?}");
                 }
             }
         }

@@ -82,7 +82,7 @@ impl OuterProductArray {
             // Broadcast LHS column ki and RHS row ki; all-to-all MAC.
             let lhs_col: Vec<f32> = (0..mt).map(|r| a.data()[r * k + ki]).collect();
             let rhs_row: Vec<f32> = (0..nt).map(|c| b.data()[ki * nt + c]).collect();
-            diva_tensor::outer_product_accumulate(&mut acc, &lhs_col, &rhs_row);
+            diva_tensor::outer_product_accumulate(acc.data_mut(), &lhs_col, &rhs_row);
         }
         (acc, self.compute_cycles(k) + self.drain_cycles(mt))
     }

@@ -440,26 +440,31 @@ impl PatchBuffer {
     /// Panics if `gy_rows` is not the `(N·P·Q, C_out)` row layout of
     /// [`nchw_to_rows`].
     pub fn backward_weight_batch(&self, gy_rows: &Tensor) -> Tensor {
-        self.weight_grad_window(gy_rows, 0, self.n * self.rows_per_example())
+        let mut gw = Tensor::zeros(&[self.geom.cout, self.geom.cin, self.geom.k, self.geom.k]);
+        self.weight_grad_window(gy_rows, 0, self.n * self.rows_per_example(), gw.data_mut());
+        gw
     }
 
-    /// The weight gradient of example `i` as a strided GEMM panel over the
-    /// shared buffer — Algorithm 1's per-example `(C_in·R·S, P·Q, C_out)`
-    /// derivation without the per-example `im2col`.
+    /// The weight gradient of example `i`, `(C_out, C_in, R, S)` row-major,
+    /// written over `out` as a strided GEMM panel of the shared buffer —
+    /// Algorithm 1's per-example `(C_in·R·S, P·Q, C_out)` derivation without
+    /// the per-example `im2col`. Every element of `out` is overwritten, so
+    /// it may be a recycled per-example gradient row.
     ///
     /// # Panics
     ///
-    /// Panics if `i >= batch` or `gy_rows` has the wrong layout.
-    pub fn backward_weight_example(&self, gy_rows: &Tensor, i: usize) -> Tensor {
+    /// Panics if `i >= batch`, `gy_rows` has the wrong layout, or `out` is
+    /// not [`Conv2dGeom::weight_len`] long.
+    pub fn backward_weight_example(&self, gy_rows: &Tensor, i: usize, out: &mut [f32]) {
         assert!(i < self.n, "example {i} out of bounds for batch {}", self.n);
         let pq = self.rows_per_example();
-        self.weight_grad_window(gy_rows, i * pq, (i + 1) * pq)
+        self.weight_grad_window(gy_rows, i * pq, (i + 1) * pq, out);
     }
 
     /// Shared weight-gradient core over patch-buffer rows `lo..hi`:
     /// `G(W)[co][d] = Σ_r gy[r][co] · patches[r][d]` with the patch buffer
-    /// as the (packed, cached) B operand.
-    fn weight_grad_window(&self, gy_rows: &Tensor, lo: usize, hi: usize) -> Tensor {
+    /// as the (packed, cached) B operand, written over `gw`.
+    fn weight_grad_window(&self, gy_rows: &Tensor, lo: usize, hi: usize, gw: &mut [f32]) {
         let (rows, cout) = gy_rows.dims2();
         assert_eq!(cout, self.geom.cout, "gradient channel mismatch");
         assert_eq!(
@@ -468,8 +473,14 @@ impl PatchBuffer {
             "gradient row-count mismatch"
         );
         let patch = self.geom.patch_len();
+        assert_eq!(
+            gw.len(),
+            self.geom.weight_len(),
+            "weight-gradient output length mismatch"
+        );
+        // Both kernels accumulate into their output.
+        gw.fill(0.0);
         let (m, k) = (cout, hi - lo);
-        let mut gw = Tensor::zeros(&[cout, self.geom.cin, self.geom.k, self.geom.k]);
         let a = MatRef::transposed(&gy_rows.data()[lo * cout..hi * cout], cout);
         if blocked_path_eligible(m, k, patch) {
             let total = rows;
@@ -484,12 +495,11 @@ impl PatchBuffer {
                     pq,
                 )
             });
-            gemm_packed_window(m, patch, a, pb, lo, hi, gw.data_mut());
+            gemm_packed_window(m, patch, a, pb, lo, hi, gw);
         } else {
             let b = MatRef::row_major(&self.patches.data()[lo * patch..hi * patch], patch);
-            gemm_reference(m, k, patch, a, b, gw.data_mut());
+            gemm_reference(m, k, patch, a, b, gw);
         }
-        gw
     }
 }
 

@@ -68,7 +68,8 @@ pub use matmul::{
     matmul, matmul_nt, matmul_reference, matmul_tn, matmul_tt, outer_product_accumulate,
 };
 pub use ops::{
-    add_scaled, argmax_rows, relu, relu_backward, softmax_cross_entropy, SoftmaxCrossEntropy,
+    add_scaled, argmax_rows, relu, relu_backward, softmax_cross_entropy, sq_norm, weighted_row_sum,
+    SoftmaxCrossEntropy,
 };
 pub use parallel::Backend;
 pub use rng::DivaRng;

@@ -148,7 +148,8 @@ pub fn matmul_reference(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// Accumulates one outer-product step `C += a ⊗ b` into `c`.
+/// Accumulates one outer-product step `C += a ⊗ b` into the row-major
+/// `(a.len(), b.len())` matrix `c`.
 ///
 /// This is the per-cycle operation of DiVa's outer-product GEMM engine
 /// (paper Figure 9): a length-`M` column of the LHS and a length-`N` row of
@@ -156,18 +157,24 @@ pub fn matmul_reference(a: &Tensor, b: &Tensor) -> Tensor {
 ///
 /// # Panics
 ///
-/// Panics if `c` is not `(a.len(), b.len())`.
-pub fn outer_product_accumulate(c: &mut Tensor, a: &[f32], b: &[f32]) {
-    let (m, n) = c.dims2();
-    assert_eq!(a.len(), m, "outer product LHS length {} != M {m}", a.len());
-    assert_eq!(b.len(), n, "outer product RHS length {} != N {n}", b.len());
-    let cv = c.data_mut();
-    for (i, &ai) in a.iter().enumerate() {
+/// Panics if `c.len() != a.len() * b.len()`.
+pub fn outer_product_accumulate(c: &mut [f32], a: &[f32], b: &[f32]) {
+    assert_eq!(
+        c.len(),
+        a.len() * b.len(),
+        "outer product output holds {} elements, a ⊗ b is {}x{}",
+        c.len(),
+        a.len(),
+        b.len()
+    );
+    if b.is_empty() {
+        return;
+    }
+    for (crow, &ai) in c.chunks_exact_mut(b.len()).zip(a) {
         if ai == 0.0 {
             continue;
         }
-        let crow = &mut cv[i * n..(i + 1) * n];
-        for (cij, &bj) in crow.iter_mut().zip(b.iter()) {
+        for (cij, &bj) in crow.iter_mut().zip(b) {
             *cij += ai * bj;
         }
     }
@@ -218,7 +225,7 @@ mod tests {
         let at = a.transpose(); // rows of at are columns of a
         let mut c = Tensor::zeros(&[5, 3]);
         for k in 0..7 {
-            outer_product_accumulate(&mut c, at.row(k), b.row(k));
+            outer_product_accumulate(c.data_mut(), at.row(k), b.row(k));
         }
         assert!(close(&c, &matmul(&a, &b), 1e-5));
     }

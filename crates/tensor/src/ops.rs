@@ -4,6 +4,7 @@
 // rewrites would obscure the (row, column, timestep) structure.
 #![allow(clippy::needless_range_loop)]
 
+use crate::parallel;
 use crate::tensor::Tensor;
 
 /// Width of the manually unrolled `add_scaled` strips: matches the widest
@@ -60,13 +61,18 @@ pub fn add_scaled(dst: &mut Tensor, src: &Tensor, scale: f32) {
         dst.shape(),
         src.shape()
     );
-    let n = dst.len();
-    let dv = &mut dst.data_mut()[..n];
-    let sv = &src.data()[..n];
-    let mut d_chunks = dv.chunks_exact_mut(LANES);
-    let mut s_chunks = sv.chunks_exact(LANES);
-    // Fixed-width strips with fused multiply-add: the axpy kernel at the
-    // heart of every weighted clip-reduce.
+    axpy(dst.data_mut(), src.data(), scale);
+}
+
+/// `dst[j] = fma(src[j], scale, dst[j])` over equal-length slices: the axpy
+/// kernel at the heart of every weighted clip-reduce, shared by
+/// [`add_scaled`] and [`weighted_row_sum`] so the two agree bit for bit.
+fn axpy(dst: &mut [f32], src: &[f32], scale: f32) {
+    debug_assert_eq!(dst.len(), src.len());
+    let mut d_chunks = dst.chunks_exact_mut(LANES);
+    let mut s_chunks = src.chunks_exact(LANES);
+    // Fixed-width strips with fused multiply-add; the strip width only
+    // shapes vectorization, every element still gets exactly one FMA.
     for (dc, sc) in (&mut d_chunks).zip(&mut s_chunks) {
         for (d, &s) in dc.iter_mut().zip(sc) {
             *d = s.mul_add(scale, *d);
@@ -79,6 +85,97 @@ pub fn add_scaled(dst: &mut Tensor, src: &Tensor, scale: f32) {
     {
         *d = s.mul_add(scale, *d);
     }
+}
+
+/// Column block of [`weighted_row_sum`]: 4096 `f32` accumulators (16 KiB)
+/// stay L1-resident while each row's matching block streams past.
+const ROW_SUM_BLOCK: usize = 4096;
+
+/// The weighted row sum `out[j] += Σᵢ weights[i] · rows[i·stride + j]` for
+/// `j < out.len()`: the `(1, B, N)` GEMM `wᵀ × G` behind DP-SGD's
+/// clip-weighted reduce, where `G` is `B = weights.len()` rows of a
+/// row-major matrix with row stride `stride`.
+///
+/// With `M = 1` this is a GEMV, which the blocked GEMM would serve badly
+/// (its `MR`-row register tiles would idle five rows in six and its B
+/// packing would copy all of `G`). Instead `out` is cut into column blocks
+/// that the shared pool splits across workers, and every block takes the
+/// rows in ascending order with one fused multiply-add per element per row
+/// — [`add_scaled`]'s arithmetic. The result is therefore bit-identical to
+/// `B` sequential `add_scaled` calls at any thread count.
+///
+/// # Panics
+///
+/// Panics if the last row runs past the end of `rows`.
+pub fn weighted_row_sum(rows: &[f32], stride: usize, weights: &[f32], out: &mut [f32]) {
+    if let Some(last) = weights.len().checked_sub(1) {
+        assert!(
+            last * stride + out.len() <= rows.len(),
+            "weighted_row_sum: {} rows of stride {stride} and width {} overrun {} elements",
+            weights.len(),
+            out.len(),
+            rows.len()
+        );
+    }
+    parallel::par_chunks_mut(out, ROW_SUM_BLOCK, |blk, acc| {
+        let (c0, len) = (blk * ROW_SUM_BLOCK, acc.len());
+        let row = |i: usize| &rows[i * stride + c0..i * stride + c0 + len];
+        // Four rows per sweep of the accumulators: each element still takes
+        // its FMAs one row at a time, in row order, but the block is loaded
+        // and stored once per four rows instead of once per row.
+        let quads = weights.chunks_exact(4);
+        let tail = quads.remainder();
+        for (q, w) in quads.enumerate() {
+            let i = 4 * q;
+            let (r0, r1, r2, r3) = (row(i), row(i + 1), row(i + 2), row(i + 3));
+            for ((((d, &a), &b), &c), &e) in acc.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
+                *d = e.mul_add(w[3], c.mul_add(w[2], b.mul_add(w[1], a.mul_add(w[0], *d))));
+            }
+        }
+        let first_tail = weights.len() - tail.len();
+        for (k, &w) in tail.iter().enumerate() {
+            axpy(acc, row(first_tail + k), w);
+        }
+    });
+}
+
+/// Independent `f64` accumulators of [`sq_norm`]: enough parallel add
+/// chains to hide the add latency on the widest vectors the backend
+/// targets. A power of two, so the lanes fold as a balanced tree.
+const NORM_LANES: usize = 16;
+
+/// The squared L2 norm `Σ xⱼ²` of a slice, accumulated in `f64` — the one
+/// squared-norm kernel behind [`Tensor::squared_norm`] and every
+/// per-example gradient norm (the software post-processing unit in
+/// `diva-nn`).
+///
+/// Element `j` accumulates into lane `j mod 16` in ascending `j` (each
+/// square is exact in `f64`), and the lanes fold as a fixed pairwise tree —
+/// the shape of DiVa's PPU adder trees (paper Figs. 11–12). The result
+/// depends only on the data: never on a caller's chunking, thread count or
+/// vector width.
+pub fn sq_norm(x: &[f32]) -> f64 {
+    let mut lanes = [0.0f64; NORM_LANES];
+    let chunks = x.chunks_exact(NORM_LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (acc, &v) in lanes.iter_mut().zip(chunk) {
+            let v = f64::from(v);
+            *acc += v * v;
+        }
+    }
+    for (acc, &v) in lanes.iter_mut().zip(tail) {
+        let v = f64::from(v);
+        *acc += v * v;
+    }
+    let mut width = NORM_LANES;
+    while width > 1 {
+        width /= 2;
+        for i in 0..width {
+            lanes[i] += lanes[i + width];
+        }
+    }
+    lanes[0]
 }
 
 /// The result of a fused softmax + cross-entropy evaluation.
@@ -222,5 +319,42 @@ mod tests {
         let gb = softmax_cross_entropy(&b, &[0]);
         assert!((ga.mean_loss - gb.mean_loss).abs() < 1e-5);
         assert!(ga.grad_logits.max_abs_diff(&gb.grad_logits) < 1e-5);
+    }
+
+    /// The lane-parallel norm is exact on small integers and agrees with a
+    /// sequential `f64` sum to rounding at every length around the lane
+    /// width.
+    #[test]
+    fn sq_norm_matches_sequential_sum() {
+        assert_eq!(sq_norm(&[]), 0.0);
+        assert_eq!(sq_norm(&[3.0, 4.0]), 25.0);
+        let mut rng = DivaRng::seed_from_u64(38);
+        for len in [1usize, 15, 16, 17, 33, 1000] {
+            let x: Vec<f32> = (0..len).map(|_| rng.uniform(-2.0, 2.0)).collect();
+            let seq: f64 = x.iter().map(|&v| f64::from(v) * f64::from(v)).sum();
+            assert!((sq_norm(&x) - seq).abs() <= 1e-12 * seq, "len {len}");
+        }
+    }
+
+    /// The column-split GEMV is bitwise equal to sequential `add_scaled`
+    /// calls in row order, for strided rows, ragged column blocks and any
+    /// worker count.
+    #[test]
+    fn weighted_row_sum_is_bitwise_sequential_add_scaled() {
+        let mut rng = DivaRng::seed_from_u64(39);
+        let (b, width, stride) = (7usize, 2 * ROW_SUM_BLOCK + 37, 2 * ROW_SUM_BLOCK + 50);
+        let rows: Vec<f32> = (0..b * stride).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        let weights: Vec<f32> = (0..b).map(|i| 1.0 / (1.0 + i as f32)).collect();
+        let mut oracle = Tensor::zeros(&[width]);
+        for (i, &w) in weights.iter().enumerate() {
+            let row = Tensor::from_vec(rows[i * stride..i * stride + width].to_vec(), &[width]);
+            add_scaled(&mut oracle, &row, w);
+        }
+        for threads in [1usize, 2, 5] {
+            let mut out = vec![0.0f32; width];
+            crate::Backend::with_threads(threads)
+                .install(|| weighted_row_sum(&rows, stride, &weights, &mut out));
+            assert_eq!(out, oracle.data(), "threads={threads}");
+        }
     }
 }

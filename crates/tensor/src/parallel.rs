@@ -454,6 +454,15 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Taken by the tests that flip or observe the process-wide nesting
+    /// toggle, which the test harness would otherwise run concurrently.
+    static NESTING_LOCK: Mutex<()> = Mutex::new(());
+
+    fn nesting_guard() -> MutexGuard<'static, ()> {
+        NESTING_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn par_map_preserves_order() {
@@ -485,6 +494,7 @@ mod tests {
         // Force a real two-level region tree (a plain call would degrade to
         // serial on a single-core host) and check every inner task observes
         // depth 2 wherever it executed, with index-ordered results.
+        let _guard = nesting_guard();
         let outer = Backend::with_threads(2)
             .install(|| par_map(4, |i| par_map(4, |j| (region_depth(), i * 10 + j))));
         for (i, inner) in outer.iter().enumerate() {
@@ -498,6 +508,7 @@ mod tests {
 
     #[test]
     fn nested_parallelism_toggle_collapses_inner_regions() {
+        let _guard = nesting_guard();
         set_nested_parallelism(false);
         let counts = par_map(2, |_| par_map(2, |_| effective_threads()));
         set_nested_parallelism(true);

@@ -223,9 +223,10 @@ impl Tensor {
         self.data.iter().map(|&x| f64::from(x)).sum()
     }
 
-    /// The sum of squares of all elements (accumulated in `f64`).
+    /// The sum of squares of all elements (accumulated in `f64` by
+    /// [`crate::sq_norm`]).
     pub fn squared_norm(&self) -> f64 {
-        self.data.iter().map(|&x| f64::from(x) * f64::from(x)).sum()
+        crate::ops::sq_norm(&self.data)
     }
 
     /// The L2 norm of the tensor viewed as a flat vector.

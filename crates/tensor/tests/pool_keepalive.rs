@@ -210,6 +210,9 @@ fn try_par_map_isolates_per_item_panics() {
 /// scheduling-determined.
 #[test]
 fn try_par_map_failures_are_thread_count_stable() {
+    // Its 8-wide region grows the pool, so it must not run while another
+    // test compares spawn counts.
+    let _guard = pool_guard();
     let run = |threads: usize| {
         Backend::with_threads(threads).install(|| {
             parallel::try_par_map(13, |i| {
