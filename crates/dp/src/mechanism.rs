@@ -1,10 +1,15 @@
 //! The Gaussian mechanism: `g + N(0, σ²C²I)` (Algorithm 1 line 24).
 
 use diva_nn::{NetworkGrads, ParamGrads};
-use diva_tensor::DivaRng;
+use diva_tensor::{add_gaussian_noise, DivaRng};
 
 /// The Gaussian mechanism used by DP-SGD: adds isotropic noise with standard
 /// deviation `noise_multiplier × clip_norm` to a (clipped, summed) gradient.
+///
+/// Each noising call draws one 64-bit key from the caller's [`DivaRng`];
+/// the noise itself comes from the counter-based
+/// [`diva_tensor::add_gaussian_noise`], so it is the same at every thread
+/// count and runs in parallel on the installed backend.
 ///
 /// # Example
 ///
@@ -50,23 +55,25 @@ impl GaussianMechanism {
         self.noise_multiplier * self.clip_norm
     }
 
-    /// Adds `N(0, (σC)²)` noise to every coordinate of a flat gradient.
+    /// Adds `N(0, (σC)²)` noise to every coordinate of a flat gradient,
+    /// drawing one key from `rng` (none when `σ = 0`).
     pub fn add_noise(&self, grad: &mut [f32], rng: &mut DivaRng) {
         let std = self.noise_std();
         if std == 0.0 {
             return;
         }
-        for g in grad {
-            *g += rng.gaussian(0.0, std) as f32;
-        }
+        add_gaussian_noise(grad, std, rng.next_u64(), 0);
     }
 
-    /// Adds noise to every per-batch tensor of a [`NetworkGrads`].
+    /// Adds noise to every per-batch tensor of a [`NetworkGrads`], drawing
+    /// one key from `rng` (none when `σ = 0`).
     ///
-    /// The noise is drawn in deterministic iteration order (layer order,
-    /// parameter order, row-major), so two calls with identically seeded
-    /// generators produce identical noise — the property the DP-SGD ≡
-    /// DP-SGD(R) equivalence tests rely on.
+    /// Per-batch tensor `j` (in layer order, then parameter order) is noised
+    /// as stream `j` of that key, so the noise of its element `i` depends
+    /// only on `(key, j, i)`: two calls with identically seeded generators
+    /// on identically shaped gradients produce identical noise — the
+    /// property the DP-SGD ≡ DP-SGD(R) equivalence tests rely on — however
+    /// many threads either call runs on.
     ///
     /// # Panics
     ///
@@ -77,14 +84,15 @@ impl GaussianMechanism {
         if std == 0.0 {
             return;
         }
+        let key = rng.next_u64();
+        let mut stream = 0;
         for layer in &mut grads.layers {
             match layer {
                 ParamGrads::None => {}
                 ParamGrads::PerBatch(tensors) => {
                     for t in tensors {
-                        for v in t.data_mut() {
-                            *v += rng.gaussian(0.0, std) as f32;
-                        }
+                        add_gaussian_noise(t.data_mut(), std, key, stream);
+                        stream += 1;
                     }
                 }
                 other => panic!("noise must be added after reduction, got {other:?}"),

@@ -5,7 +5,7 @@
 //! the workaround the paper's Section III-A motivates).
 
 use diva_nn::{GradMode, Network, NetworkGrads};
-use diva_tensor::{softmax_cross_entropy, Backend, DivaRng, Tensor};
+use diva_tensor::{softmax_cross_entropy, sq_norm, Backend, DivaRng, Tensor};
 
 use crate::clip::{clip_factors, ClipSummary};
 use crate::error::AccountError;
@@ -124,8 +124,7 @@ pub struct PrivacySpent {
 }
 
 /// Builder for [`DpTrainer`]: hyper-parameters, clip mode and compute
-/// backend in one fluent chain (replaces the deprecated two-argument
-/// `DpTrainer::with_clip_mode`).
+/// backend in one fluent chain.
 ///
 /// # Example
 ///
@@ -280,23 +279,8 @@ impl DpTrainer {
         Self::assemble(config, ClipMode::Flat, Backend::auto())
     }
 
-    /// Creates a trainer with an explicit [`ClipMode`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ClipMode::PerLayer` is combined with DP-SGD(R): the
-    /// reweighted algorithm expresses clipping as a single per-example loss
-    /// scale, which cannot encode per-layer factors.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `DpTrainer::builder().config(..).clip_mode(..).build()` instead"
-    )]
-    pub fn with_clip_mode(config: DpSgdConfig, clip_mode: ClipMode) -> Self {
-        Self::assemble(config, clip_mode, Backend::auto())
-    }
-
-    /// The one construction path behind [`Self::new`],
-    /// [`DpTrainerBuilder::build`] and the deprecated `with_clip_mode`.
+    /// The one construction path behind [`Self::new`] and
+    /// [`DpTrainerBuilder::build`].
     fn assemble(config: DpSgdConfig, clip_mode: ClipMode, backend: Backend) -> Self {
         assert!(
             !(clip_mode == ClipMode::PerLayer
@@ -397,10 +381,11 @@ impl DpTrainer {
         rng: &mut DivaRng,
     ) -> StepReport {
         let b = x.shape().dim(0);
-        let (mut grads, loss, clip) = self.backend.install(|| self.clipped_sum(net, x, labels));
-        if self.config.is_private() {
-            self.mechanism.add_noise_to_grads(&mut grads, rng);
-        }
+        let (mut grads, loss, clip) = self.backend.install(|| {
+            let (mut grads, loss, clip) = self.clipped_sum(net, x, labels);
+            self.add_noise(&mut grads, rng);
+            (grads, loss, clip)
+        });
         // Average over the mini-batch: Algorithm 1 line 24 / 41 multiplies
         // the (noised) sum by 1/B; for SGD this is the usual mean gradient.
         scale_grads(&mut grads, 1.0 / b as f32);
@@ -449,9 +434,7 @@ impl DpTrainer {
             clip_acc = merge_clip(clip_acc, clip);
         }
         let mut grads = acc.expect("at least one microbatch");
-        if self.config.is_private() {
-            self.mechanism.add_noise_to_grads(&mut grads, rng);
-        }
+        self.backend.install(|| self.add_noise(&mut grads, rng));
         scale_grads(&mut grads, 1.0 / total_examples as f32);
         let update_norm = grad_norm(&grads);
         net.apply_update(&grads, self.config.learning_rate);
@@ -459,6 +442,13 @@ impl DpTrainer {
             mean_loss: loss_weighted / total_examples as f64,
             clip: clip_acc,
             update_norm,
+        }
+    }
+
+    /// Algorithm 1 line 24's Gaussian noise, for private algorithms only.
+    fn add_noise(&self, grads: &mut NetworkGrads, rng: &mut DivaRng) {
+        if self.config.is_private() {
+            self.mechanism.add_noise_to_grads(grads, rng);
         }
     }
 
@@ -545,12 +535,13 @@ fn scale_grads(grads: &mut NetworkGrads, s: f32) {
 }
 
 fn grad_norm(grads: &NetworkGrads) -> f64 {
-    grads
-        .flatten_per_batch()
-        .iter()
-        .map(|&v| f64::from(v) * f64::from(v))
-        .sum::<f64>()
-        .sqrt()
+    let mut sum = 0.0;
+    for layer in &grads.layers {
+        if let diva_nn::ParamGrads::PerBatch(tensors) = layer {
+            sum += tensors.iter().map(|t| sq_norm(t.data())).sum::<f64>();
+        }
+    }
+    sum.sqrt()
 }
 
 fn merge_clip(a: Option<ClipSummary>, b: Option<ClipSummary>) -> Option<ClipSummary> {
@@ -813,25 +804,47 @@ mod tests {
             .build();
     }
 
-    /// The deprecated two-argument constructor must keep behaving exactly
-    /// like the builder until it is removed.
+    /// A whole private step — backward, clip-reduce and the counter-based
+    /// noise — leaves the same parameter bits on one thread and on two.
+    /// The dense layer's 16,448 parameters are noised in parallel chunks.
     #[test]
-    fn deprecated_with_clip_mode_matches_builder() {
-        let cfg = DpSgdConfig {
-            algorithm: TrainingAlgorithm::DpSgd,
-            clip_norm: 0.7,
-            noise_multiplier: 1.0,
-            learning_rate: 0.2,
+    fn serial_and_parallel_steps_are_bitwise_equal() {
+        let mut rng = DivaRng::seed_from_u64(108);
+        let net0 = Network::new(vec![
+            Layer::conv2d(1, 4, 3, 1, 1, 8, 8, &mut rng),
+            Layer::relu(),
+            Layer::flatten(),
+            Layer::dense(256, 64, true, &mut rng),
+            Layer::relu(),
+            Layer::dense(64, 3, true, &mut rng),
+        ]);
+        let x = Tensor::uniform(&[12, 1, 8, 8], -1.0, 1.0, &mut rng);
+        let labels: Vec<usize> = (0..12).map(|i| i % 3).collect();
+        let params_bits = |net: &Network| -> Vec<u32> {
+            net.layers()
+                .iter()
+                .flat_map(|l| l.params())
+                .flat_map(|p| p.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+                .collect()
         };
-        #[allow(deprecated)]
-        let legacy = DpTrainer::with_clip_mode(cfg, ClipMode::PerLayer);
-        let built = DpTrainer::builder()
-            .config(cfg)
-            .clip_mode(ClipMode::PerLayer)
-            .build();
-        assert_eq!(legacy.config(), built.config());
-        assert_eq!(legacy.clip_mode(), built.clip_mode());
-        assert_eq!(legacy.backend(), built.backend());
+        for algorithm in [TrainingAlgorithm::DpSgd, TrainingAlgorithm::DpSgdReweighted] {
+            let step = |backend: Backend| {
+                let mut net = net0.clone();
+                DpTrainer::builder()
+                    .algorithm(algorithm)
+                    .clip_norm(0.5)
+                    .noise_multiplier(1.1)
+                    .backend(backend)
+                    .build()
+                    .step(&mut net, &x, &labels, &mut DivaRng::seed_from_u64(9));
+                params_bits(&net)
+            };
+            assert_eq!(
+                step(Backend::serial()),
+                step(Backend::with_threads(2)),
+                "{algorithm} step depends on the thread count"
+            );
+        }
     }
 
     /// The trainer's privacy report routes through the accounting engine:

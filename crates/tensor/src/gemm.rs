@@ -233,6 +233,9 @@ fn with_pack_scratch<R>(
 /// threads; keeps per-thread work well above spawn cost.
 const ROWS_PER_WORKER_MIN: usize = 48;
 
+/// C rows per pool chunk of the tiny-K path ([`gemm_tiny_k`]).
+const TINY_K_ROWS: usize = 256;
+
 /// A matrix operand view: base slice plus arbitrary row/column strides.
 ///
 /// `elem(i, j) = data[i * rs + j * cs]` for the logical (non-transposed)
@@ -267,6 +270,14 @@ impl<'a> MatRef<'a> {
     #[inline(always)]
     fn at(&self, i: usize, j: usize) -> f32 {
         self.data[i * self.rs + j * self.cs]
+    }
+
+    /// The view of rows `row0..` of this operand.
+    fn rows_from(self, row0: usize) -> Self {
+        Self {
+            data: &self.data[row0 * self.rs..],
+            ..self
+        }
     }
 }
 
@@ -519,13 +530,14 @@ fn gemm_rows(
 }
 
 /// Returns `true` when a GEMM of this shape routes to the blocked/packed
-/// kernel rather than the scalar reference — the exact decision [`gemm`]
-/// makes internally.
+/// kernel rather than the scalar reference arithmetic — the exact decision
+/// [`gemm`] makes internally.
 ///
-/// Tiny-K GEMMs (DP-SGD's per-example rank-1 weight gradients, K = 1)
-/// are pure outer-product accumulations: the packing passes cost more
-/// than they save, and the reference kernel's inner loop is already
-/// contiguous over B and C rows.
+/// Tiny-K GEMMs (`k < 16`: DP-SGD's per-example rank-1 weight gradients,
+/// a first convolution's `C_in·R·S = 9` patches) are short outer-product
+/// accumulations, where the packing passes cost more than they save. They
+/// run the reference kernel's arithmetic, row-parallel and over a
+/// contiguous copy of B when large enough ([`gemm_tiny_k`]).
 ///
 /// Exposed so callers that pre-pack B through a [`PackCache`] replicate the
 /// same routing and therefore stay bit-identical with the unpacked entry
@@ -539,14 +551,19 @@ pub(crate) fn blocked_path_eligible(m: usize, k: usize, n: usize) -> bool {
 /// `out` is row-major `(m, n)`.
 ///
 /// Falls back to the scalar reference below [`BLOCKED_THRESHOLD`]
-/// multiply-adds.
+/// multiply-adds, and to its row-parallel form ([`gemm_tiny_k`]) for
+/// larger `k < 16` GEMMs.
 pub(crate) fn gemm(m: usize, k: usize, n: usize, a: MatRef, b: MatRef, out: &mut [f32]) {
     assert_eq!(out.len(), m * n, "output buffer shape mismatch");
     if m == 0 || n == 0 || k == 0 {
         return;
     }
     if !blocked_path_eligible(m, k, n) {
-        gemm_reference(m, k, n, a, b, out);
+        if scalar_reference_mode() || m * k * n < BLOCKED_THRESHOLD {
+            gemm_reference(m, k, n, a, b, out);
+        } else {
+            gemm_tiny_k(k, n, a, b, out);
+        }
         return;
     }
     let threads = parallel::effective_threads().min(m.div_ceil(ROWS_PER_WORKER_MIN));
@@ -573,6 +590,23 @@ pub(crate) fn gemm(m: usize, k: usize, n: usize, a: MatRef, b: MatRef, out: &mut
             }
         },
     );
+}
+
+/// [`gemm_reference`] for a large GEMM with `k < 16`, split over the pool
+/// in [`TINY_K_ROWS`]-row blocks of C. B is first copied into a contiguous
+/// `(k, n)` buffer, so every block streams unit-stride B rows even when B
+/// arrives transposed (`nt`, a convolution's forward GEMM). Each element of
+/// C still takes the reference kernel's multiply-adds in the same order,
+/// so the result is bitwise [`gemm_reference`]'s at every thread count.
+fn gemm_tiny_k(k: usize, n: usize, a: MatRef, b: MatRef, out: &mut [f32]) {
+    let b_rows: Vec<f32> = (0..k)
+        .flat_map(|kk| (0..n).map(move |j| b.at(kk, j)))
+        .collect();
+    let b = MatRef::row_major(&b_rows, n);
+    parallel::par_chunks_mut(out, TINY_K_ROWS * n, |blk, rows| {
+        let a = a.rows_from(blk * TINY_K_ROWS);
+        gemm_reference(rows.len() / n, k, n, a, b, rows);
+    });
 }
 
 /// A B operand packed once into `NR`-wide strips for a caller-chosen panel

@@ -5,9 +5,15 @@
 //! dense tensors, GEMM in all transpose flavours, `im2col`/`col2im` lowering
 //! of convolutions (the transformation the paper relies on to express every
 //! training step as GEMM, Section II-D of the paper), elementwise kernels,
-//! reductions, and a seedable random-number facility including a Gaussian
-//! sampler (Box–Muller; implemented here because `rand_distr` is not part of
-//! the approved dependency set).
+//! reductions, and seedable randomness (implemented here because
+//! `rand`/`rand_distr` are not part of the approved dependency set):
+//! [`DivaRng`], a xoshiro256++ generator with a Box–Muller sampler for
+//! initialization and synthetic data, and [`add_gaussian_noise`], the
+//! counter-based sampler behind DP-SGD's Gaussian mechanism. Its noise for
+//! element `i` is a pure function of `(key, stream, i)`, computed by a
+//! branch-free polynomial Box–Muller over fixed 128-sample blocks and
+//! fanned out over the worker pool, so it is bitwise the same at every
+//! thread count and on every target.
 //!
 //! The crate uses no external BLAS, and unsafe code is denied crate-wide
 //! except at two narrow, audited sites: the lifetime erasure inside the
@@ -45,6 +51,7 @@ mod conv;
 pub mod fft;
 mod gemm;
 mod matmul;
+mod noise;
 mod ops;
 pub mod parallel;
 mod pool;
@@ -67,6 +74,7 @@ pub use gemm::{
 pub use matmul::{
     matmul, matmul_nt, matmul_reference, matmul_tn, matmul_tt, outer_product_accumulate,
 };
+pub use noise::add_gaussian_noise;
 pub use ops::{
     add_scaled, argmax_rows, relu, relu_backward, softmax_cross_entropy, sq_norm, weighted_row_sum,
     SoftmaxCrossEntropy,

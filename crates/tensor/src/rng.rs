@@ -2,7 +2,9 @@
 //!
 //! Implemented from scratch on xoshiro256++ (seeded through SplitMix64)
 //! because no external `rand`/`rand_distr` crates are part of the approved
-//! dependency set for this reproduction.
+//! dependency set for this reproduction. The DP noise sampler
+//! ([`crate::add_gaussian_noise`]) is counter-based and shares only
+//! SplitMix64's mixer with this module.
 
 /// A seedable random-number generator with a Gaussian sampler.
 ///
@@ -28,14 +30,23 @@ pub struct DivaRng {
     spare: Option<f64>,
 }
 
-/// SplitMix64 step: expands one 64-bit seed into a well-mixed stream, the
-/// standard way of seeding xoshiro state (Blackman & Vigna).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
+/// SplitMix64's Weyl increment (the golden-ratio odd constant).
+pub(crate) const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// SplitMix64's output mixer: a bijection on `u64` whose outputs at
+/// consecutive Weyl counters form the SplitMix64 stream.
+#[inline(always)]
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// SplitMix64 step: expands one 64-bit seed into a well-mixed stream, the
+/// standard way of seeding xoshiro state (Blackman & Vigna).
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(GAMMA);
+    mix64(*state)
 }
 
 impl DivaRng {
@@ -51,8 +62,10 @@ impl DivaRng {
         Self { state, spare: None }
     }
 
-    /// The xoshiro256++ next-u64 step.
-    fn next_u64(&mut self) -> u64 {
+    /// The xoshiro256++ next-u64 step: 64 uniformly random bits. The DP
+    /// Gaussian mechanism draws one per call as the key of its
+    /// counter-based noise ([`crate::add_gaussian_noise`]).
+    pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;

@@ -294,3 +294,35 @@ fn simd_thread_matrix_is_bit_identical() {
         set_l1_reorder(true);
     }
 }
+
+/// GEMMs with `k < 16` above the blocked-path threshold take the
+/// row-parallel tiny-K path (B copied contiguous, C split in row blocks).
+/// Every transpose flavour at every thread count must equal the scalar
+/// reference bit for bit: the path changes who computes a row, never how.
+#[test]
+fn tiny_k_gemm_is_bitwise_reference() {
+    use diva_tensor::Backend;
+    // m·k·n ≥ 48³ for every k below; 1537 rows leave a one-row last block.
+    let (m, n) = (1537usize, 75usize);
+    let mut rng = DivaRng::seed_from_u64(6);
+    for k in [1usize, 3, 9, 15] {
+        let a = Tensor::uniform(&[m, k], -1.0, 1.0, &mut rng);
+        let b = Tensor::uniform(&[k, n], -1.0, 1.0, &mut rng);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let reference = bits(&matmul_reference(&a, &b));
+        let (at, bt) = (a.transpose(), b.transpose());
+        for threads in [1usize, 2, 5] {
+            let backend = Backend::with_threads(threads);
+            for (name, out) in [
+                ("nn", backend.install(|| matmul(&a, &b))),
+                ("nt", backend.install(|| matmul_nt(&a, &bt))),
+                ("tn", backend.install(|| matmul_tn(&at, &b))),
+            ] {
+                assert!(
+                    bits(&out) == reference,
+                    "{name} k={k} threads={threads} diverged from gemm_reference"
+                );
+            }
+        }
+    }
+}

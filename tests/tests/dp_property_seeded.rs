@@ -12,10 +12,12 @@
 //!   per-batch pass) matches the two-pass reference that materializes
 //!   per-example gradients and reduces them — on CNNs, so the shared patch
 //!   buffer and packed-B reuse sit on the tested path.
+//! * The counter-based Gaussian noise of the mechanism is standard normal:
+//!   moments, a Kolmogorov–Smirnov test against Φ, and the 3σ tail mass.
 
 use diva_dp::{clip_factors, RdpAccountant};
 use diva_nn::{GradMode, Layer, Network};
-use diva_tensor::{softmax_cross_entropy, DivaRng, Tensor};
+use diva_tensor::{add_gaussian_noise, softmax_cross_entropy, DivaRng, Tensor};
 
 /// ε must grow strictly with composition length for any valid mechanism.
 #[test]
@@ -178,4 +180,81 @@ fn reweighted_backward_matches_two_pass_reference_on_cnns() {
             );
         }
     }
+}
+
+/// Samples per key of the noise tests, and the keys.
+const NOISE_N: usize = 1 << 18;
+const NOISE_KEYS: [u64; 5] = [0, 1, 0xd6, 0x5eed_cafe, u64::MAX];
+
+/// `N(0, 1)` noise of one key, as the mechanism adds it to a zero gradient.
+fn standard_noise(key: u64) -> Vec<f64> {
+    let mut z = vec![0.0f32; NOISE_N];
+    add_gaussian_noise(&mut z, 1.0, key, 0);
+    z.into_iter().map(f64::from).collect()
+}
+
+/// The standard normal CDF by Marsaglia's series
+/// `Φ(x) = ½ + φ(x)·(x + x³/3 + x⁵/(3·5) + …)`, whose terms are all of one
+/// sign (absolute error ≈ 1e-15).
+fn normal_cdf(x: f64) -> f64 {
+    let (q, mut term, mut sum, mut i) = (x * x, x, x, 1.0);
+    loop {
+        i += 2.0;
+        term *= q / i;
+        let next = sum + term;
+        if next == sum {
+            break;
+        }
+        sum = next;
+    }
+    0.5 + sum * (-0.5 * q - 0.5 * (2.0 * std::f64::consts::PI).ln()).exp()
+}
+
+/// For every key, the noise's sample mean and variance sit within five
+/// standard errors of 0 and 1, and its one-sample Kolmogorov–Smirnov
+/// statistic against Φ is below the α = 0.001 critical value
+/// `√(−ln(α/2)/2)/√n`.
+#[test]
+fn counter_noise_is_standard_normal() {
+    let n = NOISE_N as f64;
+    let critical = (-(0.001f64 / 2.0).ln() / 2.0).sqrt() / n.sqrt();
+    for key in NOISE_KEYS {
+        let mut z = standard_noise(key);
+        let mean = z.iter().sum::<f64>() / n;
+        let var = z.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0);
+        assert!(mean.abs() < 5.0 / n.sqrt(), "key {key}: mean {mean}");
+        assert!(
+            (var - 1.0).abs() < 5.0 * (2.0 / (n - 1.0)).sqrt(),
+            "key {key}: variance {var}"
+        );
+        z.sort_by(f64::total_cmp);
+        let ks = z
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                let cdf = normal_cdf(v);
+                ((i + 1) as f64 / n - cdf).max(cdf - i as f64 / n)
+            })
+            .fold(0.0, f64::max);
+        assert!(ks < critical, "key {key}: KS {ks} ≥ {critical}");
+    }
+}
+
+/// The mass beyond three standard deviations, pooled over the keys, is
+/// within five binomial standard errors of `2(1 − Φ(3)) ≈ 0.0027`.
+#[test]
+fn counter_noise_has_gaussian_tails() {
+    let p = 2.0 * (1.0 - normal_cdf(3.0));
+    let total = (NOISE_N * NOISE_KEYS.len()) as f64;
+    let beyond = NOISE_KEYS
+        .iter()
+        .map(|&key| standard_noise(key).iter().filter(|v| v.abs() > 3.0).count())
+        .sum::<usize>() as f64;
+    let sigma = (p * (1.0 - p) / total).sqrt();
+    assert!(
+        (beyond / total - p).abs() < 5.0 * sigma,
+        "|z| > 3 mass {} vs {p} ± {}",
+        beyond / total,
+        5.0 * sigma
+    );
 }
