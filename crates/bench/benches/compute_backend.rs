@@ -13,28 +13,31 @@
 //! step benchmarks; on a single-core host the two coincide and the blocked
 //! kernel carries the whole speedup.
 //!
-//! SIMD policy: the conv / DP-step / ε standard rows are measured with the
-//! explicit SIMD kernels **disabled** (`set_simd_enabled(false)` — a no-op
-//! without the `simd` feature), so their speedups are comparable whether or
-//! not the bench was compiled with the feature; that is what lets the CI
+//! Kernel policy: every row picks its GEMM arm through the `Backend` it
+//! runs under, so no row can observe another's configuration. `scalar`
+//! rows run `Kernel::Reference` (every GEMM through the seed's scalar
+//! loop). The conv / DP-step / first-backward rows run `Kernel::Safe`, the
+//! portable kernel, so their speedups are comparable whether or not the
+//! bench was compiled with the `simd` feature; that is what lets the CI
 //! regression gate, which builds without features, diff them against a
 //! record generated with `--features simd`. The matmul section is the
-//! exception: its `serial` / `parallel` rows record **production dispatch**
+//! exception: its `serial` / `parallel` rows run the default kernel
 //! (AVX-512 → AVX2 → safe, whatever this build and host resolve to) so the
 //! recorded milliseconds reflect what `matmul` actually delivers, and those
 //! rows carry no speedup metric (the absolute number is ISA-dependent, so
 //! gating its ratio across heterogeneous runners would be noise). The
-//! cross-config `serial_safe` / `serial_safe_noreorder` rows keep the safe
-//! kernel and carry `speedup_vs_scalar`; those are what `bench_regress`
-//! gates (the noreorder row pins the L1 B-strip-grouping delta — see
-//! `diva_tensor::gemm::set_l1_reorder`).
+//! cross-config `serial_safe` row keeps the safe kernel and carries
+//! `speedup_vs_scalar`; that is what `bench_regress` gates for matmul (it
+//! also covers the safe kernel's L1 B-strip grouping).
 //!
-//! Nested-scaling row: `dpsgd_step_b32_nested` runs the full DP-SGD step
+//! Nested-scaling row: `dpsgd_step_b32_nested` runs full DP-SGD steps
 //! inside an outer 2-cell parallel region — the scenario-runner shape —
-//! with hierarchical nested scheduling on versus off. The `nested_on` row
-//! carries `speedup_vs_nonested`, gated by `bench_regress`: a change that
-//! silently re-serializes nested regions shows up as that ratio collapsing
-//! on multi-core hosts (on a single-core host both sides coincide at 1.0).
+//! with a full-width trainer in each cell (`nested_on`: its per-example
+//! fan-out and GEMMs open nested regions) versus a serial one
+//! (`nested_off`). The `nested_on` row carries `speedup_vs_nonested`,
+//! gated by `bench_regress`: a change that silently re-serializes nested
+//! regions shows up as that ratio collapsing on multi-core hosts (on a
+//! single-core host both sides coincide at 1.0).
 
 use std::hint::black_box;
 
@@ -49,9 +52,24 @@ use std::sync::Mutex;
 
 use diva_tensor::{
     conv2d, conv2d_backward_data, conv2d_backward_weight, matmul, matmul_reference, parallel,
-    set_l1_reorder, set_scalar_reference_mode, set_simd_enabled, sq_norm, Backend, Conv2dGeom,
-    DivaRng, Tensor,
+    sq_norm, Backend, Conv2dGeom, DivaRng, Kernel, Tensor,
 };
+
+/// The `serial` / `parallel` / `scalar` backends of a conv or DP-step row
+/// (see the module docs' kernel policy).
+fn row_backends() -> [(&'static str, Backend); 3] {
+    [
+        ("scalar", Backend::serial().with_kernel(Kernel::Reference)),
+        (
+            "blocked_serial",
+            Backend::serial().with_kernel(Kernel::Safe),
+        ),
+        (
+            "blocked_parallel",
+            Backend::auto().with_kernel(Kernel::Safe),
+        ),
+    ]
+}
 
 /// GFLOP/s for a GEMM of the given shape at the measured seconds/iter.
 fn gflops(m: usize, k: usize, n: usize, secs: f64) -> f64 {
@@ -70,7 +88,6 @@ fn bench_matmul(h: &mut Harness, sink: &mut PerfSink) {
     // to (AVX-512 → AVX2 → safe). These record what `matmul` actually
     // delivers; their absolute numbers are ISA-dependent, so they carry no
     // speedup metric and are not gated (see the module docs).
-    set_simd_enabled(true);
     h.bench("matmul_256/blocked_serial", || {
         Backend::serial().install(|| matmul(black_box(&a), &b))
     });
@@ -78,20 +95,12 @@ fn bench_matmul(h: &mut Harness, sink: &mut PerfSink) {
         Backend::auto().install(|| matmul(black_box(&a), &b))
     });
 
-    // Cross-config rows: explicit kernels off, so the numbers are
-    // comparable whether or not the bench was compiled with `simd`. The
-    // noreorder variant additionally disables the L1 B-strip grouping —
-    // its delta versus `safe_serial` is the reorder's contribution on this
-    // host (results are bit-identical either way).
-    set_simd_enabled(false);
+    // Cross-config row: the safe kernel, so the number is comparable
+    // whether or not the bench was compiled with `simd`.
+    let safe = Backend::serial().with_kernel(Kernel::Safe);
     h.bench("matmul_256/safe_serial", || {
-        Backend::serial().install(|| matmul(black_box(&a), &b))
+        safe.install(|| matmul(black_box(&a), &b))
     });
-    set_l1_reorder(false);
-    h.bench("matmul_256/safe_serial_noreorder", || {
-        Backend::serial().install(|| matmul(black_box(&a), &b))
-    });
-    set_l1_reorder(true);
 
     let scalar = h.get("matmul_256/scalar").unwrap().secs_per_iter;
     for (short, backend, gate) in [
@@ -99,7 +108,6 @@ fn bench_matmul(h: &mut Harness, sink: &mut PerfSink) {
         ("blocked_serial", "serial", false),
         ("blocked_parallel", "parallel", false),
         ("safe_serial", "serial_safe", true),
-        ("safe_serial_noreorder", "serial_safe_noreorder", true),
     ] {
         let secs = h.get(&format!("matmul_256/{short}")).unwrap().secs_per_iter;
         let mut record = PerfRecord::new("matmul_256x256x256")
@@ -125,27 +133,15 @@ fn bench_conv(h: &mut Harness, sink: &mut PerfSink) {
     let (p, q) = geom.out_hw();
     let macs = 8 * p * q * geom.patch_len() * geom.cout;
 
-    set_scalar_reference_mode(true);
-    h.bench("conv_64c_b8/scalar", || {
-        let f = conv2d(black_box(&x), &w, &geom);
-        let g = conv2d_backward_weight(&x, black_box(&gy), &geom);
-        (f, g)
-    });
-    set_scalar_reference_mode(false);
-    h.bench("conv_64c_b8/blocked_serial", || {
-        Backend::serial().install(|| {
-            let f = conv2d(black_box(&x), &w, &geom);
-            let g = conv2d_backward_weight(&x, black_box(&gy), &geom);
-            (f, g)
-        })
-    });
-    h.bench("conv_64c_b8/blocked_parallel", || {
-        Backend::auto().install(|| {
-            let f = conv2d(black_box(&x), &w, &geom);
-            let g = conv2d_backward_weight(&x, black_box(&gy), &geom);
-            (f, g)
-        })
-    });
+    for (short, backend) in row_backends() {
+        h.bench(&format!("conv_64c_b8/{short}"), || {
+            backend.install(|| {
+                let f = conv2d(black_box(&x), &w, &geom);
+                let g = conv2d_backward_weight(&x, black_box(&gy), &geom);
+                (f, g)
+            })
+        });
+    }
 
     let scalar = h.get("conv_64c_b8/scalar").unwrap().secs_per_iter;
     for (short, backend) in [
@@ -198,35 +194,14 @@ fn bench_dp_step(h: &mut Harness, sink: &mut PerfSink) {
             learning_rate: 0.05,
         };
 
-        set_scalar_reference_mode(true);
-        let scalar_trainer = DpTrainer::builder()
-            .config(config)
-            .backend(Backend::serial())
-            .build();
-        h.bench(&format!("{label}/scalar"), || {
-            scalar_trainer
-                .step(&mut net, black_box(&x), &labels, &mut rng)
-                .mean_loss
-        });
-        set_scalar_reference_mode(false);
-        let serial_trainer = DpTrainer::builder()
-            .config(config)
-            .backend(Backend::serial())
-            .build();
-        h.bench(&format!("{label}/blocked_serial"), || {
-            serial_trainer
-                .step(&mut net, black_box(&x), &labels, &mut rng)
-                .mean_loss
-        });
-        let parallel_trainer = DpTrainer::builder()
-            .config(config)
-            .backend(Backend::auto())
-            .build();
-        h.bench(&format!("{label}/blocked_parallel"), || {
-            parallel_trainer
-                .step(&mut net, black_box(&x), &labels, &mut rng)
-                .mean_loss
-        });
+        for (short, backend) in row_backends() {
+            let trainer = DpTrainer::builder().config(config).backend(backend).build();
+            h.bench(&format!("{label}/{short}"), || {
+                trainer
+                    .step(&mut net, black_box(&x), &labels, &mut rng)
+                    .mean_loss
+            });
+        }
 
         let scalar = h.get(&format!("{label}/scalar")).unwrap().secs_per_iter;
         for (short, backend) in [
@@ -249,11 +224,11 @@ fn bench_dp_step(h: &mut Harness, sink: &mut PerfSink) {
 
 /// The nested-scaling canary (see the module docs): full DP-SGD steps on
 /// two independent model replicas inside an outer parallel region — the
-/// shape the scenario runner's cell fan-out produces — with hierarchical
-/// nested scheduling on versus off. Under the old scheduler the inner
-/// per-example fan-out always collapsed to serial inside the outer region;
-/// the `nested_on` row's `speedup_vs_nonested` pins that this no longer
-/// happens (it reads ~1.0 on a single-core host, > 1 with real workers).
+/// shape the scenario runner's cell fan-out produces — with a full-width
+/// trainer per cell versus a serial one. The `nested_on` row's
+/// `speedup_vs_nonested` pins that the inner per-example fan-out really
+/// fans out inside the outer region (it reads ~1.0 on a single-core
+/// host, above 1 with real workers).
 fn bench_nested_step(h: &mut Harness, sink: &mut PerfSink) {
     const B: usize = 32;
     const CELLS: usize = 2;
@@ -276,24 +251,21 @@ fn bench_nested_step(h: &mut Harness, sink: &mut PerfSink) {
             Mutex::new((net, cell_rng))
         })
         .collect();
-    let trainer = DpTrainer::builder()
-        .config(config)
-        .backend(Backend::auto())
-        .build();
-    let run_cells = || {
-        parallel::par_map(CELLS, |c| {
-            let mut cell = cells[c].lock().unwrap();
-            let (net, cell_rng) = &mut *cell;
-            trainer
-                .step(net, black_box(&x), &labels, cell_rng)
-                .mean_loss
-        })
-    };
-
-    parallel::set_nested_parallelism(false);
-    h.bench(&format!("{label}/nested_off"), run_cells);
-    parallel::set_nested_parallelism(true);
-    h.bench(&format!("{label}/nested_on"), run_cells);
+    for (short, backend) in [
+        ("nested_off", Backend::serial().with_kernel(Kernel::Safe)),
+        ("nested_on", Backend::auto().with_kernel(Kernel::Safe)),
+    ] {
+        let trainer = DpTrainer::builder().config(config).backend(backend).build();
+        h.bench(&format!("{label}/{short}"), || {
+            parallel::par_map(CELLS, |c| {
+                let mut cell = cells[c].lock().unwrap();
+                let (net, cell_rng) = &mut *cell;
+                trainer
+                    .step(net, black_box(&x), &labels, cell_rng)
+                    .mean_loss
+            })
+        });
+    }
 
     let off = h.get(&format!("{label}/nested_off")).unwrap().secs_per_iter;
     for (short, backend) in [("nested_off", "nested_off"), ("nested_on", "nested_on")] {
@@ -340,35 +312,14 @@ fn bench_conv_dp_step(h: &mut Harness, sink: &mut PerfSink) {
         learning_rate: 0.05,
     };
 
-    set_scalar_reference_mode(true);
-    let scalar_trainer = DpTrainer::builder()
-        .config(config)
-        .backend(Backend::serial())
-        .build();
-    h.bench(&format!("{label}/scalar"), || {
-        scalar_trainer
-            .step(&mut net, black_box(&x), &labels, &mut rng)
-            .mean_loss
-    });
-    set_scalar_reference_mode(false);
-    let serial_trainer = DpTrainer::builder()
-        .config(config)
-        .backend(Backend::serial())
-        .build();
-    h.bench(&format!("{label}/blocked_serial"), || {
-        serial_trainer
-            .step(&mut net, black_box(&x), &labels, &mut rng)
-            .mean_loss
-    });
-    let parallel_trainer = DpTrainer::builder()
-        .config(config)
-        .backend(Backend::auto())
-        .build();
-    h.bench(&format!("{label}/blocked_parallel"), || {
-        parallel_trainer
-            .step(&mut net, black_box(&x), &labels, &mut rng)
-            .mean_loss
-    });
+    for (short, backend) in row_backends() {
+        let trainer = DpTrainer::builder().config(config).backend(backend).build();
+        h.bench(&format!("{label}/{short}"), || {
+            trainer
+                .step(&mut net, black_box(&x), &labels, &mut rng)
+                .mean_loss
+        });
+    }
 
     let scalar = h.get(&format!("{label}/scalar")).unwrap().secs_per_iter;
     for (short, backend) in [
@@ -425,23 +376,27 @@ fn bench_conv_first_backward(h: &mut Harness, sink: &mut PerfSink) {
     let gy = Tensor::uniform(y.shape().dims(), -1.0, 1.0, &mut rng);
     let weight = layer.params()[0].clone();
 
+    let safe = Backend::auto().with_kernel(Kernel::Safe);
     h.bench(&format!("{label}/naive"), || {
-        let gx = conv2d_backward_data(black_box(&gy), &weight, &geom);
-        let norms = parallel::par_map(B, |i| naive_example_norm(&x, &gy, &geom, i));
-        (gx, norms)
+        safe.install(|| {
+            let gx = conv2d_backward_data(black_box(&gy), &weight, &geom);
+            let norms = parallel::par_map(B, |i| naive_example_norm(&x, &gy, &geom, i));
+            (gx, norms)
+        })
     });
     h.bench(&format!("{label}/fused"), || {
-        layer.backward_opt(&cache, black_box(&gy), GradMode::NormOnly, false)
+        safe.install(|| layer.backward_opt(&cache, black_box(&gy), GradMode::NormOnly, false))
     });
 
     // Sanity: both paths agree on the norms (bit parity is pinned by the
     // dedicated test suite; here we just refuse to publish numbers for
     // diverging computations).
-    let fused = layer.backward_opt(&cache, &gy, GradMode::NormOnly, false);
+    let fused = safe.install(|| layer.backward_opt(&cache, &gy, GradMode::NormOnly, false));
     let ParamGrads::SqNorms(fused_norms) = fused.grads else {
         panic!("NormOnly must yield norms");
     };
-    let naive_norms = parallel::par_map(B, |i| naive_example_norm(&x, &gy, &geom, i));
+    let naive_norms =
+        safe.install(|| parallel::par_map(B, |i| naive_example_norm(&x, &gy, &geom, i)));
     assert_eq!(
         fused_norms, naive_norms,
         "fused/naive first-backward diverged"
@@ -524,11 +479,6 @@ fn bench_eps_throughput(h: &mut Harness, sink: &mut PerfSink) {
 }
 
 fn main() {
-    // Conv / step / ε rows are measured with the portable safe kernel
-    // regardless of how the bench was compiled (see the module docs); the
-    // matmul section toggles simd itself for its production-dispatch rows
-    // and leaves it disabled for everything after.
-    set_simd_enabled(false);
     let mut h = Harness::new("compute_backend");
     let mut sink = PerfSink::new();
     sink.push(

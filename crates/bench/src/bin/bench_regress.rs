@@ -22,7 +22,7 @@
 //! `matmul`, `conv`, `step`, `eps` or `serve`). The serve rows gate on
 //! `speedup_vs_uncached` — the memo-cache hit's edge over a cold request,
 //! measured against the same in-process server. The nested-scaling step
-//! row gates on `speedup_vs_nonested` — nested parallelism on versus off
+//! row gates on `speedup_vs_nonested` — full-width versus serial trainers
 //! inside an outer region, same process, same host.
 
 use diva_bench::perf::{parse_perf_json, PerfRecord};
@@ -165,7 +165,7 @@ fn main() {
              made the optimized path genuinely slower (fix it, or re-record\n\
              BENCH_perf.json with justification in the PR); (2) the scalar reference was\n\
              accidentally optimized, shrinking the ratio (check gemm_reference /\n\
-             set_scalar_reference_mode call sites); (3) a missing row means the bench\n\
+             Kernel::Reference call sites); (3) a missing row means the bench\n\
              stopped emitting it — usually a renamed benchmark or a feature-gated row\n\
              leaking into the committed record. See ARCHITECTURE.md ('Benchmarks and the\n\
              regression gate') for the full contract."

@@ -1,13 +1,12 @@
-//! Shared harness utilities for the figure/table regeneration binaries and
-//! the performance benchmarks.
+//! Shared harness utilities for the `diva-report` binary and the
+//! performance benchmarks.
 //!
 //! Every table and figure of the paper's evaluation is a **registered
 //! scenario** of the declarative experiment API in [`scenario`]: an
 //! `Experiment` (named axes × per-cell eval × declared reductions)
 //! executed by one shared runner and rendered as text, JSON or CSV. The
-//! `diva-report` binary drives the registry (`diva-report --list`); the
-//! per-figure binaries in `src/bin/` are thin shims over
-//! [`scenario::run`] kept for compatibility.
+//! `diva-report` binary drives the registry (`diva-report --list`,
+//! `diva-report fig13`).
 //!
 //! This library also hosts the other shared pieces: the batch-size
 //! policy, aligned table printing, a parallel runner backed by the
@@ -88,12 +87,12 @@ pub fn fmt_bytes(bytes: u64) -> String {
 /// Runs `f` over every item and returns results in input order.
 ///
 /// Work is fanned out over the workspace-wide **keep-alive** pool
-/// (`diva_tensor::parallel`), *not* ad-hoc threads: the figure binaries run
+/// (`diva_tensor::parallel`), *not* ad-hoc threads: scenario grids run
 /// alongside the parallel compute backend, and a second thread source would
 /// oversubscribe the cores the GEMM workers already occupy. The pool is
 /// prewarmed to the width this call will actually resolve to (the
-/// installed `Backend` override or the process default, capped by the item
-/// count — never more), so a figure binary's first sweep doesn't pay
+/// installed `Backend`'s width, capped by the item count — never more),
+/// so a scenario's first sweep doesn't pay
 /// thread-spawn latency; the same parked workers then serve every later
 /// region. Nested calls (per-model simulations here, GEMM M-splits and
 /// per-example backward fan-outs inside them) are scheduled

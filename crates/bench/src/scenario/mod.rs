@@ -28,9 +28,6 @@
 //! `"DiVa w/o PPU"` arm. When a filter removes an arm that a [`Normalize`]
 //! rule needs as its baseline, the runner still *evaluates* that arm
 //! (hidden from the output) so derived metrics stay available.
-//!
-//! The legacy per-figure binaries in `src/bin/` are thin shims over
-//! [`run`], so `cargo run --bin fig13_end_to_end_speedup` keeps working.
 
 pub mod compare;
 pub mod error;
@@ -49,7 +46,7 @@ use diva_core::{Accelerator, RunReport};
 use diva_workload::{Algorithm, ModelSpec};
 
 pub use error::{CellFailure, FailKind, ScenarioError};
-pub use registry::{find, list, run, run_with, ScenarioInfo};
+pub use registry::{find, list, run_with, ScenarioInfo};
 pub use runner::{
     run_experiment, AxisMeta, ResultRow, RowStatus, RunOptions, ScenarioResult, Summary,
 };

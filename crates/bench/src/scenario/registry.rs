@@ -1,10 +1,8 @@
 //! The scenario registry: every paper figure, table and ablation under a
-//! stable name, plus the convenience entry points the legacy figure
-//! binaries shim onto.
+//! stable name, plus the entry point that runs one by name.
 
 use super::defs::{ablations, accounting, dse, explore, figures, sensitivity, tables};
 use super::error::ScenarioError;
-use super::render::print_result;
 use super::runner::{run_experiment, RunOptions, ScenarioResult};
 use super::Experiment;
 
@@ -190,20 +188,6 @@ pub fn run_with(name: &str, opts: &RunOptions) -> Result<ScenarioResult, Scenari
         available: list().iter().map(|s| s.to_string()).collect(),
     })?;
     run_experiment(&(info.build)(), opts)
-}
-
-/// Runs a registered scenario with default options and prints its text
-/// table, summaries and notes — the entry point the legacy figure
-/// binaries shim onto.
-///
-/// # Panics
-///
-/// Panics if `name` is not registered (a build error, not a user error:
-/// every shim names a registry constant).
-pub fn run(name: &str) {
-    let result = run_with(name, &RunOptions::default())
-        .unwrap_or_else(|e| panic!("scenario {name:?} failed: {e}"));
-    print_result(&result);
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ fn small_fig13_opts() -> RunOptions {
 fn every_registered_scenario_is_listed() {
     let names = scenario::list();
     assert_eq!(names.len(), 28);
-    // Every legacy figure/table/ablation binary has its scenario, plus
+    // Every paper figure/table/ablation has its scenario, plus
     // the design-space exploration starters, the accounting grid and the
     // explorer's regression gate.
     for expected in [
@@ -144,36 +144,26 @@ fn fig13_json_round_trips_values() {
     }
 }
 
-/// The runner must be bit-identical across worker-thread counts *and*
-/// across the nested-parallelism toggle: the grid assignment is fixed
-/// before execution and task-to-data assignment inside nested regions is
-/// data-determined, so every (thread count, nested on/off) combination
-/// renders byte-identical JSON. (Toggling the process-global nested flag
-/// mid-suite is safe precisely because of this contract: concurrency
-/// structure may change, bytes may not.)
+/// The runner must be bit-identical across worker-thread counts: the grid
+/// assignment is fixed before execution and task-to-data assignment
+/// inside nested regions (scheduled hierarchically on the shared pool) is
+/// data-determined, so every thread count renders byte-identical JSON.
 #[test]
 fn runner_is_bit_identical_across_thread_counts_and_nesting() {
     let opts = small_fig13_opts();
     let reference =
         Backend::serial().install(|| scenario::run_with("fig13", &opts).expect("serial run"));
     let reference_json = to_json(&reference);
-    for nested in [true, false] {
-        diva_tensor::parallel::set_nested_parallelism(nested);
-        for threads in [1usize, 2, 8] {
-            let run = Backend::with_threads(threads)
-                .install(|| scenario::run_with("fig13", &opts).expect("run"));
-            assert_eq!(
-                reference, run,
-                "results differ at threads={threads} nested={nested}"
-            );
-            assert_eq!(
-                reference_json,
-                to_json(&run),
-                "JSON differs at threads={threads} nested={nested}"
-            );
-        }
+    for threads in [1usize, 2, 8] {
+        let run = Backend::with_threads(threads)
+            .install(|| scenario::run_with("fig13", &opts).expect("run"));
+        assert_eq!(reference, run, "results differ at threads={threads}");
+        assert_eq!(
+            reference_json,
+            to_json(&run),
+            "JSON differs at threads={threads}"
+        );
     }
-    diva_tensor::parallel::set_nested_parallelism(true);
 }
 
 /// `--batch` replaces the symbolic paper batch with fixed sizes.

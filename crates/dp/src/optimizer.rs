@@ -186,9 +186,11 @@ impl DpTrainerBuilder {
         self
     }
 
-    /// Selects the compute backend (thread count) every step runs under;
-    /// prewarms the shared keep-alive pool to that width at [`Self::build`]
-    /// time. When not set, the trainer defaults to [`Backend::auto`]
+    /// Selects the compute backend (thread count and GEMM kernel) every
+    /// step runs under: installed on the calling thread around the step's
+    /// gradient and noise work, it travels with every pool task the step
+    /// opens. Prewarms the shared keep-alive pool to that width at
+    /// [`Self::build`] time. When not set, the trainer defaults to [`Backend::auto`]
     /// *without* prewarming — workers spawn lazily at the first parallel
     /// region, so a trainer that is immediately narrowed (the bench
     /// sweep's serial arm) never parks a core-count of idle workers.
@@ -308,13 +310,14 @@ impl DpTrainer {
         }
     }
 
-    /// Selects the compute backend (thread count) every step of this
-    /// trainer runs under; `Backend::auto()` is the default. Benches use
-    /// this to sweep serial vs. parallel execution of the same step.
+    /// Selects the compute backend (thread count and GEMM kernel) every
+    /// step of this trainer runs under; `Backend::auto()` is the default.
+    /// Benches use this to sweep serial vs. parallel execution, and the
+    /// reference vs. blocked kernels, of the same step.
     ///
     /// Prewarms the shared keep-alive pool to the new backend's width
-    /// (`diva_tensor::parallel`), so trainer, benches and figure binaries
-    /// all draw from the same parked worker set.
+    /// (`diva_tensor::parallel`), so trainers, benches and the scenario
+    /// runner all draw from the same parked worker set.
     pub fn with_backend(mut self, backend: Backend) -> Self {
         backend.prewarm();
         self.backend = backend;

@@ -100,10 +100,10 @@ fn seeded_500_candidate_search_has_an_exact_frontier() {
 }
 
 /// The same search renders byte-identical JSON for every worker-thread
-/// count × nested-parallelism combination: candidate generation is
-/// sequential, the batch fold replays results in candidate order, and
-/// inside nested regions task-to-data assignment is fixed before
-/// execution — scheduling (including work-stealing) never touches bytes.
+/// count: candidate generation is sequential, the batch fold replays
+/// results in candidate order, and inside nested regions task-to-data
+/// assignment is fixed before execution — scheduling (including
+/// work-stealing) never touches bytes.
 #[test]
 fn frontier_json_is_byte_identical_across_thread_counts_and_nesting() {
     let mut cfg = big_search();
@@ -111,27 +111,23 @@ fn frontier_json_is_byte_identical_across_thread_counts_and_nesting() {
     let reference = Backend::serial().install(|| explore(&cfg).expect("serial search"));
     let reference_json = render::render_json(&reference);
     let reference_csv = render::render_csv(&reference);
-    for nested in [true, false] {
-        diva_tensor::parallel::set_nested_parallelism(nested);
-        for threads in [1usize, 2, 8] {
-            let run = Backend::with_threads(threads).install(|| explore(&cfg).expect("search"));
-            assert_eq!(
-                reference_json,
-                render::render_json(&run),
-                "frontier JSON differs at threads={threads} nested={nested}"
-            );
-            assert_eq!(
-                reference_csv,
-                render::render_csv(&run),
-                "frontier CSV differs at threads={threads} nested={nested}"
-            );
-            assert_eq!(
-                reference.stats, run.stats,
-                "counters differ at threads={threads} nested={nested}"
-            );
-        }
+    for threads in [1usize, 2, 8] {
+        let run = Backend::with_threads(threads).install(|| explore(&cfg).expect("search"));
+        assert_eq!(
+            reference_json,
+            render::render_json(&run),
+            "frontier JSON differs at threads={threads}"
+        );
+        assert_eq!(
+            reference_csv,
+            render::render_csv(&run),
+            "frontier CSV differs at threads={threads}"
+        );
+        assert_eq!(
+            reference.stats, run.stats,
+            "counters differ at threads={threads}"
+        );
     }
-    diva_tensor::parallel::set_nested_parallelism(true);
 }
 
 /// Kill/resume byte-identity through the journal: a search stopped by

@@ -15,8 +15,9 @@
 //! alongside the compute rows: merged, not overwritten, so running this
 //! bench alone refreshes only the serve rows.
 //!
-//! Prewarm note: `Server::start` now calls `Backend::auto().prewarm()`,
-//! so the compute pool's `n - 1` workers are spawned and parked before
+//! Prewarm note: `Server::start` prewarms its `ServerConfig::backend`
+//! (`Backend::auto()` by default), so the compute pool's `n - 1` workers
+//! are spawned and parked before
 //! the listener accepts traffic. The `serve_first_request` row records
 //! the very first post-bind request's latency; before the prewarm call
 //! that request also paid worker thread-spawn (~100-300 us per worker

@@ -49,7 +49,7 @@ fn parse_args() -> Result<(ServerConfig, Option<std::path::PathBuf>), String> {
                 if n == 0 {
                     return Err("--threads wants at least 1".to_string());
                 }
-                diva_tensor::parallel::set_max_threads(n);
+                config.backend = diva_tensor::Backend::with_threads(n);
             }
             "--cache-mib" => {
                 config.cache_bytes =

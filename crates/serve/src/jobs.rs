@@ -24,6 +24,8 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 
+use diva_tensor::Backend;
+
 /// How many finished jobs keep their status visible for polling.
 pub const HISTORY_LIMIT: usize = 256;
 
@@ -64,9 +66,10 @@ pub struct JobQueue<E> {
 }
 
 impl<E: Clone + Send + 'static> JobQueue<E> {
-    /// Starts the queue and its worker thread. `shutdown_error` is the
-    /// status given to jobs abandoned in the queue at shutdown.
-    pub fn start(capacity: usize, shutdown_error: E) -> Self {
+    /// Starts the queue and its worker thread, which runs every job under
+    /// `backend`. `shutdown_error` is the status given to jobs abandoned in
+    /// the queue at shutdown.
+    pub fn start(capacity: usize, shutdown_error: E, backend: Backend) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
@@ -81,7 +84,7 @@ impl<E: Clone + Send + 'static> JobQueue<E> {
         let worker_shared = Arc::clone(&shared);
         let worker = std::thread::Builder::new()
             .name("diva-serve-jobs".to_string())
-            .spawn(move || worker_loop(&worker_shared, shutdown_error))
+            .spawn(move || backend.install(|| worker_loop(&worker_shared, shutdown_error)))
             .expect("spawning the job worker");
         Self {
             shared,
@@ -205,7 +208,7 @@ mod tests {
 
     #[test]
     fn jobs_run_in_order_and_report_results() {
-        let q: JobQueue<String> = JobQueue::start(4, "down".to_string());
+        let q: JobQueue<String> = JobQueue::start(4, "down".to_string(), Backend::serial());
         let a = q.submit(Box::new(|| Ok(Arc::from(&b"one"[..])))).unwrap();
         let b = q.submit(Box::new(|| Err("boom".to_string()))).unwrap();
         match wait_done(&q, a) {
@@ -222,7 +225,7 @@ mod tests {
 
     #[test]
     fn queue_bound_rejects_excess_submissions() {
-        let q: JobQueue<String> = JobQueue::start(1, "down".to_string());
+        let q: JobQueue<String> = JobQueue::start(1, "down".to_string(), Backend::serial());
         // Park the worker on a slow job, then fill the single queue slot.
         let slow = q
             .submit(Box::new(|| {
@@ -248,7 +251,7 @@ mod tests {
 
     #[test]
     fn shutdown_fails_abandoned_jobs() {
-        let q: JobQueue<String> = JobQueue::start(8, "down".to_string());
+        let q: JobQueue<String> = JobQueue::start(8, "down".to_string(), Backend::serial());
         let slow = q
             .submit(Box::new(|| {
                 std::thread::sleep(Duration::from_millis(50));

@@ -17,6 +17,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use diva_tensor::Backend;
+
 use crate::api::{self, ApiError, RunMode};
 use crate::cache::MemoCache;
 use crate::http;
@@ -38,6 +40,9 @@ pub struct ServerConfig {
     pub max_body_bytes: usize,
     /// Socket read timeout (a stalled client gets 408 and a close).
     pub read_timeout_ms: u64,
+    /// The compute backend every request and job runs under; prewarmed at
+    /// start and installed on the connection threads and the job worker.
+    pub backend: Backend,
 }
 
 impl Default for ServerConfig {
@@ -49,6 +54,7 @@ impl Default for ServerConfig {
             job_cell_threshold: 128,
             max_body_bytes: 1 << 20,
             read_timeout_ms: 10_000,
+            backend: Backend::auto(),
         }
     }
 }
@@ -97,13 +103,14 @@ impl Server {
         // traffic, so the first `/run` or `/epsilon` request does not pay
         // thread-spawn latency inside its measured handler. See the
         // `serve_load` bench notes for the measured first-request delta.
-        diva_tensor::Backend::auto().prewarm();
+        config.backend.prewarm();
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let state = Arc::new(AppState {
             jobs: JobQueue::start(
                 config.job_capacity,
                 ApiError::new(503, "shutting-down", "server shut down before this job ran"),
+                config.backend,
             ),
             cache: MemoCache::new(config.cache_bytes),
             scenarios_doc: api::scenarios_document(),
@@ -150,9 +157,10 @@ fn accept_loop(listener: &TcpListener, state: &Arc<AppState>) {
         }
         let Ok(stream) = stream else { continue };
         let conn_state = Arc::clone(state);
+        let backend = state.config.backend;
         let _ = std::thread::Builder::new()
             .name("diva-serve-conn".to_string())
-            .spawn(move || handle_connection(&conn_state, stream));
+            .spawn(move || backend.install(|| handle_connection(&conn_state, stream)));
     }
 }
 

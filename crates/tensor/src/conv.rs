@@ -20,9 +20,7 @@
 //!   buffer, with the packed-B panels cached across DP-SGD(R)'s two
 //!   backward passes (see [`crate::PackCache`]).
 
-use crate::gemm::{
-    blocked_path_eligible, gemm_packed_window, gemm_reference, MatRef, PackCache, PackedB,
-};
+use crate::gemm::{blocked_kernel, gemm_packed_window, gemm_reference, MatRef, PackCache, PackedB};
 use crate::matmul::{matmul, matmul_nt, matmul_tn};
 use crate::tensor::Tensor;
 
@@ -290,7 +288,7 @@ pub fn conv2d_backward_data_from_rows(
     let patch = geom.patch_len();
     let mut dpatches = Tensor::zeros(&[rows, patch]);
     let a = MatRef::row_major(gy_rows.data(), cout);
-    if blocked_path_eligible(rows, cout, patch) {
+    if let Some(kernel) = blocked_kernel(rows, cout, patch) {
         // The weights can change between a forward and a later backward
         // (optimizer updates); the content token makes such stale-cache
         // reuse fail loudly instead of silently using pre-update weights.
@@ -298,7 +296,7 @@ pub fn conv2d_backward_data_from_rows(
         let pb = pack.get_or_pack(cout, patch, token, || {
             PackedB::pack_segmented(MatRef::row_major(weight.data(), patch), cout, patch, cout)
         });
-        gemm_packed_window(rows, patch, a, pb, 0, cout, dpatches.data_mut());
+        gemm_packed_window(kernel, rows, a, pb, 0, cout, dpatches.data_mut());
     } else {
         let b = MatRef::row_major(weight.data(), patch);
         gemm_reference(rows, cout, patch, a, b, dpatches.data_mut());
@@ -482,7 +480,7 @@ impl PatchBuffer {
         gw.fill(0.0);
         let (m, k) = (cout, hi - lo);
         let a = MatRef::transposed(&gy_rows.data()[lo * cout..hi * cout], cout);
-        if blocked_path_eligible(m, k, patch) {
+        if let Some(kernel) = blocked_kernel(m, k, patch) {
             let total = rows;
             let pq = self.rows_per_example();
             // Token 0: the patch buffer is owned by `self` and immutable
@@ -495,7 +493,7 @@ impl PatchBuffer {
                     pq,
                 )
             });
-            gemm_packed_window(m, patch, a, pb, lo, hi, gw);
+            gemm_packed_window(kernel, m, a, pb, lo, hi, gw);
         } else {
             let b = MatRef::row_major(&self.patches.data()[lo * patch..hi * patch], patch);
             gemm_reference(m, k, patch, a, b, gw);

@@ -16,11 +16,12 @@
 //!   loops have constant trip counts over contiguous slices (k loop
 //!   unrolled ×4), which the autovectorizer turns into wide FMA code under
 //!   `-C target-cpu=native`; with the `simd` cargo feature on an AVX2+FMA
-//!   x86-64 host, an explicit-intrinsics 6×16 kernel ([`crate::simd`]) runs
+//!   x86-64 host, explicit-intrinsics 6×16 kernels ([`crate::simd`]) run
 //!   instead — **bit-identical** by construction (same per-element FMA
-//!   sequence), selected at runtime via `is_x86_feature_detected!` with the
-//!   safe kernel as the universal fallback. [`simd_available`] /
-//!   [`set_simd_enabled`] expose the dispatch for benches and parity tests.
+//!   sequence). Which arm runs is the calling thread's [`Kernel`], part of
+//!   its installed [`Backend`]: by default the best arm the build and CPU
+//!   support (runtime-detected), with the safe kernel as the universal
+//!   fallback.
 //!
 //! Packing absorbs transposition: both A and B are described by arbitrary
 //! (row, column) strides, so NT/TN/TT flavours cost the same as NN and the
@@ -32,33 +33,45 @@
 //! differently at the 1e-7-relative level. Kernel-parity tests in
 //! `tests/kernel_parity.rs` pin this contract.
 
-use crate::parallel;
+use crate::parallel::{self, Backend};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::thread::LocalKey;
 
-/// When set, every GEMM routes through the scalar reference kernel — the
-/// seed implementation's exact loop nest. Benchmarks flip this to measure
-/// whole-pipeline speedups against the scalar baseline; it is not intended
-/// for production use.
-static SCALAR_REFERENCE_MODE: AtomicBool = AtomicBool::new(false);
-
-/// Forces (or releases) scalar-reference execution for all subsequent GEMM
-/// calls process-wide. Benchmark/testing hook.
-pub fn set_scalar_reference_mode(enabled: bool) {
-    SCALAR_REFERENCE_MODE.store(enabled, Ordering::Relaxed);
+/// The GEMM arm a [`Backend`] runs, slowest to fastest.
+///
+/// Every arm but [`Kernel::Reference`] takes the blocked, packed path and
+/// produces bit-identical results (one fused multiply-add per output
+/// element per k, k ascending — see the `simd` module); they differ only in
+/// throughput. `Reference` routes every GEMM through the seed's scalar
+/// loop — the baseline of the benches' `speedup_vs_scalar` rows — and is
+/// bitwise [`crate::matmul_reference`]. [`Backend::with_kernel`] caps a
+/// request at [`Kernel::best`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Kernel {
+    /// The seed's scalar i-k-j loop, serial within each GEMM.
+    Reference,
+    /// The safe register-tile micro-kernel, autovectorized.
+    Safe,
+    /// The explicit AVX2+FMA micro-kernel (`simd` feature).
+    Avx2,
+    /// The explicit AVX-512 micro-kernel (`simd` feature).
+    Avx512,
 }
 
-/// Whether GEMMs currently route through the scalar reference kernel.
-pub fn scalar_reference_mode() -> bool {
-    SCALAR_REFERENCE_MODE.load(Ordering::Relaxed)
+impl Kernel {
+    /// The fastest arm this build and CPU support: AVX-512, else AVX2+FMA,
+    /// else safe.
+    pub fn best() -> Self {
+        if !simd_available() {
+            Kernel::Safe
+        } else if avx512_available() {
+            Kernel::Avx512
+        } else {
+            Kernel::Avx2
+        }
+    }
 }
-
-/// When set, the explicit-SIMD micro-kernel is skipped even where
-/// available, forcing the safe kernel. Parity tests sweep this; stored
-/// inverted so the default (`false`) means "simd on when available".
-static SIMD_DISABLED: AtomicBool = AtomicBool::new(false);
 
 /// Whether the explicit AVX2+FMA micro-kernel is compiled in (`simd`
 /// feature, `x86_64` target) *and* supported by the running CPU.
@@ -73,25 +86,11 @@ pub fn simd_available() -> bool {
     }
 }
 
-/// Enables or disables the explicit-SIMD micro-kernel process-wide.
-///
-/// A testing/benchmarking hook: results are bit-identical either way (the
-/// contract `tests/kernel_parity.rs` pins), only throughput changes. A
-/// no-op when [`simd_available`] is `false`.
-pub fn set_simd_enabled(enabled: bool) {
-    SIMD_DISABLED.store(!enabled, Ordering::Relaxed);
-}
-
-/// Whether GEMMs will currently use the explicit-SIMD micro-kernel.
+/// Whether GEMMs on the calling thread use an explicit-SIMD micro-kernel
+/// (its [`Backend`] runs [`Kernel::Avx2`] or [`Kernel::Avx512`]).
 pub fn simd_enabled() -> bool {
-    simd_available() && !SIMD_DISABLED.load(Ordering::Relaxed)
+    Backend::current().kernel() >= Kernel::Avx2
 }
-
-/// When set, the AVX-512 arm of the explicit kernel is skipped even where
-/// available, so an AVX-512 host can still measure/test the AVX2 arm.
-/// Stored inverted so the default (`false`) means "avx512 on when
-/// available".
-static AVX512_DISABLED: AtomicBool = AtomicBool::new(false);
 
 /// Whether the AVX-512 micro-kernel arm is compiled in (`simd` feature,
 /// `x86_64` target) *and* supported by the running CPU (`avx512f`).
@@ -106,18 +105,9 @@ pub fn avx512_available() -> bool {
     }
 }
 
-/// Enables or disables the AVX-512 arm of the explicit kernel
-/// process-wide. A testing/benchmarking hook like [`set_simd_enabled`]
-/// (which it is subordinate to: disabling simd disables this arm too);
-/// results are bit-identical either way. A no-op when [`avx512_available`]
-/// is `false`.
-pub fn set_avx512_enabled(enabled: bool) {
-    AVX512_DISABLED.store(!enabled, Ordering::Relaxed);
-}
-
-/// Whether GEMMs will currently use the AVX-512 micro-kernel arm.
+/// Whether GEMMs on the calling thread use the AVX-512 micro-kernel arm.
 pub fn avx512_enabled() -> bool {
-    simd_enabled() && avx512_available() && !AVX512_DISABLED.load(Ordering::Relaxed)
+    Backend::current().kernel() == Kernel::Avx512
 }
 
 /// Micro-tile height (rows of C held in registers). With `NR = 16` the
@@ -140,24 +130,6 @@ const MC: usize = 72;
 /// the scalar reference kernel is faster.
 const BLOCKED_THRESHOLD: usize = 48 * 48 * 48;
 
-/// When cleared, [`gemm_rows`] walks B strips one at a time (the
-/// pre-reorder interior). Bench/bisect hook: results are bit-identical
-/// either way — grouping changes tile *visit order*, never any tile's FMA
-/// chain — only the L2 traffic of the packed-A block changes. Stored
-/// inverted so the default (`false`) means "reorder on".
-static L1_REORDER_DISABLED: AtomicBool = AtomicBool::new(false);
-
-/// Enables or disables the L1-aware B-strip grouping in the GEMM interior
-/// process-wide. Benchmark/testing hook; on by default.
-pub fn set_l1_reorder(enabled: bool) {
-    L1_REORDER_DISABLED.store(!enabled, Ordering::Relaxed);
-}
-
-/// Whether the GEMM interior currently groups B strips for L1 residency.
-pub fn l1_reorder_enabled() -> bool {
-    !L1_REORDER_DISABLED.load(Ordering::Relaxed)
-}
-
 /// Most packed-B strips processed per sweep of the packed-A block, and the
 /// packed-B byte budget a group must fit in (picked against a 48 KiB L1d:
 /// the group's B panels plus one `MR × kb` A panel, the accumulator tiles
@@ -178,12 +150,7 @@ const L1_GROUP_BUDGET: usize = 36 * 1024;
 /// traffic, a win where it does not (the bandwidth-constrained hosts the
 /// blocking parameters are sized for).
 fn group_width(kb: usize, kernel: Kernel) -> usize {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if kernel == Kernel::Avx512 {
-        return 1;
-    }
-    let _ = kernel;
-    if !l1_reorder_enabled() {
         return 1;
     }
     NB_GROUP
@@ -422,33 +389,6 @@ pub(crate) fn microkernel(kb: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut
     }
 }
 
-/// The micro-kernel a GEMM call resolved to. All arms produce
-/// bit-identical tiles (see [`crate::simd`]), so dispatch is a pure
-/// throughput decision, hoisted out of the tile loops once per
-/// [`gemm_rows`] call.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Kernel {
-    Safe,
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    Avx2,
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    Avx512,
-}
-
-/// The best currently-enabled kernel: AVX-512, else AVX2+FMA, else safe.
-fn kernel_choice() -> Kernel {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if avx512_enabled() {
-            return Kernel::Avx512;
-        }
-        if simd_enabled() {
-            return Kernel::Avx2;
-        }
-    }
-    Kernel::Safe
-}
-
 /// Runs one register tile on the resolved kernel.
 #[inline(always)]
 fn run_microkernel(
@@ -459,17 +399,21 @@ fn run_microkernel(
     acc: &mut [[f32; NR]; MR],
 ) {
     match kernel {
-        Kernel::Safe => microkernel(kb, a_panel, b_panel, acc),
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         Kernel::Avx2 => crate::simd::microkernel_6x16(kb, a_panel, b_panel, acc),
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         Kernel::Avx512 => crate::simd::microkernel_6x16_avx512(kb, a_panel, b_panel, acc),
+        // `Reference` never reaches the blocked path, and builds without
+        // the SIMD arms cap every request at `Safe`.
+        _ => microkernel(kb, a_panel, b_panel, acc),
     }
 }
 
-/// Computes one worker's row-range of C against the shared packed B panel.
+/// Computes one worker's row-range of C against the shared packed B panel
+/// on the resolved `kernel`.
 #[allow(clippy::too_many_arguments)] // a flat hot-path signature, called twice
 fn gemm_rows(
+    kernel: Kernel,
     a: MatRef,
     row0: usize,
     rows: usize,
@@ -481,9 +425,6 @@ fn gemm_rows(
 ) {
     debug_assert_eq!(out_rows.len(), rows * n);
     let n_strips = n.div_ceil(NR);
-    // Kernel choice is hoisted out of the tile loops; it cannot change
-    // results (the kernels are bit-identical), only throughput.
-    let kernel = kernel_choice();
     // L1-aware interior: walk B strips in groups of `gw` per sweep of the
     // packed-A block. The packed-A block (up to MC × kb ≈ 216 KiB) only
     // streams from L2 once per *group* instead of once per strip, while the
@@ -529,9 +470,9 @@ fn gemm_rows(
     });
 }
 
-/// Returns `true` when a GEMM of this shape routes to the blocked/packed
-/// kernel rather than the scalar reference arithmetic — the exact decision
-/// [`gemm`] makes internally.
+/// The kernel a GEMM of this shape runs on the blocked/packed path under
+/// the calling thread's [`Backend`], or `None` when it takes the scalar
+/// reference arithmetic instead — the decision [`gemm`] makes internally.
 ///
 /// Tiny-K GEMMs (`k < 16`: DP-SGD's per-example rank-1 weight gradients,
 /// a first convolution's `C_in·R·S = 9` patches) are short outer-product
@@ -542,8 +483,9 @@ fn gemm_rows(
 /// Exposed so callers that pre-pack B through a [`PackCache`] replicate the
 /// same routing and therefore stay bit-identical with the unpacked entry
 /// points for every shape.
-pub(crate) fn blocked_path_eligible(m: usize, k: usize, n: usize) -> bool {
-    !scalar_reference_mode() && k >= 16 && m * k * n >= BLOCKED_THRESHOLD
+pub(crate) fn blocked_kernel(m: usize, k: usize, n: usize) -> Option<Kernel> {
+    let kernel = Backend::current().kernel();
+    (kernel != Kernel::Reference && k >= 16 && m * k * n >= BLOCKED_THRESHOLD).then_some(kernel)
 }
 
 /// Blocked, packed, M-parallel GEMM: `out += A × B` where `A` is logically
@@ -551,19 +493,20 @@ pub(crate) fn blocked_path_eligible(m: usize, k: usize, n: usize) -> bool {
 /// `out` is row-major `(m, n)`.
 ///
 /// Falls back to the scalar reference below [`BLOCKED_THRESHOLD`]
-/// multiply-adds, and to its row-parallel form ([`gemm_tiny_k`]) for
-/// larger `k < 16` GEMMs.
+/// multiply-adds or under [`Kernel::Reference`], and to its row-parallel
+/// form ([`gemm_tiny_k`]) for larger `k < 16` GEMMs.
 pub(crate) fn gemm(m: usize, k: usize, n: usize, a: MatRef, b: MatRef, out: &mut [f32]) {
     assert_eq!(out.len(), m * n, "output buffer shape mismatch");
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    if !blocked_path_eligible(m, k, n) {
-        if scalar_reference_mode() || m * k * n < BLOCKED_THRESHOLD {
-            gemm_reference(m, k, n, a, b, out);
-        } else {
-            gemm_tiny_k(k, n, a, b, out);
-        }
+    let kernel = Backend::current().kernel();
+    if kernel == Kernel::Reference || m * k * n < BLOCKED_THRESHOLD {
+        gemm_reference(m, k, n, a, b, out);
+        return;
+    }
+    if k < 16 {
+        gemm_tiny_k(k, n, a, b, out);
         return;
     }
     let threads = parallel::effective_threads().min(m.div_ceil(ROWS_PER_WORKER_MIN));
@@ -579,11 +522,12 @@ pub(crate) fn gemm(m: usize, k: usize, n: usize, a: MatRef, b: MatRef, out: &mut
                 pack_b(b, kc, kb, n, &mut packed_b[..packed_len]);
                 let packed = &packed_b[..packed_len];
                 if threads <= 1 {
-                    gemm_rows(a, 0, m, kc, kb, n, packed, out);
+                    gemm_rows(kernel, a, 0, m, kc, kb, n, packed, out);
                 } else {
                     parallel::par_chunks_mut(out, rows_per_worker * n, |widx, out_rows| {
                         let row0 = widx * rows_per_worker;
-                        gemm_rows(a, row0, out_rows.len() / n, kc, kb, n, packed, out_rows);
+                        let rows = out_rows.len() / n;
+                        gemm_rows(kernel, a, row0, rows, kc, kb, n, packed, out_rows);
                     });
                 }
                 kc += kb;
@@ -734,27 +678,25 @@ pub fn content_token(data: &[f32]) -> u64 {
 
 /// Blocked, M-parallel GEMM against pre-packed B panels covering the global
 /// B-row window `lo..hi`: `out += A × B[lo..hi, :]`, where `A` is `(m,
-/// hi-lo)` under its stride view and A's K axis is window-local.
+/// hi-lo)` under its stride view, A's K axis is window-local, and `out` is
+/// row-major `(m, pb.n)`.
 ///
 /// The window must start and end on packed panel boundaries (any whole
 /// number of segments of [`PackedB::pack_segmented`] qualifies). Routing is
-/// the caller's job: check [`blocked_path_eligible`] first and fall back to
-/// [`gemm_reference`] on the raw operands, exactly as [`gemm`] would.
+/// the caller's job: take `kernel` from [`blocked_kernel`] and fall back to
+/// [`gemm_reference`] on the raw operands when it is `None`, exactly as
+/// [`gemm`] would.
 pub(crate) fn gemm_packed_window(
+    kernel: Kernel,
     m: usize,
-    n: usize,
     a: MatRef,
     pb: &PackedB,
     lo: usize,
     hi: usize,
     out: &mut [f32],
 ) {
+    let n = pb.n;
     assert_eq!(out.len(), m * n, "output buffer shape mismatch");
-    assert_eq!(
-        pb.n, n,
-        "packed operand has {} columns, GEMM wants {n}",
-        pb.n
-    );
     assert!(
         lo <= hi && hi <= pb.k,
         "window {lo}..{hi} outside K {}",
@@ -776,20 +718,12 @@ pub(crate) fn gemm_packed_window(
         let panel = &pb.data[offset..offset + n_strips * kb * NR];
         let kc_local = k0 - lo;
         if threads <= 1 {
-            gemm_rows(a, 0, m, kc_local, kb, n, panel, out);
+            gemm_rows(kernel, a, 0, m, kc_local, kb, n, panel, out);
         } else {
             parallel::par_chunks_mut(out, rows_per_worker * n, |widx, out_rows| {
                 let row0 = widx * rows_per_worker;
-                gemm_rows(
-                    a,
-                    row0,
-                    out_rows.len() / n,
-                    kc_local,
-                    kb,
-                    n,
-                    panel,
-                    out_rows,
-                );
+                let rows = out_rows.len() / n;
+                gemm_rows(kernel, a, row0, rows, kc_local, kb, n, panel, out_rows);
             });
         }
     }
@@ -844,6 +778,7 @@ mod tests {
                 pack_b(bv, kc, kb, n, &mut packed_b[..plen]);
                 parallel::par_chunks_mut(&mut fast, rows_per_worker * n, |widx, rows| {
                     gemm_rows(
+                        Kernel::best(),
                         av,
                         widx * rows_per_worker,
                         rows.len() / n,
@@ -883,7 +818,7 @@ mod tests {
         // reassociates relative to the single-panel reference, so this is a
         // tolerance comparison.
         let mut packed_out = vec![0.0f32; m * n];
-        gemm_packed_window(m, n, av, &pb, 0, k, &mut packed_out);
+        gemm_packed_window(Kernel::best(), m, av, &pb, 0, k, &mut packed_out);
         let mut slow = vec![0.0f32; m * n];
         gemm_reference(m, k, n, av, bv, &mut slow);
         assert!(max_diff(&packed_out, &slow) < 1e-4);
@@ -896,14 +831,14 @@ mod tests {
             let a_win = dense(m, seg, &mut rng);
             let awv = MatRef::row_major(&a_win, seg);
             let mut win_out = vec![0.0f32; m * n];
-            gemm_packed_window(m, n, awv, &pb, lo, hi, &mut win_out);
+            gemm_packed_window(Kernel::best(), m, awv, &pb, lo, hi, &mut win_out);
             let b_slab = &b[lo * n..hi * n];
             let mut direct = vec![0.0f32; m * n];
             // Unpacked blocked path on the same slab.
             let bsv = MatRef::row_major(b_slab, n);
             let mut packed_b = vec![0.0f32; n.div_ceil(NR) * seg * NR];
             pack_b(bsv, 0, seg, n, &mut packed_b);
-            gemm_rows(awv, 0, m, 0, seg, n, &packed_b, &mut direct);
+            gemm_rows(Kernel::best(), awv, 0, m, 0, seg, n, &packed_b, &mut direct);
             assert_eq!(win_out, direct, "segment {s} diverged from slab GEMM");
         }
     }
@@ -944,59 +879,6 @@ mod tests {
         assert_ne!(content_token(&a), content_token(&a[..2]));
     }
 
-    /// On-host tuning diagnostic (ignored; run with `--ignored --nocapture`):
-    /// times the serial 256³ GEMM with the L1 B-strip grouping on and off.
-    /// Not an assertion — wall-clock on shared CI boxes is too noisy to
-    /// gate on; the acceptance numbers live in `BENCH_perf.json`.
-    #[test]
-    #[ignore = "timing diagnostic, run manually"]
-    fn l1_reorder_timing() {
-        const D: usize = 256;
-        let mut rng = DivaRng::seed_from_u64(3);
-        let a = dense(D, D, &mut rng);
-        let b = dense(D, D, &mut rng);
-        let av = MatRef::row_major(&a, D);
-        let bv = MatRef::row_major(&b, D);
-        let mut out = vec![0.0f32; D * D];
-        let time_once = |reorder: bool, out: &mut [f32]| {
-            set_l1_reorder(reorder);
-            let reps = 20;
-            let t0 = std::time::Instant::now();
-            for _ in 0..reps {
-                out.fill(0.0);
-                crate::parallel::Backend::serial().install(|| gemm(D, D, D, av, bv, out));
-            }
-            let dt = t0.elapsed().as_secs_f64() / f64::from(reps);
-            set_l1_reorder(true);
-            dt
-        };
-        // Interleave off/on samples (ABAB…) and take medians, so slow drift
-        // on a shared host cancels instead of biasing one side.
-        let _ = time_once(false, &mut out);
-        let base = out.clone();
-        let _ = time_once(true, &mut out);
-        assert_eq!(out, base, "reorder changed results");
-        let mut offs = Vec::new();
-        let mut ons = Vec::new();
-        for _ in 0..9 {
-            offs.push(time_once(false, &mut out));
-            ons.push(time_once(true, &mut out));
-        }
-        offs.sort_by(f64::total_cmp);
-        ons.sort_by(f64::total_cmp);
-        let (off, on) = (offs[offs.len() / 2], ons[ons.len() / 2]);
-        println!(
-            "256^3 serial: reorder off {:.3} ms, on {:.3} ms ({:+.1}%)  \
-             off-samples {:?}",
-            off * 1e3,
-            on * 1e3,
-            (on / off - 1.0) * 100.0,
-            offs.iter()
-                .map(|s| (s * 1e4).round() / 10.0)
-                .collect::<Vec<_>>()
-        );
-    }
-
     /// On-host cost-split diagnostic (ignored): times the bare micro-kernel
     /// sweep, the packing passes, and the full GEMM at 256³ so interior
     /// changes can be attributed to compute vs. packing vs. traffic.
@@ -1018,7 +900,7 @@ mod tests {
         let reps = 40;
 
         // Bare kernel sweep over all tiles, panels streamed as in gemm_rows.
-        let kernel = kernel_choice();
+        let kernel = Kernel::best();
         let t0 = std::time::Instant::now();
         let mut sink = 0.0f32;
         for _ in 0..reps {

@@ -24,13 +24,23 @@
 //! module and [`parallel`]): the safe micro-kernel is written so the
 //! autovectorizer emits wide FMA code, the optional explicit-SIMD kernel is
 //! bit-identical to it and runtime-detected, and the seed's scalar loop is
-//! retained as [`matmul_reference`] for parity testing and benchmarking.
+//! retained as [`matmul_reference`] and [`Kernel::Reference`] for parity
+//! testing and benchmarking.
 //!
 //! # Feature flags
 //!
-//! * `simd` — compiles the explicit AVX2+FMA 6×16 micro-kernel
-//!   ([`simd_available`], [`set_simd_enabled`]). Off by default; results
-//!   are bit-identical with the feature on or off, on any CPU.
+//! * `simd` — compiles the explicit AVX2+FMA and AVX-512 6×16
+//!   micro-kernels ([`simd_available`], [`Kernel::Avx2`],
+//!   [`Kernel::Avx512`]). Off by default; results are bit-identical with
+//!   the feature on or off, on any CPU.
+//!
+//! # Execution configuration
+//!
+//! [`Backend`] is the only execution setting: a worker-thread count and a
+//! GEMM [`Kernel`], installed per thread with [`Backend::install`] and
+//! carried with every pool task (see [`parallel`]). Without one, a thread
+//! runs [`Backend::auto`]: `DIVA_NUM_THREADS` workers (else one per core)
+//! on [`Kernel::best`].
 //!
 //! # Example
 //!
@@ -66,11 +76,7 @@ pub use conv::{
     col2im, conv2d, conv2d_backward_data, conv2d_backward_data_from_rows, conv2d_backward_weight,
     im2col, nchw_to_rows, Conv2dGeom, PatchBuffer,
 };
-pub use gemm::{
-    avx512_available, avx512_enabled, l1_reorder_enabled, scalar_reference_mode,
-    set_avx512_enabled, set_l1_reorder, set_scalar_reference_mode, set_simd_enabled,
-    simd_available, simd_enabled, PackCache,
-};
+pub use gemm::{avx512_available, avx512_enabled, simd_available, simd_enabled, Kernel, PackCache};
 pub use matmul::{
     matmul, matmul_nt, matmul_reference, matmul_tn, matmul_tt, outer_product_accumulate,
 };

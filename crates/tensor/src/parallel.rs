@@ -4,9 +4,9 @@
 //! dimension of every GEMM and the batch dimension of per-example gradient
 //! derivation (paper Algorithm 1 lines 16–25 — each example's gradient,
 //! norm and clip factor is independent). This module provides the one
-//! process-wide thread configuration every parallel kernel in the workspace
-//! consults, so nested parallel regions and the figure binaries cannot
-//! oversubscribe the machine.
+//! scoped execution configuration every parallel kernel in the workspace
+//! consults, [`Backend`], so nested parallel regions cannot oversubscribe
+//! the machine and concurrent callers cannot observe each other's settings.
 //!
 //! Design notes:
 //!
@@ -27,34 +27,27 @@
 //!   scenario grid) queues its tasks on the shared pool, where idle
 //!   workers steal them; the nested caller executes its own queued tasks
 //!   while it waits, so the nested region never deadlocks and never runs
-//!   slower than the old collapse-to-serial behavior. The *data* split of
-//!   a nested region is still decided by its requested width before
-//!   execution — scheduling decides who runs a task, never what a task
-//!   computes. [`set_nested_parallelism`] restores the legacy serial
-//!   collapse (a bench/bisect hook; results are bit-identical either way).
-//! * [`Backend`] is the user-facing knob. Installing one scopes a thread
-//!   count to a closure, which is how `DpTrainer` and the benches sweep
-//!   serial vs. parallel execution without touching global state. The
-//!   override travels *with the region*: a task executing on a stolen
-//!   worker sees the submitting thread's backend, not the worker's.
+//!   slower than running it serially. The *data* split of a nested region
+//!   is still decided by its requested width before execution — scheduling
+//!   decides who runs a task, never what a task computes.
+//! * [`Backend`] is the only execution setting: a thread count and a GEMM
+//!   [`Kernel`]. Installing one scopes both to a closure on the calling
+//!   thread, which is how `DpTrainer`, `diva-serve` and the benches pick
+//!   serial vs. parallel execution and the reference vs. blocked kernels
+//!   without touching global state. The backend travels *with the region*:
+//!   a task executing on a stolen worker sees the submitting thread's
+//!   backend, not the worker's.
 //!
-//! The process-wide default is `DIVA_NUM_THREADS` if set, else the number of
-//! available cores.
+//! A thread with no backend installed runs [`Backend::auto`]: the default
+//! width ([`max_threads`]) on the best kernel the build and CPU support.
 
+use crate::gemm::Kernel;
 use crate::pool;
 pub use crate::pool::PoolStats;
 use std::cell::Cell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::thread::LocalKey;
-
-/// Process-wide default thread count; 0 means "not yet initialized".
-static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// When cleared, nested parallel regions collapse to serial execution on
-/// their calling thread (the pre-work-stealing behavior). Stored inverted
-/// so the default (`false`) means "nested scheduling on".
-static NESTED_DISABLED: AtomicBool = AtomicBool::new(false);
 
 /// Regions nested deeper than this run serially: by then every level of
 /// the machine is saturated and further task-splitting is pure overhead
@@ -68,24 +61,10 @@ thread_local! {
     /// (0 = not inside any region). Tasks carry their submitting region's
     /// depth + 1, whichever thread they execute on.
     static REGION_DEPTH: Cell<usize> = const { Cell::new(0) };
-    /// Per-thread override installed by [`Backend::install`]; 0 = none.
-    /// Region tasks re-install their submitter's override while they run.
-    static THREAD_OVERRIDE: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Enables or disables hierarchical scheduling of nested parallel regions
-/// process-wide. Disabled, a nested region runs serially on its calling
-/// thread — the legacy behavior. Results are bit-identical either way
-/// (pinned by the scenario/explorer byte-identity suites); only
-/// scheduling, and therefore throughput, changes.
-pub fn set_nested_parallelism(enabled: bool) {
-    NESTED_DISABLED.store(!enabled, Ordering::Relaxed);
-}
-
-/// Whether nested parallel regions are currently scheduled hierarchically
-/// (the default) rather than collapsed to serial.
-pub fn nested_parallelism() -> bool {
-    !NESTED_DISABLED.load(Ordering::Relaxed)
+    /// The backend installed by [`Backend::install`]; `None` runs
+    /// [`Backend::auto`]. Region tasks re-install their submitter's value
+    /// while they run.
+    static INSTALLED: Cell<Option<Backend>> = const { Cell::new(None) };
 }
 
 /// The nesting depth of the parallel region this thread is currently
@@ -94,57 +73,29 @@ pub fn region_depth() -> usize {
     REGION_DEPTH.with(Cell::get)
 }
 
-fn default_threads() -> usize {
-    std::env::var("DIVA_NUM_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
-
-/// The process-wide maximum number of worker threads.
+/// The default worker-thread count: `DIVA_NUM_THREADS` if set to a positive
+/// integer, else the number of available cores. Read once per process.
 pub fn max_threads() -> usize {
-    let cur = GLOBAL_THREADS.load(Ordering::Relaxed);
-    if cur != 0 {
-        return cur;
-    }
-    let n = default_threads();
-    // Racing initializers compute the same value; either store wins.
-    GLOBAL_THREADS.store(n, Ordering::Relaxed);
-    n
-}
-
-/// Overrides the process-wide maximum worker-thread count.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn set_max_threads(n: usize) {
-    assert!(n > 0, "thread count must be positive");
-    GLOBAL_THREADS.store(n, Ordering::Relaxed);
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        std::env::var("DIVA_NUM_THREADS")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
 }
 
 /// The thread count parallel kernels should use *right now* on this thread:
-/// the installed [`Backend`] override or the global default — even inside
-/// an existing parallel region, because nested regions are scheduled for
-/// real (their tasks run on idle workers, or on the caller while it waits).
-/// Collapses to 1 inside a region only when nested parallelism is disabled
-/// ([`set_nested_parallelism`]) or the region is already
-/// `MAX_REGION_DEPTH` levels deep.
+/// the installed [`Backend`]'s width — even inside an existing parallel
+/// region, because nested regions are scheduled for real (their tasks run
+/// on idle workers, or on the caller while it waits). Collapses to 1 only
+/// inside a region already `MAX_REGION_DEPTH` levels deep.
 pub fn effective_threads() -> usize {
-    let depth = REGION_DEPTH.with(Cell::get);
-    if depth > 0 && (!nested_parallelism() || depth >= MAX_REGION_DEPTH) {
-        return 1;
-    }
-    let o = THREAD_OVERRIDE.with(Cell::get);
-    if o > 0 {
-        o
+    if REGION_DEPTH.with(Cell::get) >= MAX_REGION_DEPTH {
+        1
     } else {
-        max_threads()
+        Backend::current().threads()
     }
 }
 
@@ -163,89 +114,109 @@ pub fn pool_stats() -> PoolStats {
     pool::Pool::global().stats()
 }
 
-/// Execution configuration for the compute backend, threaded through
-/// `DpTrainer` and the bench drivers.
+/// The scoped execution configuration of the compute backend: a
+/// worker-thread count and the GEMM [`Kernel`], threaded through
+/// `DpTrainer`, `diva-serve` and the bench drivers.
 ///
 /// # Example
 ///
 /// ```
-/// use diva_tensor::Backend;
+/// use diva_tensor::{Backend, Kernel};
 /// let serial = Backend::serial();
 /// assert_eq!(serial.threads(), 1);
 /// let auto = Backend::auto();
 /// assert!(auto.threads() >= 1);
+/// assert_eq!(auto.kernel(), Kernel::best());
+/// // A request for an arm the build or CPU lacks runs the best one it has.
+/// assert_eq!(serial.with_kernel(Kernel::Avx512).kernel(), Kernel::best());
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Backend {
-    /// Single-threaded reference execution.
-    Serial,
-    /// Parallel execution on the shared pool; `threads == 0` means "use the
-    /// process-wide default" (see [`max_threads`]).
-    Parallel {
-        /// Worker-thread cap for this backend; 0 = process default.
-        threads: usize,
-    },
+pub struct Backend {
+    threads: usize,
+    kernel: Kernel,
 }
 
 impl Backend {
-    /// A single-threaded backend.
+    /// A single-threaded backend on the best kernel.
     pub fn serial() -> Self {
-        Backend::Serial
+        Self::with_threads(1)
     }
 
-    /// A parallel backend using the process-wide default thread count.
+    /// A parallel backend of the default width ([`max_threads`]) on the
+    /// best kernel.
     pub fn auto() -> Self {
-        Backend::Parallel { threads: 0 }
+        Self::with_threads(max_threads())
     }
 
-    /// A parallel backend capped at `threads` workers.
+    /// A parallel backend capped at `threads` workers, on the best kernel.
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0` (use [`Backend::auto`] for "default").
     pub fn with_threads(threads: usize) -> Self {
         assert!(threads > 0, "use Backend::auto() for the default count");
-        Backend::Parallel { threads }
+        Self {
+            threads,
+            kernel: Kernel::best(),
+        }
     }
 
-    /// The concrete thread count this backend resolves to.
-    pub fn threads(&self) -> usize {
-        match self {
-            Backend::Serial => 1,
-            Backend::Parallel { threads: 0 } => max_threads(),
-            Backend::Parallel { threads } => *threads,
+    /// This backend with its GEMMs on `kernel`, capped at [`Kernel::best`]:
+    /// a build or CPU without an arm runs the fastest arm it has instead.
+    pub fn with_kernel(self, kernel: Kernel) -> Self {
+        Self {
+            kernel: kernel.min(Kernel::best()),
+            ..self
         }
+    }
+
+    /// The backend in force on the calling thread: the one installed by
+    /// [`Backend::install`] (or carried in by the region task it is
+    /// executing), else [`Backend::auto`].
+    pub(crate) fn current() -> Self {
+        INSTALLED.with(Cell::get).unwrap_or_else(Backend::auto)
+    }
+
+    /// The worker-thread count this backend runs regions at.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// The GEMM arm this backend runs.
+    pub fn kernel(&self) -> Kernel {
+        self.kernel
     }
 
     /// A short label for tables and benchmark records.
     pub fn label(&self) -> String {
-        match self {
-            Backend::Serial => "serial".to_string(),
-            b => format!("parallel({})", b.threads()),
+        match self.threads {
+            1 => "serial".to_string(),
+            n => format!("parallel({n})"),
         }
     }
 
-    /// Runs `f` with this backend's thread count installed on the current
-    /// thread. The previous value is restored on every exit path — normal
-    /// return or unwinding panic — so a caller that catches a panic never
-    /// observes a stale override.
+    /// Runs `f` with this backend installed on the current thread. The
+    /// previous backend is restored on every exit path — normal return or
+    /// unwinding panic — so a caller that catches a panic never observes a
+    /// stale one.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _restore = SetCell::new(&THREAD_OVERRIDE, self.threads());
+        let _restore = SetCell::new(&INSTALLED, Some(*self));
         f()
     }
 
     /// Ensures the shared keep-alive pool has the workers this backend's
-    /// parallel regions will use (see [`prewarm`]). `DpTrainer` and the
-    /// bench drivers call this at configuration time so the first training
-    /// step or measured iteration runs at steady-state pool occupancy.
+    /// parallel regions will use (see [`prewarm`]). `DpTrainer`,
+    /// `diva-serve` and the bench drivers call this at configuration time
+    /// so the first training step, request or measured iteration runs at
+    /// steady-state pool occupancy.
     pub fn prewarm(&self) {
-        prewarm(self.threads());
+        prewarm(self.threads);
     }
 }
 
 /// Sets a thread-local `Cell` and restores the previous value on drop, so
 /// panics unwinding through a parallel region cannot leave the thread's
-/// scheduling state (`REGION_DEPTH`, `THREAD_OVERRIDE`) permanently stuck.
+/// scheduling state (`REGION_DEPTH`, `INSTALLED`) permanently stuck.
 struct SetCell<T: Copy + 'static> {
     key: &'static LocalKey<Cell<T>>,
     prev: T,
@@ -330,32 +301,32 @@ where
 }
 
 /// The scheduling context a region's tasks carry with them: the
-/// submitter's backend override and the region's nesting depth. Installing
-/// it on the executing thread (worker, stealer, or helping waiter) makes
-/// nested `effective_threads()` calls resolve exactly as they would have
-/// on the submitting thread — context flows lexically with the region
-/// tree, never with the OS thread, which is what keeps data splits
-/// deterministic under work-stealing.
+/// submitter's installed backend and the region's nesting depth.
+/// Installing it on the executing thread (worker, stealer, or helping
+/// waiter) makes nested `Backend::current()` calls resolve exactly as they
+/// would have on the submitting thread — context flows lexically with the
+/// region tree, never with the OS thread, which is what keeps data splits
+/// and kernel choices deterministic under work-stealing.
 #[derive(Clone, Copy)]
 struct RegionCtx {
-    thread_override: usize,
+    backend: Option<Backend>,
     depth: usize,
 }
 
 impl RegionCtx {
     /// The context tasks of a region submitted from this thread must run
-    /// under: same override, one level deeper.
+    /// under: same backend, one level deeper.
     fn capture() -> Self {
         Self {
-            thread_override: THREAD_OVERRIDE.with(Cell::get),
+            backend: INSTALLED.with(Cell::get),
             depth: REGION_DEPTH.with(Cell::get) + 1,
         }
     }
 
     /// Installs the context for the duration of a task body.
-    fn install(self) -> (SetCell<usize>, SetCell<usize>) {
+    fn install(self) -> (SetCell<Option<Backend>>, SetCell<usize>) {
         (
-            SetCell::new(&THREAD_OVERRIDE, self.thread_override),
+            SetCell::new(&INSTALLED, self.backend),
             SetCell::new(&REGION_DEPTH, self.depth),
         )
     }
@@ -454,14 +425,22 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
+    use crate::{matmul, matmul_reference, DivaRng, Tensor};
+    use std::sync::{Barrier, Condvar, Mutex};
+    use std::time::Duration;
 
-    /// Taken by the tests that flip or observe the process-wide nesting
-    /// toggle, which the test harness would otherwise run concurrently.
-    static NESTING_LOCK: Mutex<()> = Mutex::new(());
+    /// A blocked-path GEMM (K spans two panels, so the blocked kernels
+    /// round differently from the reference) and its reference bits.
+    fn blocked_case() -> (Tensor, Tensor, Vec<u32>) {
+        let mut rng = DivaRng::seed_from_u64(9);
+        let a = Tensor::uniform(&[97, 803], -1.0, 1.0, &mut rng);
+        let b = Tensor::uniform(&[803, 51], -1.0, 1.0, &mut rng);
+        let reference = bits(&matmul_reference(&a, &b));
+        (a, b, reference)
+    }
 
-    fn nesting_guard() -> MutexGuard<'static, ()> {
-        NESTING_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -494,7 +473,6 @@ mod tests {
         // Force a real two-level region tree (a plain call would degrade to
         // serial on a single-core host) and check every inner task observes
         // depth 2 wherever it executed, with index-ordered results.
-        let _guard = nesting_guard();
         let outer = Backend::with_threads(2)
             .install(|| par_map(4, |i| par_map(4, |j| (region_depth(), i * 10 + j))));
         for (i, inner) in outer.iter().enumerate() {
@@ -504,23 +482,6 @@ mod tests {
             }
         }
         assert_eq!(region_depth(), 0, "depth must be restored after regions");
-    }
-
-    #[test]
-    fn nested_parallelism_toggle_collapses_inner_regions() {
-        let _guard = nesting_guard();
-        set_nested_parallelism(false);
-        let counts = par_map(2, |_| par_map(2, |_| effective_threads()));
-        set_nested_parallelism(true);
-        // With the legacy collapse restored, any task that ran inside a
-        // real (fanned-out) region must have seen width 1; tasks of a
-        // serially-degraded outer region run at depth 0 and may see more.
-        for inner in counts {
-            for c in inner {
-                assert!(c <= max_threads());
-            }
-        }
-        assert!(nested_parallelism(), "toggle must be restored");
     }
 
     #[test]
@@ -539,11 +500,72 @@ mod tests {
         let two = Backend::with_threads(2);
         assert_eq!(two.install(effective_threads), 2);
         // Restored afterwards.
-        assert_eq!(
-            THREAD_OVERRIDE.with(Cell::get),
-            0,
-            "override must be restored"
+        assert_eq!(INSTALLED.with(Cell::get), None, "backend must be restored");
+    }
+
+    /// A region task runs under its submitter's backend wherever it
+    /// executes: every item of a 4-wide `Reference` region is bitwise the
+    /// reference GEMM, including items run by pool workers.
+    #[test]
+    fn tasks_carry_the_submitters_backend() {
+        let (a, b, reference) = blocked_case();
+        assert_ne!(
+            bits(&matmul(&a, &b)),
+            reference,
+            "the default kernel must differ from the reference, or this test cannot fail"
         );
+        let caller = std::thread::current().id();
+        let (off_caller, started) = (Mutex::new(false), Condvar::new());
+        let backend = Backend::with_threads(4).with_kernel(Kernel::Reference);
+        let items = backend.install(|| {
+            par_map(8, |_| {
+                let mut ran = off_caller.lock().unwrap();
+                if std::thread::current().id() == caller {
+                    // Hold the caller until a worker has started an item, so
+                    // it cannot run every task itself while it waits.
+                    let timeout = Duration::from_secs(30);
+                    drop(
+                        started
+                            .wait_timeout_while(ran, timeout, |ran| !*ran)
+                            .unwrap(),
+                    );
+                } else {
+                    *ran = true;
+                    started.notify_all();
+                    drop(ran);
+                }
+                bits(&matmul(&a, &b))
+            })
+        });
+        assert!(*off_caller.lock().unwrap(), "no item ran off the caller");
+        for (i, item) in items.iter().enumerate() {
+            assert_eq!(*item, reference, "item {i} left the reference kernel");
+        }
+    }
+
+    /// Two threads running GEMMs at the same time under different backends
+    /// never see each other's kernel.
+    #[test]
+    fn concurrent_backends_do_not_leak() {
+        let (a, b, reference) = blocked_case();
+        let blocked = bits(&matmul(&a, &b));
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                Backend::auto().with_kernel(Kernel::Reference).install(|| {
+                    start.wait();
+                    for i in 0..50 {
+                        assert_eq!(bits(&matmul(&a, &b)), reference, "reference GEMM {i}");
+                    }
+                });
+            });
+            s.spawn(|| {
+                start.wait();
+                for i in 0..50 {
+                    assert_eq!(bits(&matmul(&a, &b)), blocked, "default GEMM {i}");
+                }
+            });
+        });
     }
 
     #[test]
@@ -552,9 +574,9 @@ mod tests {
             std::panic::catch_unwind(|| Backend::with_threads(3).install(|| panic!("boom")));
         assert!(result.is_err());
         assert_eq!(
-            THREAD_OVERRIDE.with(Cell::get),
-            0,
-            "override must be restored after an unwinding panic"
+            INSTALLED.with(Cell::get),
+            None,
+            "backend must be restored after an unwinding panic"
         );
         let result = std::panic::catch_unwind(|| {
             par_map(2, |i| if i == 1 { panic!("worker boom") } else { i })

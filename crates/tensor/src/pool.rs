@@ -10,7 +10,7 @@
 //! submitted. The pool grows monotonically to the largest region width ever
 //! requested and is shared by every parallel kernel in the workspace: the
 //! GEMM M-split, the per-example backward fan-out, the clip-reduce, the
-//! scenario runner's cell grid, and the figure binaries' `run_parallel`.
+//! scenario runner's cell grid (`diva_bench::run_parallel`).
 //!
 //! # Hierarchical scheduling
 //!
@@ -51,8 +51,8 @@
 //! its output range), so which OS thread happens to execute a task — worker,
 //! stealer, or helping waiter — can never affect results. Scheduling moves
 //! *execution*, never *data*. The byte-identity guarantees of the scenario
-//! and explorer layers (same document at any thread count, under kill/
-//! resume, nested scheduling on or off) rest on exactly this line.
+//! and explorer layers (same document at any thread count and under
+//! kill/resume) rest on exactly this line.
 //!
 //! # Panics
 //!

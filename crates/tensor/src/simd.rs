@@ -22,18 +22,19 @@
 //! `f32::mul_add`, `_mm256_fmadd_ps` and `_mm512_fmadd_ps` are all
 //! IEEE-754 fused operations (one rounding), so results are bit-identical
 //! whichever kernel — or the autovectorized safe loop — executes the tile.
-//! The feature-matrix case in `tests/kernel_parity.rs` pins this: simd
-//! on/off × AVX-512 on/off × thread counts × odd shapes must agree to the
-//! last bit.
+//! The feature-matrix case in `tests/kernel_parity.rs` pins this: every
+//! requested kernel × thread counts × odd shapes must agree to the last
+//! bit.
 //!
 //! # Dispatch
 //!
-//! The kernel is selected per GEMM call by [`crate::gemm`]: AVX-512 when
-//! [`detected_avx512`] reports `avx512f` at runtime (and the arm is not
-//! disabled via [`crate::gemm::set_avx512_enabled`]), else AVX2+FMA when
-//! [`detected`] reports it, else the safe kernel — the binary stays
-//! runnable on older x86-64 CPUs, which silently fall back, as do all
-//! non-x86 targets and builds without the `simd` feature.
+//! The kernel is the calling thread's [`crate::Kernel`], read once per
+//! GEMM call by [`crate::gemm`]. It defaults to (and any request is capped
+//! at) [`crate::Kernel::best`]: AVX-512 when [`detected_avx512`] reports
+//! `avx512f` at runtime, else AVX2+FMA when [`detected`] reports it, else
+//! the safe kernel — the binary stays runnable on older x86-64 CPUs, which
+//! silently fall back, as do all non-x86 targets and builds without the
+//! `simd` feature.
 
 // The only unsafe code in this module is the intrinsics kernel below; its
 // preconditions (CPU support, panel bounds) are checked by the safe wrapper.

@@ -235,63 +235,53 @@ fn parallel_split_is_bitwise_invisible() {
     }
 }
 
-/// The full dispatch matrix — explicit-SIMD kernel on/off × threads
-/// 1/4/8 × odd blocked-path shapes — must produce bit-identical outputs:
-/// every cell performs the same per-element FMA sequence, so neither the
+/// The full dispatch matrix — requested kernel × threads 1/4/8 × odd
+/// blocked-path shapes — must produce bit-identical outputs: every blocked
+/// kernel performs the same per-element FMA sequence, so neither the
 /// kernel choice nor the M-split may show up in a single bit.
 ///
-/// Without the `simd` feature (or on CPUs without AVX2+FMA),
-/// `set_simd_enabled` is a no-op and the matrix degenerates to the
-/// thread sweep; with it, this is the contract that makes the feature safe
-/// to enable in production. The AVX-512 axis works the same way:
-/// `set_avx512_enabled(false)` forces the AVX2 arm on AVX-512 hosts, so
-/// capable hosts sweep safe × AVX2 × AVX-512; others silently cover what
-/// they have. The L1-reorder axis sweeps the interior B-strip grouping
-/// on/off — loop order, like the kernel choice, must never show in a bit.
+/// Each cell is its own `Backend`, so nothing needs restoring. A request
+/// for an arm the build or CPU lacks is capped at `Kernel::best()`: without
+/// the `simd` feature the matrix degenerates to the thread sweep on the
+/// safe kernel; AVX-512 hosts built with it sweep safe × AVX2 × AVX-512.
+/// `Kernel::Reference` must be bitwise `matmul_reference` at any width.
 #[test]
 fn simd_thread_matrix_is_bit_identical() {
-    use diva_tensor::{
-        avx512_available, set_avx512_enabled, set_l1_reorder, set_simd_enabled, simd_available,
-        Backend,
-    };
+    use diva_tensor::{Backend, Kernel};
     // Odd shapes that all route through the blocked/packed path (k >= 16,
     // m*k*n over the threshold), straddling panel and strip boundaries.
     let shapes = [(65usize, 129usize, 33usize), (97, 803, 51), (129, 1031, 17)];
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let mut rng = DivaRng::seed_from_u64(5);
     for &(m, k, n) in &shapes {
         let a = Tensor::uniform(&[m, k], -1.0, 1.0, &mut rng);
         let b = Tensor::uniform(&[k, n], -1.0, 1.0, &mut rng);
-        // Baseline cell: safe kernel, one thread, default loop order.
-        set_simd_enabled(false);
-        let baseline = Backend::serial().install(|| matmul(&a, &b));
-        for simd in [false, true] {
-            if simd && !simd_available() {
-                continue;
-            }
-            set_simd_enabled(simd);
-            for avx512 in [false, true] {
-                if avx512 && !(simd && avx512_available()) {
-                    continue;
-                }
-                set_avx512_enabled(avx512);
-                for reorder in [false, true] {
-                    set_l1_reorder(reorder);
-                    for threads in [1usize, 4, 8] {
-                        let out = Backend::with_threads(threads).install(|| matmul(&a, &b));
-                        assert_eq!(
-                            out.max_abs_diff(&baseline),
-                            0.0,
-                            "({m},{k},{n}) simd={simd} avx512={avx512} reorder={reorder} \
-                             threads={threads} diverged from baseline"
-                        );
-                    }
-                }
+        let baseline = bits(
+            &Backend::serial()
+                .with_kernel(Kernel::Safe)
+                .install(|| matmul(&a, &b)),
+        );
+        for kernel in [Kernel::Safe, Kernel::Avx2, Kernel::Avx512] {
+            for threads in [1usize, 4, 8] {
+                let backend = Backend::with_threads(threads).with_kernel(kernel);
+                let out = backend.install(|| matmul(&a, &b));
+                assert_eq!(
+                    bits(&out),
+                    baseline,
+                    "({m},{k},{n}) {kernel:?} (ran {:?}) threads={threads} diverged from baseline",
+                    backend.kernel()
+                );
             }
         }
-        // Restore the default dispatch.
-        set_simd_enabled(true);
-        set_avx512_enabled(true);
-        set_l1_reorder(true);
+        let reference = bits(&matmul_reference(&a, &b));
+        for threads in [1usize, 4] {
+            let backend = Backend::with_threads(threads).with_kernel(Kernel::Reference);
+            assert_eq!(
+                bits(&backend.install(|| matmul(&a, &b))),
+                reference,
+                "({m},{k},{n}) Reference threads={threads} is not matmul_reference"
+            );
+        }
     }
 }
 

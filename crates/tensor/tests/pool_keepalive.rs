@@ -76,10 +76,6 @@ fn back_to_back_regions_reuse_workers() {
 #[test]
 fn nested_regions_execute_across_width_matrix() {
     let _guard = pool_guard();
-    assert!(
-        parallel::nested_parallelism(),
-        "hierarchical nested scheduling is the default"
-    );
     let expected: Vec<Vec<usize>> = (0..4)
         .map(|i| (0..6).map(|j| i * 100 + j * 7).collect())
         .collect();

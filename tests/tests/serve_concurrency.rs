@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use diva_bench::scenario::{self, json, RunOptions};
 use diva_serve::{client, Server, ServerConfig};
+use diva_tensor::Backend;
 
 fn cache_stats(server: &Server) -> (f64, f64, f64, f64) {
     let stats = client::get(server.addr(), "/stats").unwrap();
@@ -90,8 +91,8 @@ fn distinct_keys_compute_independently() {
 }
 
 /// The byte-identity contract behind the cache: the same request served
-/// with the compute pool pinned to one thread returns exactly the bytes
-/// the default-width pool produced. (The expected document is computed
+/// by a server on a serial backend returns exactly the bytes the
+/// default-width pool produced. (The expected document is computed
 /// in-process at the default width first; the server then evaluates the
 /// same cell grid cold at width 1.)
 #[test]
@@ -102,16 +103,17 @@ fn responses_are_stable_across_thread_counts() {
         .batches(&[56]);
     let expected = json::to_json(&scenario::run_with("fig13", &opts).unwrap());
 
-    let default_width = diva_tensor::parallel::max_threads();
-    diva_tensor::parallel::set_max_threads(1);
-    let server = Server::start(ServerConfig::default()).unwrap();
+    let server = Server::start(ServerConfig {
+        backend: Backend::serial(),
+        ..ServerConfig::default()
+    })
+    .unwrap();
     let response = client::post_json(
         server.addr(),
         "/run",
         br#"{"scenario": "fig13", "models": "squeezenet", "points": "ws,diva", "batch": "56"}"#,
     )
     .unwrap();
-    diva_tensor::parallel::set_max_threads(default_width);
     assert_eq!(response.status, 200, "{}", response.text());
     assert_eq!(
         response.body,
