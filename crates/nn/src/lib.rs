@@ -16,8 +16,9 @@
 //! squared norms, and immediately discards them — which is exactly the
 //! memory saving DP-SGD(R) exploits (paper Section II-C).
 //!
-//! `PerExample` gradients are written once into a recycled `(B, P)` arena
-//! per layer, with each example's norm taken as its row is written and the
+//! `PerExample` gradients are written once into a `(B, P)` arena per layer
+//! (a [`diva_tensor::Buffer`] recycled through the shared buffer pool),
+//! with each example's norm taken as its row is written and the
 //! clip-weighted reduce run as one column-split `K = B` pass
 //! ([`PerExampleGrads`], the software counterpart of DiVa's
 //! post-processing unit).

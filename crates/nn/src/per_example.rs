@@ -8,11 +8,10 @@
 //!
 //! * **Written once, into recycled rows.** The batch-parallel task that
 //!   derives example `i` writes row `i` in place — no per-example tensor, no
-//!   copy. The backing buffer comes from a process-wide free list and goes
-//!   back to it on drop, so a training loop reuses the same pages step after
-//!   step: a multi-MiB allocation is past the allocator's mmap threshold,
-//!   and a fresh one per step pays a page-fault storm (the reason the GEMM
-//!   packs into per-thread scratch too).
+//!   copy. The backing [`Buffer`] comes from `diva_tensor`'s recycled
+//!   buffer pool, unfilled, and goes back to it on drop, so a training loop
+//!   reuses the same pages step after step instead of faulting a fresh
+//!   multi-MiB allocation in every step.
 //! * **Norms while hot.** DiVa's PPU derives gradient norms from output rows
 //!   as they drain from the GEMM engine, so per-example gradients never make
 //!   a second trip (`diva_pearray`'s `Ppu`). In software, the task that
@@ -24,75 +23,13 @@
 //!   pool ([`diva_tensor::weighted_row_sum`]).
 //!
 //! `NormOnly` (the first pass of DP-SGD(R)) runs the same row writers
-//! through [`sq_norms`]: each example's row goes into a recycled scratch
-//! buffer, its norm is taken and the buffer handed back, so memory scales
-//! with the examples in flight, never with `B`.
+//! through [`sq_norms`]: each example's row goes into a scratch [`Buffer`],
+//! its norm is taken and the buffer handed back, so memory scales with the
+//! examples in flight, never with `B`.
 
 use std::fmt;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use diva_tensor::{parallel, sq_norm, weighted_row_sum, Tensor};
-
-/// Free buffers kept for reuse: more than the parameterized layers of any
-/// network in this workspace plus the in-flight `NormOnly` scratch rows.
-/// Past it, the smallest buffer is released.
-const FREE_BUFFERS: usize = 16;
-
-static FREE: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
-
-fn free_list() -> MutexGuard<'static, Vec<Vec<f32>>> {
-    // Every critical section is a single push or removal, so the list is
-    // valid even if a holder panicked.
-    FREE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// An `f32` buffer drawn from the free list and handed back on drop.
-struct Recycled(Vec<f32>);
-
-impl Recycled {
-    /// A buffer of exactly `len` elements, best fit from the free list.
-    /// Its contents are unspecified (an earlier user's data): every user
-    /// overwrites each element before reading it.
-    fn take(len: usize) -> Self {
-        let reused = {
-            let mut free = free_list();
-            free.iter()
-                .enumerate()
-                .filter(|(_, buf)| buf.capacity() >= len)
-                .min_by_key(|(_, buf)| buf.capacity())
-                .map(|(i, _)| i)
-                .map(|i| free.swap_remove(i))
-        };
-        let mut buf = reused.unwrap_or_default();
-        // Shrinking keeps the pages; growing zero-fills only the new tail.
-        buf.resize(len, 0.0);
-        Self(buf)
-    }
-}
-
-impl Clone for Recycled {
-    fn clone(&self) -> Self {
-        let mut copy = Self::take(self.0.len());
-        copy.0.copy_from_slice(&self.0);
-        copy
-    }
-}
-
-impl Drop for Recycled {
-    fn drop(&mut self) {
-        let buf = std::mem::take(&mut self.0);
-        if buf.capacity() == 0 {
-            return;
-        }
-        let mut free = free_list();
-        free.push(buf);
-        if free.len() > FREE_BUFFERS {
-            if let Some(smallest) = (0..free.len()).min_by_key(|&i| free[i].capacity()) {
-                free.swap_remove(smallest);
-            }
-        }
-    }
-}
+use diva_tensor::{parallel, sq_norm, weighted_row_sum, Buffer, Tensor};
 
 /// One layer's per-example weight gradients: a `(B, P)` arena whose row `i`
 /// holds example `i`'s gradient (the layer's parameter tensors, in
@@ -100,7 +37,7 @@ impl Drop for Recycled {
 /// L2 norm, taken by the task that wrote the row.
 #[derive(Clone)]
 pub struct PerExampleGrads {
-    rows: Recycled,
+    rows: Buffer,
     batch: usize,
     shapes: Vec<Vec<usize>>,
     /// `offsets[p]..offsets[p + 1]` is parameter `p`'s segment of a row.
@@ -120,9 +57,9 @@ impl PerExampleGrads {
     {
         let (shapes, offsets) = layout(params);
         let width = row_width(&offsets);
-        let mut rows = Recycled::take(batch * width);
+        let mut rows = Buffer::for_overwrite(batch * width);
         let mut slots: Vec<(&mut [f32], f64)> =
-            rows.0.chunks_mut(width).map(|row| (row, 0.0)).collect();
+            rows.chunks_mut(width).map(|row| (row, 0.0)).collect();
         parallel::par_chunks_mut(&mut slots, 1, |i, slot| {
             let (row, norm) = &mut slot[0];
             write(i, row);
@@ -160,7 +97,7 @@ impl PerExampleGrads {
             self.batch
         );
         let row = i * row_width(&self.offsets);
-        &self.rows.0[row + self.offsets[p]..row + self.offsets[p + 1]]
+        &self.rows[row + self.offsets[p]..row + self.offsets[p + 1]]
     }
 
     /// Each example's squared L2 norm, taken while its row was hot.
@@ -201,7 +138,7 @@ impl PerExampleGrads {
             .zip(self.offsets.windows(2))
             .map(|(shape, seg)| {
                 let mut acc = Tensor::zeros(shape);
-                let rows = self.rows.0.get(seg[0]..).unwrap_or_default();
+                let rows = self.rows.get(seg[0]..).unwrap_or_default();
                 weighted_row_sum(rows, width, &weights, acc.data_mut());
                 acc
             })
@@ -230,9 +167,9 @@ where
     let (_, offsets) = layout(params);
     let width = row_width(&offsets);
     parallel::par_map(batch, |i| {
-        let mut row = Recycled::take(width);
-        write(i, &mut row.0);
-        row_sq_norm(&row.0, &offsets)
+        let mut row = Buffer::for_overwrite(width);
+        write(i, &mut row);
+        row_sq_norm(&row, &offsets)
     })
 }
 
@@ -269,31 +206,32 @@ mod tests {
     use crate::{GradMode, Layer, Network, ParamGrads};
     use diva_tensor::{softmax_cross_entropy, DivaRng};
 
-    /// Recycled rows are written over, never read: with the free list
-    /// seeded with NaN buffers of every arena size this network asks for,
-    /// each layer's per-example gradients still sum to its per-batch
-    /// gradient and its norms match the copied-out tensors.
+    /// Recycled rows are written over, never read: with the shared buffer
+    /// pool seeded with NaN buffers of every arena size this network asks
+    /// for (its conv and first dense layers are sized past the pool's
+    /// 64 KiB threshold), each layer's per-example gradients still sum to
+    /// its per-batch gradient and its norms match the copied-out tensors.
     #[test]
     fn recycled_rows_never_leak_stale_data() {
         let mut rng = DivaRng::seed_from_u64(40);
         let net = Network::new(vec![
-            Layer::conv2d(1, 3, 3, 1, 1, 6, 6, &mut rng),
-            Layer::group_norm(3, 3),
+            Layer::conv2d(16, 40, 3, 1, 1, 6, 6, &mut rng),
+            Layer::group_norm(40, 4),
             Layer::relu(),
             Layer::flatten(),
-            Layer::dense(3 * 36, 5, true, &mut rng),
+            Layer::dense(40 * 36, 12, true, &mut rng),
             Layer::relu(),
-            Layer::dense(5, 4, false, &mut rng),
+            Layer::dense(12, 4, false, &mut rng),
         ]);
         let b = 3;
         for layer in net.layers() {
             let width: usize = layer.params().iter().map(|p| p.len()).sum();
             if width > 0 {
-                drop(Recycled(vec![f32::NAN; b * width]));
-                drop(Recycled(vec![f32::NAN; width]));
+                drop(Buffer::from(vec![f32::NAN; b * width]));
+                drop(Buffer::from(vec![f32::NAN; width]));
             }
         }
-        let x = Tensor::uniform(&[b, 1, 6, 6], -1.0, 1.0, &mut rng);
+        let x = Tensor::uniform(&[b, 16, 6, 6], -1.0, 1.0, &mut rng);
         let (y, caches) = net.forward(&x);
         let grad = softmax_cross_entropy(&y, &[0, 1, 3]).grad_logits;
         let per_ex = net.backward(&caches, &grad, GradMode::PerExample);

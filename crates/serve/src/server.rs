@@ -464,10 +464,13 @@ fn stats_document(state: &AppState) -> Vec<u8> {
     let (queued, running) = state.jobs.depth();
     let internal = state.internal_errors.load(Ordering::SeqCst);
     let pool = diva_tensor::parallel::pool_stats();
+    let buffers = diva_tensor::buffer_stats();
     format!(
         "{{\n  \"schema\": \"diva-stats/v1\",\n  \"records\": [\n    \
          {{\"name\": \"cache\", \"hits\": {}, \"misses\": {}, \"joined\": {}, \"computed\": {}, \
          \"evictions\": {}, \"entries\": {}, \"bytes\": {}}},\n    \
+         {{\"name\": \"buffers\", \"reused\": {}, \"allocated\": {}, \"evicted\": {}, \
+         \"idle_bytes\": {}}},\n    \
          {{\"name\": \"jobs\", \"queued\": {queued}, \"running\": {running}}},\n    \
          {{\"name\": \"pool\", \"workers\": {}, \"idle\": {}, \"steals\": {}, \
          \"inline_runs\": {}, \"max_region_depth\": {}}},\n    \
@@ -479,6 +482,10 @@ fn stats_document(state: &AppState) -> Vec<u8> {
         cache.evictions,
         cache.entries,
         cache.bytes,
+        buffers.reused,
+        buffers.allocated,
+        buffers.evicted,
+        buffers.idle_bytes,
         pool.spawned,
         pool.idle,
         pool.steals,

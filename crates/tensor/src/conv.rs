@@ -412,7 +412,7 @@ impl PatchBuffer {
         let w2d = weight.clone().reshape(&[cout, self.geom.patch_len()]);
         let y = matmul_nt(&self.patches, &w2d); // (N*P*Q, Cout)
                                                 // Reorder (N*P*Q, Cout) -> (N, Cout, P, Q).
-        let mut out = Tensor::zeros(&[self.n, cout, p, q]);
+        let mut out = Tensor::for_overwrite(&[self.n, cout, p, q]);
         let yv = y.data();
         let ov = out.data_mut();
         for ni in 0..self.n {
@@ -515,7 +515,7 @@ pub fn nchw_to_rows(t: &Tensor, geom: &Conv2dGeom) -> Tensor {
     assert_eq!(dims.len(), 4, "expected NCHW, got {}", t.shape());
     let (n, c, p, q) = (dims[0], dims[1], dims[2], dims[3]);
     assert_eq!(c, geom.cout, "channel mismatch in gradient tensor");
-    let mut out = Tensor::zeros(&[n * p * q, c]);
+    let mut out = Tensor::for_overwrite(&[n * p * q, c]);
     let tv = t.data();
     let ov = out.data_mut();
     for ni in 0..n {

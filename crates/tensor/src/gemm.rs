@@ -33,6 +33,7 @@
 //! differently at the 1e-7-relative level. Kernel-parity tests in
 //! `tests/kernel_parity.rs` pin this contract.
 
+use crate::buffer::Buffer;
 use crate::parallel::{self, Backend};
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -570,7 +571,7 @@ pub struct PackedB {
     n: usize,
     /// Per panel: (global K offset, panel length, offset into `data`).
     panels: Vec<(usize, usize, usize)>,
-    data: Vec<f32>,
+    data: Buffer,
 }
 
 impl PackedB {
@@ -586,17 +587,23 @@ impl PackedB {
             segment > 0 && k.is_multiple_of(segment),
             "segment {segment} must divide K {k}"
         );
-        let n_strips = n.div_ceil(NR);
+        let strip_row = n.div_ceil(NR) * NR;
         let mut panels = Vec::new();
-        let mut data = Vec::new();
+        // `pack_b` writes every slot of its panel, zero padding included.
+        let mut data = Buffer::for_overwrite(k * strip_row);
         let mut seg0 = 0;
         while seg0 < k {
             let mut kc = 0;
             while kc < segment {
                 let kb = KC.min(segment - kc);
-                let offset = data.len();
-                data.resize(offset + n_strips * kb * NR, 0.0);
-                pack_b(b, seg0 + kc, kb, n, &mut data[offset..]);
+                let offset = (seg0 + kc) * strip_row;
+                pack_b(
+                    b,
+                    seg0 + kc,
+                    kb,
+                    n,
+                    &mut data[offset..offset + kb * strip_row],
+                );
                 panels.push((seg0 + kc, kb, offset));
                 kc += kb;
             }

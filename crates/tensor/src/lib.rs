@@ -15,6 +15,11 @@
 //! fanned out over the worker pool, so it is bitwise the same at every
 //! thread count and on every target.
 //!
+//! Every [`Tensor`] stores its elements in a [`Buffer`]: large buffers go
+//! back to one process-wide, bounded pool when dropped, so a training loop
+//! reuses the same pages step after step instead of faulting them in again
+//! ([`buffer_stats`] reports the pool's counters).
+//!
 //! The crate uses no external BLAS, and unsafe code is denied crate-wide
 //! except at two narrow, audited sites: the lifetime erasure inside the
 //! persistent worker pool (`pool` module — sound because a region never
@@ -57,6 +62,7 @@
 #![warn(missing_docs)]
 
 mod bf16;
+mod buffer;
 mod conv;
 pub mod fft;
 mod gemm;
@@ -72,6 +78,7 @@ mod simd;
 mod tensor;
 
 pub use bf16::{round_bf16, BF16_MAX_RELATIVE_ERROR};
+pub use buffer::{buffer_stats, Buffer, BufferStats};
 pub use conv::{
     col2im, conv2d, conv2d_backward_data, conv2d_backward_data_from_rows, conv2d_backward_weight,
     im2col, nchw_to_rows, Conv2dGeom, PatchBuffer,

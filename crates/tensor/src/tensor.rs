@@ -3,14 +3,16 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
+use crate::buffer::Buffer;
 use crate::rng::DivaRng;
 use crate::shape::Shape;
 
 /// A dense, row-major tensor of `f32` values.
 ///
-/// `Tensor` owns its storage (`Vec<f32>`). All operations in this crate are
-/// eager and allocate their outputs; shape mismatches are programming errors
-/// and panic with a descriptive message (documented per function).
+/// `Tensor` owns its storage, a [`Buffer`]. All operations in this crate
+/// are eager and take their outputs from the recycled buffer pool (see
+/// [`Buffer`]); shape mismatches are programming errors and panic with a
+/// descriptive message (documented per function).
 ///
 /// # Example
 ///
@@ -23,28 +25,28 @@ use crate::shape::Shape;
 #[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
-    data: Vec<f32>,
+    data: Buffer,
 }
 
 impl Tensor {
     /// Creates a tensor filled with zeros.
     pub fn zeros(dims: &[usize]) -> Self {
-        let shape = Shape::new(dims);
-        let len = shape.len();
-        Self {
-            shape,
-            data: vec![0.0; len],
-        }
+        Self::full(dims, 0.0)
     }
 
     /// Creates a tensor filled with `value`.
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
-        let len = shape.len();
-        Self {
-            shape,
-            data: vec![value; len],
-        }
+        let data = Buffer::full(shape.len(), value);
+        Self { shape, data }
+    }
+
+    /// A tensor of unspecified contents (see [`Buffer::for_overwrite`]), for
+    /// a producer that writes every element before anything reads one.
+    pub(crate) fn for_overwrite(dims: &[usize]) -> Self {
+        let shape = Shape::new(dims);
+        let data = Buffer::for_overwrite(shape.len());
+        Self { shape, data }
     }
 
     /// Creates a square identity matrix of side `n`.
@@ -72,7 +74,10 @@ impl Tensor {
             shape,
             shape.len()
         );
-        Self { shape, data }
+        Self {
+            shape,
+            data: data.into(),
+        }
     }
 
     /// Creates a tensor with elements drawn uniformly from `[lo, hi)`.
@@ -116,9 +121,10 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its storage.
+    /// Consumes the tensor and returns its storage, which leaves the buffer
+    /// pool for good.
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        self.data.into_vec()
     }
 
     /// Reinterprets the tensor with a new shape holding the same number of
@@ -159,7 +165,7 @@ impl Tensor {
     /// Panics if the tensor is not rank 2.
     pub fn transpose(&self) -> Self {
         let (r, c) = self.dims2();
-        let mut out = Tensor::zeros(&[c, r]);
+        let mut out = Tensor::for_overwrite(&[c, r]);
         for i in 0..r {
             for j in 0..c {
                 out.data[j * r + i] = self.data[i * c + j];
@@ -213,7 +219,7 @@ impl Tensor {
 
     /// Multiplies every element by `s` in place.
     pub fn scale(&mut self, s: f32) {
-        for a in &mut self.data {
+        for a in self.data.iter_mut() {
             *a *= s;
         }
     }

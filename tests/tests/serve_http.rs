@@ -72,6 +72,13 @@ fn run_response_is_byte_identical_to_diva_report_json() {
         stats.text()
     );
     assert_eq!(cache.metric_value("computed"), Some(1.0));
+    // The buffer-pool record follows the cache record and shares none of
+    // its counter names, so a reader taking the first `"hits"` or
+    // `"computed"` in the document still reads the cache's.
+    let names: Vec<&str> = records.iter().map(|r| r.name.as_str()).collect();
+    assert_eq!(names[..2], ["cache", "buffers"], "{}", stats.text());
+    let fields: Vec<&str> = records[1].metrics.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(fields, ["reused", "allocated", "evicted", "idle_bytes"]);
     server.shutdown();
     server.wait();
 }
