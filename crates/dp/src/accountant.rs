@@ -12,103 +12,13 @@
 //!
 //! where `q` is the sampling rate and `σ` the noise multiplier. RDP composes
 //! additively over `T` steps, and converts to (ε, δ)-DP via
-//! `ε = min_α [ T·RDP(α) + ln(1/δ)/(α−1) ]`.
-
-/// Privacy accountant for DP-SGD based on Rényi differential privacy.
-///
-/// # Example
-///
-/// ```
-/// use diva_dp::RdpAccountant;
-/// let acc = RdpAccountant::new(0.01, 1.1);
-/// let eps = acc.epsilon(1_000, 1e-5);
-/// assert!(eps > 0.0 && eps < 5.0);
-/// ```
-#[derive(Clone, Debug)]
-pub struct RdpAccountant {
-    sampling_rate: f64,
-    noise_multiplier: f64,
-    orders: Vec<u32>,
-}
-
-impl RdpAccountant {
-    /// Creates an accountant for sampling rate `q = B/N` and noise
-    /// multiplier `σ`, with the default integer order grid `α ∈ [2, 256]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q ∉ (0, 1]` or `σ ≤ 0`.
-    pub fn new(sampling_rate: f64, noise_multiplier: f64) -> Self {
-        assert!(
-            sampling_rate > 0.0 && sampling_rate <= 1.0,
-            "sampling rate must be in (0, 1], got {sampling_rate}"
-        );
-        assert!(
-            noise_multiplier > 0.0 && noise_multiplier.is_finite(),
-            "noise multiplier must be positive, got {noise_multiplier}"
-        );
-        Self {
-            sampling_rate,
-            noise_multiplier,
-            orders: (2..=256).collect(),
-        }
-    }
-
-    /// The sampling rate `q`.
-    pub fn sampling_rate(&self) -> f64 {
-        self.sampling_rate
-    }
-
-    /// The noise multiplier `σ`.
-    pub fn noise_multiplier(&self) -> f64 {
-        self.noise_multiplier
-    }
-
-    /// The per-step RDP at integer order `α`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha < 2`.
-    pub fn rdp_at(&self, alpha: u32) -> f64 {
-        subsampled_gaussian_rdp(self.sampling_rate, self.noise_multiplier, alpha)
-    }
-
-    /// The (ε, δ) privacy cost after `steps` compositions, minimized over
-    /// the order grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delta ∉ (0, 1)`.
-    pub fn epsilon(&self, steps: u64, delta: f64) -> f64 {
-        assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
-        let ln_inv_delta = (1.0 / delta).ln();
-        self.orders
-            .iter()
-            .map(|&alpha| {
-                let rdp = self.rdp_at(alpha) * steps as f64;
-                rdp + ln_inv_delta / (f64::from(alpha) - 1.0)
-            })
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// The order that achieves the reported ε (useful for diagnostics).
-    pub fn best_order(&self, steps: u64, delta: f64) -> u32 {
-        let ln_inv_delta = (1.0 / delta).ln();
-        self.orders
-            .iter()
-            .copied()
-            .min_by(|&a, &b| {
-                let ea = self.rdp_at(a) * steps as f64 + ln_inv_delta / (f64::from(a) - 1.0);
-                let eb = self.rdp_at(b) * steps as f64 + ln_inv_delta / (f64::from(b) - 1.0);
-                ea.partial_cmp(&eb).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .unwrap_or(2)
-    }
-}
+//! `ε = min_α [ T·RDP(α) + ln(1/δ)/(α−1) ]` — the composition and the
+//! conversion live in [`crate::RdpEventAccountant`]; this module holds
+//! only the per-step bound.
 
 /// The per-step RDP of the Poisson-subsampled Gaussian mechanism at
-/// integer order `α` — the shared bound behind both [`RdpAccountant`] and
-/// the event-tree accountant in [`crate::event`].
+/// integer order `α` — the bound behind the event-tree accountant in
+/// [`crate::event`].
 ///
 /// # Panics
 ///
@@ -157,48 +67,79 @@ pub(crate) fn log_sum_exp(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{event_epsilon, AccountantKind, DpEvent};
+    use diva_tensor::DivaRng;
+
+    /// ε of `steps` DP-SGD steps at `(q, σ)` under the RDP accountant.
+    fn rdp_epsilon(q: f64, sigma: f64, steps: u64, delta: f64) -> f64 {
+        event_epsilon(
+            AccountantKind::Rdp,
+            &DpEvent::dp_sgd(q, sigma, steps),
+            delta,
+        )
+        .unwrap()
+    }
 
     #[test]
     fn full_batch_matches_gaussian_closed_form() {
         // q = 1 degenerates to the plain Gaussian mechanism: RDP(α) = α/(2σ²).
-        let acc = RdpAccountant::new(1.0, 2.0);
         for alpha in [2u32, 8, 64] {
             let expected = f64::from(alpha) / (2.0 * 4.0);
-            assert!((acc.rdp_at(alpha) - expected).abs() < 1e-12);
+            assert!((subsampled_gaussian_rdp(1.0, 2.0, alpha) - expected).abs() < 1e-12);
         }
     }
 
     #[test]
     fn alpha_two_matches_closed_form() {
         // RDP(2) = ln(1 + q²(e^{1/σ²} − 1)).
-        let (q, sigma) = (0.02, 1.3);
-        let acc = RdpAccountant::new(q, sigma);
+        let (q, sigma): (f64, f64) = (0.02, 1.3);
         let expected = (1.0 + q * q * ((1.0 / (sigma * sigma)).exp() - 1.0)).ln();
-        assert!((acc.rdp_at(2) - expected).abs() < 1e-9);
+        assert!((subsampled_gaussian_rdp(q, sigma, 2) - expected).abs() < 1e-9);
+    }
+
+    /// Per-step RDP is non-negative and non-decreasing in the order α (a
+    /// known property of Rényi divergence the log-sum-exp implementation
+    /// must keep), across seeded random `(q, σ)` draws.
+    #[test]
+    fn rdp_is_nonnegative_and_monotone_in_order() {
+        let mut gen = DivaRng::seed_from_u64(0xd3);
+        for _ in 0..20 {
+            let q = 0.001 + 0.3 * f64::from(gen.uniform(0.0, 1.0));
+            let sigma = 0.5 + 2.0 * f64::from(gen.uniform(0.0, 1.0));
+            let mut prev = 0.0;
+            for alpha in [2u32, 4, 8, 16, 32, 64, 128] {
+                let rdp = subsampled_gaussian_rdp(q, sigma, alpha);
+                assert!(rdp >= 0.0, "negative RDP at alpha={alpha}");
+                assert!(
+                    rdp >= prev - 1e-12,
+                    "RDP decreasing in alpha: q={q} sigma={sigma} alpha={alpha}"
+                );
+                prev = rdp;
+            }
+        }
     }
 
     #[test]
     fn epsilon_grows_with_steps() {
-        let acc = RdpAccountant::new(0.01, 1.1);
-        let e1 = acc.epsilon(100, 1e-5);
-        let e2 = acc.epsilon(1_000, 1e-5);
-        let e3 = acc.epsilon(10_000, 1e-5);
+        let e1 = rdp_epsilon(0.01, 1.1, 100, 1e-5);
+        let e2 = rdp_epsilon(0.01, 1.1, 1_000, 1e-5);
+        let e3 = rdp_epsilon(0.01, 1.1, 10_000, 1e-5);
         assert!(e1 < e2 && e2 < e3, "{e1} {e2} {e3}");
     }
 
     #[test]
     fn epsilon_shrinks_with_noise() {
         let steps = 1_000;
-        let e_low = RdpAccountant::new(0.01, 0.8).epsilon(steps, 1e-5);
-        let e_high = RdpAccountant::new(0.01, 2.0).epsilon(steps, 1e-5);
+        let e_low = rdp_epsilon(0.01, 0.8, steps, 1e-5);
+        let e_high = rdp_epsilon(0.01, 2.0, steps, 1e-5);
         assert!(e_high < e_low);
     }
 
     #[test]
     fn epsilon_shrinks_with_sampling_rate() {
         let steps = 1_000;
-        let e_small_q = RdpAccountant::new(0.001, 1.1).epsilon(steps, 1e-5);
-        let e_large_q = RdpAccountant::new(0.1, 1.1).epsilon(steps, 1e-5);
+        let e_small_q = rdp_epsilon(0.001, 1.1, steps, 1e-5);
+        let e_large_q = rdp_epsilon(0.1, 1.1, steps, 1e-5);
         assert!(e_small_q < e_large_q);
     }
 
@@ -208,7 +149,7 @@ mod tests {
         // 60 epochs. Published DP-SGD results report ε ≈ 2–4 at δ = 1e-5.
         let q = 256.0 / 60_000.0;
         let steps = (60_000 / 256) * 60;
-        let eps = RdpAccountant::new(q, 1.1).epsilon(steps as u64, 1e-5);
+        let eps = rdp_epsilon(q, 1.1, steps as u64, 1e-5);
         assert!((1.0..6.0).contains(&eps), "epsilon {eps} outside ballpark");
     }
 

@@ -223,8 +223,7 @@ pub fn classic_gaussian_sigma(epsilon: f64, delta: f64) -> Result<f64, AccountEr
 
 /// The DP-SGD noise multiplier that meets `(target_epsilon, delta)` after
 /// `steps` Poisson-subsampled steps at sampling rate `q`, under the given
-/// accountant — the generalization of [`calibrate_sigma`] to both
-/// accountants. ε(σ) is monotone decreasing, so a bisection over
+/// accountant. ε(σ) is monotone decreasing, so a bisection over
 /// `σ ∈ [0.2, 1000]` converges to ~4 significant digits.
 ///
 /// # Errors
@@ -272,32 +271,9 @@ pub fn calibrate_noise(
     Ok(hi)
 }
 
-/// The noise multiplier meeting `(target_epsilon, delta)` under the RDP
-/// accountant — the legacy entry point, now returning a typed error
-/// instead of panicking on bad arguments or unreachable targets.
-///
-/// # Errors
-///
-/// See [`calibrate_noise`].
-pub fn calibrate_sigma(
-    target_epsilon: f64,
-    delta: f64,
-    sampling_rate: f64,
-    steps: u64,
-) -> Result<f64, AccountError> {
-    calibrate_noise(
-        AccountantKind::Rdp,
-        target_epsilon,
-        delta,
-        sampling_rate,
-        steps,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accountant::RdpAccountant;
 
     #[test]
     fn erfc_matches_reference_values() {
@@ -364,8 +340,13 @@ mod tests {
         // σ from the calibrator must reproduce the target ε (within the
         // bisection tolerance) when fed back through the accountant.
         let (target, delta, q, steps) = (2.0, 1e-5, 0.01, 60 * 234);
-        let sigma = calibrate_sigma(target, delta, q, steps).unwrap();
-        let eps = RdpAccountant::new(q, sigma).epsilon(steps, delta);
+        let sigma = calibrate_noise(AccountantKind::Rdp, target, delta, q, steps).unwrap();
+        let eps = event_epsilon(
+            AccountantKind::Rdp,
+            &DpEvent::dp_sgd(q, sigma, steps),
+            delta,
+        )
+        .unwrap();
         assert!(
             eps <= target,
             "calibrated eps {eps} exceeds target {target}"
@@ -387,20 +368,20 @@ mod tests {
     #[test]
     fn bad_targets_are_typed_errors() {
         assert!(matches!(
-            calibrate_sigma(0.0, 1e-5, 0.01, 100),
+            calibrate_noise(AccountantKind::Rdp, 0.0, 1e-5, 0.01, 100),
             Err(AccountError::InvalidParameter(_))
         ));
         assert!(matches!(
-            calibrate_sigma(2.0, 1.5, 0.01, 100),
+            calibrate_noise(AccountantKind::Rdp, 2.0, 1.5, 0.01, 100),
             Err(AccountError::InvalidParameter(_))
         ));
         assert!(matches!(
-            calibrate_sigma(2.0, 1e-5, 0.01, 0),
+            calibrate_noise(AccountantKind::Rdp, 2.0, 1e-5, 0.01, 0),
             Err(AccountError::InvalidParameter(_))
         ));
         // An absurdly tight target exceeds the sigma bracket.
         assert!(matches!(
-            calibrate_sigma(1e-6, 1e-12, 0.5, 1_000_000),
+            calibrate_noise(AccountantKind::Rdp, 1e-6, 1e-12, 0.5, 1_000_000),
             Err(AccountError::UnachievableTarget(_))
         ));
         assert!(matches!(

@@ -231,10 +231,18 @@ pub fn event_epsilon(
     acc.epsilon(delta)
 }
 
-/// The Rényi-DP accountant over [`DpEvent`] trees: accumulates per-order
-/// RDP totals on the integer grid α ∈ [2, 256] (the same grid as the
-/// legacy [`crate::RdpAccountant`]) and converts to (ε, δ) via
-/// `ε = min_α [RDP(α) + ln(1/δ)/(α−1)]`.
+/// The Rényi-DP (moments) accountant over [`DpEvent`] trees: accumulates
+/// per-order RDP totals on the integer grid α ∈ [2, 256] and converts to
+/// (ε, δ) via `ε = min_α [RDP(α) + ln(1/δ)/(α−1)]`.
+///
+/// # Example
+///
+/// ```
+/// use diva_dp::{event_epsilon, AccountantKind, DpEvent};
+/// let event = DpEvent::dp_sgd(0.01, 1.1, 1_000);
+/// let eps = event_epsilon(AccountantKind::Rdp, &event, 1e-5).unwrap();
+/// assert!(eps > 0.0 && eps < 5.0);
+/// ```
 #[derive(Clone, Debug)]
 pub struct RdpEventAccountant {
     orders: Vec<u32>,
@@ -391,19 +399,6 @@ pub(crate) fn check_epsilon(epsilon: f64) -> Result<(), AccountError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RdpAccountant;
-
-    #[test]
-    fn dp_sgd_event_matches_legacy_accountant() {
-        let (q, sigma, steps, delta) = (0.01, 1.1, 1_000u64, 1e-5);
-        let legacy = RdpAccountant::new(q, sigma).epsilon(steps, delta);
-        let event = DpEvent::dp_sgd(q, sigma, steps);
-        let eps = event_epsilon(AccountantKind::Rdp, &event, delta).unwrap();
-        assert!(
-            (eps - legacy).abs() < 1e-12,
-            "event {eps} vs legacy {legacy}"
-        );
-    }
 
     #[test]
     fn composed_and_self_composed_agree() {

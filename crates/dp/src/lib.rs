@@ -14,8 +14,8 @@
 //! * a [`DpEvent`] algebra describing what was released (Gaussian /
 //!   Laplace / Poisson-subsampled / composed), evaluated by
 //!   interchangeable [`Accountant`]s;
-//! * the Rényi-DP (moments) accountant — cheap, composable, slightly
-//!   loose in its (ε, δ) conversion;
+//! * the Rényi-DP (moments) accountant ([`RdpEventAccountant`]) — cheap,
+//!   composable, slightly loose in its (ε, δ) conversion;
 //! * a privacy-loss-distribution ([`PldAccountant`]) accountant with
 //!   FFT-based composition — near exact, tighter than RDP on every
 //!   tracked configuration (the property suite pins `ε_PLD ≤ ε_RDP`);
@@ -32,7 +32,7 @@
 //! configuration) and installs it around every step, so all GEMMs and
 //! per-example fan-outs of a step run on the workspace-wide keep-alive
 //! pool at the trainer's width; selecting a backend with
-//! [`DpTrainer::with_backend`] prewarms that pool to the chosen width.
+//! [`DpTrainerBuilder::backend`] prewarms that pool to the chosen width.
 //! See `ARCHITECTURE.md` at the workspace root.
 //!
 //! # Example
@@ -71,11 +71,9 @@ mod query;
 mod sampling;
 mod synthetic;
 
-pub use accountant::RdpAccountant;
 pub use batch::batch_epsilons;
 pub use calibrate::{
-    calibrate_noise, calibrate_sigma, classic_gaussian_sigma, gaussian_delta, gaussian_epsilon,
-    gaussian_sigma,
+    calibrate_noise, classic_gaussian_sigma, gaussian_delta, gaussian_epsilon, gaussian_sigma,
 };
 pub use clip::{clip_factors, ClipSummary};
 pub use error::AccountError;

@@ -190,10 +190,9 @@ impl DpTrainerBuilder {
     /// step runs under: installed on the calling thread around the step's
     /// gradient and noise work, it travels with every pool task the step
     /// opens. Prewarms the shared keep-alive pool to that width at
-    /// [`Self::build`] time. When not set, the trainer defaults to [`Backend::auto`]
-    /// *without* prewarming — workers spawn lazily at the first parallel
-    /// region, so a trainer that is immediately narrowed (the bench
-    /// sweep's serial arm) never parks a core-count of idle workers.
+    /// [`Self::build`] time. When not set, the trainer defaults to
+    /// [`Backend::auto`] *without* prewarming — workers spawn lazily at the
+    /// first parallel region.
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = Some(backend);
         self
@@ -295,33 +294,17 @@ impl DpTrainer {
             // Unused for SGD; any valid mechanism will do.
             GaussianMechanism::new(0.0, 1.0)
         };
-        // No prewarm here: the default backend is full-width auto, and a
-        // caller may immediately narrow it (`.with_backend(Backend::serial())`
-        // — the bench sweep's serial arm), which must not leave a core-count
-        // of permanently parked workers behind. `with_backend` and
-        // `DpTrainerBuilder::backend` prewarm the width actually chosen; a
-        // trainer left on auto spawns workers lazily at its first parallel
-        // region.
+        // No prewarm here: the default backend is full-width auto, and
+        // prewarming it would park a core-count of workers behind a
+        // process that only ever runs narrower. `DpTrainerBuilder::backend`
+        // prewarms the width actually chosen; a trainer left on auto
+        // spawns workers lazily at its first parallel region.
         Self {
             config,
             clip_mode,
             mechanism,
             backend,
         }
-    }
-
-    /// Selects the compute backend (thread count and GEMM kernel) every
-    /// step of this trainer runs under; `Backend::auto()` is the default.
-    /// Benches use this to sweep serial vs. parallel execution, and the
-    /// reference vs. blocked kernels, of the same step.
-    ///
-    /// Prewarms the shared keep-alive pool to the new backend's width
-    /// (`diva_tensor::parallel`), so trainers, benches and the scenario
-    /// runner all draw from the same parked worker set.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        backend.prewarm();
-        self.backend = backend;
-        self
     }
 
     /// The trainer's configuration.
@@ -516,10 +499,10 @@ impl DpTrainer {
                 // DP-SGD(R)'s memory savings and fewer post-processing ops).
                 // Both passes run against the same `caches`, which is what
                 // makes the conv patch-reuse pay twice: the shared im2col
-                // buffer and the GEMM operands packed during the norm pass
-                // (diva_tensor::PatchBuffer / PackCache) are reused verbatim
-                // by the reweighted pass, and neither pass derives the
-                // first layer's dead input gradient.
+                // buffer and its GEMM panels packed during the norm pass
+                // (diva_tensor::PatchBuffer) are reused verbatim by the
+                // reweighted pass, and neither pass derives the first
+                // layer's dead input gradient.
                 let g = net.backward_reweighted(&caches, &loss.grad_logits, &summary.factors);
                 (g, loss.mean_loss, Some(summary))
             }

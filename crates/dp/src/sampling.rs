@@ -1,9 +1,9 @@
 //! Poisson subsampling — the sampling scheme the RDP accountant actually
 //! analyzes.
 //!
-//! DP-SGD's privacy analysis (and our [`crate::RdpAccountant`]) assumes each
-//! example joins the mini-batch *independently* with probability `q`, not
-//! fixed-size shuffled batches. Frameworks often approximate; this module
+//! DP-SGD's privacy analysis (and our [`crate::RdpEventAccountant`]) assumes
+//! each example joins the mini-batch *independently* with probability `q`,
+//! not fixed-size shuffled batches. Frameworks often approximate; this module
 //! provides the real thing so the algorithmic reproduction is faithful.
 
 use diva_tensor::{DivaRng, Tensor};

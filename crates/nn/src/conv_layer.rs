@@ -11,14 +11,12 @@
 //! [`PatchBuffer`], and every weight-gradient GEMM — per-batch,
 //! per-example, and norm-only — executes as a strided row-window over that
 //! buffer. DP-SGD(R)'s two backward passes share the same forward cache,
-//! so the patch buffer (and its packed GEMM panels, plus the packed filter
-//! matrix of the data-gradient GEMM) is lowered/packed once and reused by
-//! both passes. The per-example results are bit-identical to the naive
-//! per-example `im2col` path (`tests/conv_fused_parity.rs`).
+//! so the patch buffer (and its packed GEMM panels) is lowered/packed once
+//! and reused by both passes. The per-example results are bit-identical to
+//! the naive per-example `im2col` path (`tests/conv_fused_parity.rs`).
 
 use diva_tensor::{
-    conv2d_backward_data_from_rows, nchw_to_rows, Conv2dGeom, DivaRng, PackCache, PatchBuffer,
-    Tensor,
+    conv2d_backward_data_from_rows, nchw_to_rows, Conv2dGeom, DivaRng, PatchBuffer, Tensor,
 };
 
 use crate::layer::{BackwardOutput, GradMode, ParamGrads};
@@ -34,12 +32,10 @@ pub struct Conv2dLayer {
 
 /// Forward cache for [`Conv2dLayer`]: the batch lowered to the shared patch
 /// buffer (computed once in the forward, reused by every backward pass that
-/// shares this cache), plus the pack-cache handle for the data-gradient
-/// GEMM's filter operand.
+/// shares this cache).
 #[derive(Clone, Debug)]
 pub struct Conv2dCache {
     patches: PatchBuffer,
-    dgrad_pack: PackCache,
 }
 
 impl Conv2dLayer {
@@ -93,13 +89,7 @@ impl Conv2dLayer {
                 }
             }
         }
-        (
-            y,
-            Conv2dCache {
-                patches,
-                dgrad_pack: PackCache::new(),
-            },
-        )
+        (y, Conv2dCache { patches })
     }
 
     /// Backward pass with the input gradient always derived; see
@@ -160,9 +150,8 @@ impl Conv2dLayer {
                 }))
             }
         };
-        let grad_input = need_input_grad.then(|| {
-            conv2d_backward_data_from_rows(&gy_rows, &self.weight, &self.geom, b, &cache.dgrad_pack)
-        });
+        let grad_input = need_input_grad
+            .then(|| conv2d_backward_data_from_rows(&gy_rows, &self.weight, &self.geom, b));
         BackwardOutput { grad_input, grads }
     }
 

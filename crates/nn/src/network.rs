@@ -107,9 +107,9 @@ impl Network {
     ///
     /// Because this pass runs against the *same* `caches` as the preceding
     /// `NormOnly` pass, every convolution layer reuses the patch buffer
-    /// lowered in the forward and the GEMM operands packed during the first
-    /// pass (see `diva_tensor::PatchBuffer` / `PackCache`): no `im2col` and
-    /// no re-packing happens here.
+    /// lowered in the forward and its weight-gradient panels packed during
+    /// the first pass (see `diva_tensor::PatchBuffer`): no `im2col` and no
+    /// re-packing of the patches happens here.
     ///
     /// # Panics
     ///

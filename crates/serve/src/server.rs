@@ -300,53 +300,16 @@ fn handle_run(state: &Arc<AppState>, body: &[u8]) -> Response {
         Err(e) => return Response::error(&e),
     };
     let key = api::run_cache_key(&parsed);
-    // Perfect-hit fast path: stored bytes go out before any routing work
-    // (grid estimation rebuilds the experiment's axes, which is far more
-    // expensive than the hit itself).
-    if let Some(bytes) = state.cache.peek(&key) {
-        return Response::json(200, bytes.to_vec());
-    }
-    let estimate = api::estimate_cells(&parsed);
-    let as_job = match parsed.mode {
-        RunMode::Sync => false,
-        RunMode::Job => true,
-        RunMode::Auto => estimate > state.config.job_cell_threshold,
-    };
-    if as_job {
-        let job_state = Arc::clone(state);
-        let job_key = key;
-        let work = Box::new(move || {
-            job_state
-                .cache
-                .get_or_compute(&job_key, || api::execute_run(&parsed))
-                .0
-        });
-        return match state.jobs.submit(work) {
-            Ok(id) => Response::json(
-                202,
-                format!(
-                    "{{\"job_id\": {id}, \"poll\": \"/jobs/{id}\", \"estimated_cells\": {estimate}}}\n"
-                )
-                .into_bytes(),
-            ),
-            Err(()) => Response::error(&ApiError::new(
-                429,
-                "queue-full",
-                format!(
-                    "job queue is full ({} deferred runs); retry after polling existing jobs",
-                    state.config.job_capacity
-                ),
-            )),
+    let as_job = |parsed: &api::RunRequest| {
+        let estimate = api::estimate_cells(parsed);
+        let deferred = match parsed.mode {
+            RunMode::Sync => false,
+            RunMode::Job => true,
+            RunMode::Auto => estimate > state.config.job_cell_threshold,
         };
-    }
-    match state
-        .cache
-        .get_or_compute(&key, || api::execute_run(&parsed))
-        .0
-    {
-        Ok(bytes) => Response::json(200, bytes.to_vec()),
-        Err(e) => Response::error(&e),
-    }
+        deferred.then(|| format!("\"estimated_cells\": {estimate}"))
+    };
+    answer_cached(state, key, parsed, as_job, api::execute_run)
 }
 
 fn handle_explore(state: &Arc<AppState>, body: &[u8]) -> Response {
@@ -355,46 +318,53 @@ fn handle_explore(state: &Arc<AppState>, body: &[u8]) -> Response {
         Err(e) => return Response::error(&e),
     };
     let key = api::explore_cache_key(&parsed);
-    if let Some(bytes) = state.cache.peek(&key) {
-        return Response::json(200, bytes.to_vec());
-    }
     // A search is grid-sized by construction, so Job is the parsed
     // default; "mode": "sync" opts into an inline answer for small
     // budgets (RunMode::Auto never reaches here — the parser only
     // produces Sync or Job).
-    if parsed.mode != RunMode::Sync {
-        let budget = parsed.config.budget;
-        let job_state = Arc::clone(state);
-        let job_key = key;
-        let work = Box::new(move || {
-            job_state
-                .cache
-                .get_or_compute(&job_key, || api::execute_explore(&parsed))
-                .0
-        });
-        return match state.jobs.submit(work) {
-            Ok(id) => Response::json(
-                202,
-                format!("{{\"job_id\": {id}, \"poll\": \"/jobs/{id}\", \"budget\": {budget}}}\n")
-                    .into_bytes(),
-            ),
-            Err(()) => Response::error(&ApiError::new(
-                429,
-                "queue-full",
-                format!(
-                    "job queue is full ({} deferred runs); retry after polling existing jobs",
-                    state.config.job_capacity
-                ),
-            )),
-        };
+    let as_job = |parsed: &api::ExploreRequest| {
+        (parsed.mode != RunMode::Sync).then(|| format!("\"budget\": {}", parsed.config.budget))
+    };
+    answer_cached(state, key, parsed, as_job, api::execute_explore)
+}
+
+/// The shared tail of `/run` and `/explore`. A perfect hit goes out before
+/// any routing work (`as_job` may be expensive: `/run` rebuilds the
+/// experiment's axes to estimate its grid). On a miss, `as_job` either
+/// returns the field the 202 body reports after the poll URL, and the
+/// request is deferred to the job queue (429 when full), or `None`, and
+/// the answer is computed inline through the memo cache.
+fn answer_cached<T: Send + 'static>(
+    state: &Arc<AppState>,
+    key: String,
+    parsed: T,
+    as_job: impl FnOnce(&T) -> Option<String>,
+    execute: fn(&T) -> Result<Vec<u8>, ApiError>,
+) -> Response {
+    if let Some(bytes) = state.cache.peek(&key) {
+        return Response::json(200, bytes.to_vec());
     }
-    match state
-        .cache
-        .get_or_compute(&key, || api::execute_explore(&parsed))
-        .0
-    {
-        Ok(bytes) => Response::json(200, bytes.to_vec()),
-        Err(e) => Response::error(&e),
+    let Some(job_field) = as_job(&parsed) else {
+        return match state.cache.get_or_compute(&key, || execute(&parsed)).0 {
+            Ok(bytes) => Response::json(200, bytes.to_vec()),
+            Err(e) => Response::error(&e),
+        };
+    };
+    let job_state = Arc::clone(state);
+    let work = Box::new(move || job_state.cache.get_or_compute(&key, || execute(&parsed)).0);
+    match state.jobs.submit(work) {
+        Ok(id) => Response::json(
+            202,
+            format!("{{\"job_id\": {id}, \"poll\": \"/jobs/{id}\", {job_field}}}\n").into_bytes(),
+        ),
+        Err(()) => Response::error(&ApiError::new(
+            429,
+            "queue-full",
+            format!(
+                "job queue is full ({} deferred runs); retry after polling existing jobs",
+                state.config.job_capacity
+            ),
+        )),
     }
 }
 

@@ -18,7 +18,7 @@
 //!   forward, the per-batch weight gradient, and all `B` per-example
 //!   weight gradients of DP-SGD — executes as a strided panel over that one
 //!   buffer, with the packed-B panels cached across DP-SGD(R)'s two
-//!   backward passes (see [`crate::PackCache`]).
+//!   backward passes.
 
 use crate::gemm::{blocked_kernel, gemm_packed_window, gemm_reference, MatRef, PackCache, PackedB};
 use crate::matmul::{matmul, matmul_nt, matmul_tn};
@@ -246,62 +246,29 @@ pub fn conv2d_backward_data(grad_out: &Tensor, weight: &Tensor, geom: &Conv2dGeo
     col2im(&dpatches, geom, n)
 }
 
-/// [`conv2d_backward_data`] with the packed filter matrix cached in `pack`.
+/// [`conv2d_backward_data`] over a gradient already flattened with
+/// [`nchw_to_rows`]: one `(N·P·Q, C_out) × (C_out, C_in·R·S)` GEMM, then
+/// [`col2im`] — the same arithmetic, bit for bit.
 ///
-/// The data-gradient GEMM's B operand is the `(C_out, C_in·R·S)` filter
-/// matrix, which is identical in both of DP-SGD(R)'s backward passes (the
-/// weights only change at the optimizer update). Passing the same
-/// [`PackCache`] to both passes packs it once; the cache revalidates a
-/// content token of the weights on every use, so reuse across an optimizer
-/// update fails loudly instead of silently computing against stale
-/// weights. Bit-identical to [`conv2d_backward_data`] on an equivalent
-/// `gy_rows` (`nchw_to_rows` of the NCHW gradient): the routing decision
-/// and the panel decomposition are the same, only the (exact-copy) packing
-/// is skipped on reuse.
-///
-/// The gradient comes in pre-flattened with [`nchw_to_rows`] because the
-/// caller (the conv layer's backward) already flattens once per pass for
-/// the weight-gradient GEMMs — no second NCHW-to-rows transpose.
+/// The conv layer's backward flattens the gradient once per pass for the
+/// weight-gradient GEMMs; taking the rows here saves it a second
+/// NCHW-to-rows transpose.
 ///
 /// # Panics
 ///
-/// Panics on layout mismatch, or if `pack` was previously used with a
-/// differently-shaped operand.
+/// Panics on layout mismatch.
 pub fn conv2d_backward_data_from_rows(
     gy_rows: &Tensor,
     weight: &Tensor,
     geom: &Conv2dGeom,
     n: usize,
-    pack: &PackCache,
 ) -> Tensor {
-    assert_eq!(
-        weight.len(),
-        geom.weight_len(),
-        "weight has {} elements, geometry implies {}",
-        weight.len(),
-        geom.weight_len()
-    );
     let (rows, cout) = gy_rows.dims2();
     let (p, q) = geom.out_hw();
     assert_eq!(rows, n * p * q, "gradient row-count mismatch");
     assert_eq!(cout, geom.cout, "gradient channel mismatch");
-    let patch = geom.patch_len();
-    let mut dpatches = Tensor::zeros(&[rows, patch]);
-    let a = MatRef::row_major(gy_rows.data(), cout);
-    if let Some(kernel) = blocked_kernel(rows, cout, patch) {
-        // The weights can change between a forward and a later backward
-        // (optimizer updates); the content token makes such stale-cache
-        // reuse fail loudly instead of silently using pre-update weights.
-        let token = crate::gemm::content_token(weight.data());
-        let pb = pack.get_or_pack(cout, patch, token, || {
-            PackedB::pack_segmented(MatRef::row_major(weight.data(), patch), cout, patch, cout)
-        });
-        gemm_packed_window(kernel, rows, a, pb, 0, cout, dpatches.data_mut());
-    } else {
-        let b = MatRef::row_major(weight.data(), patch);
-        gemm_reference(rows, cout, patch, a, b, dpatches.data_mut());
-    }
-    col2im(&dpatches, geom, n)
+    let w2d = weight.clone().reshape(&[geom.cout, geom.patch_len()]);
+    col2im(&matmul(gy_rows, &w2d), geom, n)
 }
 
 /// Backpropagates a convolution to its weights: given the layer input and
@@ -368,7 +335,7 @@ impl PatchBuffer {
             patches: im2col(input, geom),
             geom: *geom,
             n,
-            pack: PackCache::new(),
+            pack: PackCache::default(),
         }
     }
 
@@ -483,9 +450,7 @@ impl PatchBuffer {
         if let Some(kernel) = blocked_kernel(m, k, patch) {
             let total = rows;
             let pq = self.rows_per_example();
-            // Token 0: the patch buffer is owned by `self` and immutable
-            // after lowering, so it cannot go stale.
-            let pb = self.pack.get_or_pack(total, patch, 0, || {
+            let pb = self.pack.get_or_pack(total, patch, || {
                 PackedB::pack_segmented(
                     MatRef::row_major(self.patches.data(), patch),
                     total,
@@ -666,11 +631,9 @@ mod tests {
         }
     }
 
-    /// The packed/cached data-gradient path must match the plain
-    /// `conv2d_backward_data` (which routes through `matmul`) on both the
-    /// blocked-eligible and the reference-kernel shapes — an independent
-    /// oracle for the call-site wiring of `gemm_packed_window`, including
-    /// across a pack-cache reuse.
+    /// The row-input data-gradient path must match the plain
+    /// `conv2d_backward_data` bitwise on both the blocked-eligible and the
+    /// reference-kernel shapes — the oracle for its `nchw_to_rows` wiring.
     #[test]
     fn data_gradient_from_rows_matches_reference_path() {
         let mut rng = DivaRng::seed_from_u64(37);
@@ -685,18 +648,11 @@ mod tests {
             let w = Tensor::uniform(&[geom.cout, geom.cin, geom.k, geom.k], -0.5, 0.5, &mut rng);
             let reference = conv2d_backward_data(&gy, &w, &geom);
             let rows = nchw_to_rows(&gy, &geom);
-            let pack = PackCache::new();
-            let first = conv2d_backward_data_from_rows(&rows, &w, &geom, n, &pack);
+            let from_rows = conv2d_backward_data_from_rows(&rows, &w, &geom, n);
             assert_eq!(
-                first.data(),
+                from_rows.data(),
                 reference.data(),
-                "cold pack diverged: {geom:?}"
-            );
-            let second = conv2d_backward_data_from_rows(&rows, &w, &geom, n, &pack);
-            assert_eq!(
-                second.data(),
-                reference.data(),
-                "warm pack diverged: {geom:?}"
+                "row-input path diverged: {geom:?}"
             );
         }
     }

@@ -566,7 +566,7 @@ fn gemm_tiny_k(k: usize, n: usize, a: MatRef, b: MatRef, out: &mut [f32]) {
 /// that is a whole number of segments — the property the fused convolution
 /// backward relies on (per-example windows of the shared patch buffer).
 #[derive(Clone, Debug)]
-pub struct PackedB {
+pub(crate) struct PackedB {
     k: usize,
     n: usize,
     /// Per panel: (global K offset, panel length, offset into `data`).
@@ -615,72 +615,42 @@ impl PackedB {
 
 /// A lazily-initialized, shareable cache of a packed B operand.
 ///
-/// DP-SGD(R) runs two backward passes over the same forward state. Every
-/// GEMM whose B operand is unchanged between (and within) those passes —
-/// the shared `im2col` patch buffer of the weight-gradient GEMMs, the
-/// filter matrix of the data-gradient GEMM — packs B exactly once through
-/// this handle and reuses the panels thereafter. The handle lives inside
-/// the layer's forward cache, which is immutable for the lifetime of both
-/// passes, so the cached pack can never go stale within a training step.
+/// DP-SGD(R) runs two backward passes over the same forward state. A
+/// convolution's weight-gradient GEMMs all read one B operand, the shared
+/// `im2col` patch buffer of a [`crate::PatchBuffer`]: every per-example
+/// GEMM of the first pass and the per-batch GEMM of the second. That
+/// operand is packed exactly once through this handle and its panels are
+/// reused thereafter. The handle lives inside the `PatchBuffer`, which
+/// never mutates its patches after lowering, so the pack cannot go stale.
 ///
 /// Thread-safe: concurrent first users (the per-example fan-out of the
 /// `NormOnly` pass) race on a `OnceLock`; one packs, the rest block briefly
 /// and share the result.
-///
-/// Besides the operand shape, every reuse revalidates a caller-supplied
-/// content `token` (see `content_token`), so a cache keyed to data that
-/// *can* change out from under it — the filter matrix of the data-gradient
-/// GEMM, after an optimizer update mutates the weights — fails loudly
-/// instead of silently computing against the stale pack.
 #[derive(Clone, Debug, Default)]
-pub struct PackCache {
-    slot: OnceLock<(PackedB, u64)>,
+pub(crate) struct PackCache {
+    slot: OnceLock<PackedB>,
 }
 
 impl PackCache {
-    /// An empty cache; the first GEMM through it pays the packing pass.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Returns the packed operand, packing it on first use.
     ///
     /// # Panics
     ///
-    /// Panics if the cache was initialized with a different shape or a
-    /// different content `token` — the operand changed between uses.
+    /// Panics if the cache was initialized with a different shape.
     pub(crate) fn get_or_pack(
         &self,
         k: usize,
         n: usize,
-        token: u64,
         pack: impl FnOnce() -> PackedB,
     ) -> &PackedB {
-        let (pb, stored) = self.slot.get_or_init(|| (pack(), token));
+        let pb = self.slot.get_or_init(pack);
         assert_eq!(
             (pb.k, pb.n),
             (k, n),
             "PackCache reused across operands of different shapes"
         );
-        assert_eq!(
-            *stored, token,
-            "PackCache reused after its operand changed (stale pack)"
-        );
         pb
     }
-}
-
-/// An order-sensitive FNV-1a hash of a slice's bit patterns, used as the
-/// [`PackCache`] staleness token. One read-only pass — negligible next to
-/// the GEMM the pack feeds, and exact: any in-place mutation of the operand
-/// changes the token (up to 64-bit hash collisions).
-pub fn content_token(data: &[f32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &v in data {
-        h ^= u64::from(v.to_bits());
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Blocked, M-parallel GEMM against pre-packed B panels covering the global
@@ -855,35 +825,9 @@ mod tests {
     fn pack_cache_rejects_shape_change() {
         let b = vec![0.0f32; 6];
         let bv = MatRef::row_major(&b, 3);
-        let cache = PackCache::new();
-        let _ = cache.get_or_pack(2, 3, 0, || PackedB::pack_segmented(bv, 2, 3, 2));
-        let _ = cache.get_or_pack(3, 2, 0, || PackedB::pack_segmented(bv, 3, 2, 3));
-    }
-
-    #[test]
-    #[should_panic(expected = "stale pack")]
-    fn pack_cache_rejects_changed_operand() {
-        let mut b = vec![1.0f32; 6];
-        let cache = PackCache::new();
-        {
-            let bv = MatRef::row_major(&b, 3);
-            let t0 = content_token(&b);
-            let _ = cache.get_or_pack(2, 3, t0, || PackedB::pack_segmented(bv, 2, 3, 2));
-        }
-        b[4] = 2.0; // the operand mutates between uses
-        let bv = MatRef::row_major(&b, 3);
-        let t1 = content_token(&b);
-        let _ = cache.get_or_pack(2, 3, t1, || PackedB::pack_segmented(bv, 2, 3, 2));
-    }
-
-    #[test]
-    fn content_token_is_order_and_value_sensitive() {
-        let a = [1.0f32, 2.0, 3.0];
-        let b = [2.0f32, 1.0, 3.0];
-        let c = [1.0f32, 2.0, 3.0];
-        assert_eq!(content_token(&a), content_token(&c));
-        assert_ne!(content_token(&a), content_token(&b));
-        assert_ne!(content_token(&a), content_token(&a[..2]));
+        let cache = PackCache::default();
+        let _ = cache.get_or_pack(2, 3, || PackedB::pack_segmented(bv, 2, 3, 2));
+        let _ = cache.get_or_pack(3, 2, || PackedB::pack_segmented(bv, 3, 2, 3));
     }
 
     /// On-host cost-split diagnostic (ignored): times the bare micro-kernel

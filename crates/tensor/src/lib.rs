@@ -83,7 +83,7 @@ pub use conv::{
     col2im, conv2d, conv2d_backward_data, conv2d_backward_data_from_rows, conv2d_backward_weight,
     im2col, nchw_to_rows, Conv2dGeom, PatchBuffer,
 };
-pub use gemm::{avx512_available, avx512_enabled, simd_available, simd_enabled, Kernel, PackCache};
+pub use gemm::{avx512_available, avx512_enabled, simd_available, simd_enabled, Kernel};
 pub use matmul::{
     matmul, matmul_nt, matmul_reference, matmul_tn, matmul_tt, outer_product_accumulate,
 };

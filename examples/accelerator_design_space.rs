@@ -2,7 +2,7 @@
 //! drain rate R (which sets PPU width). Shows the trade-offs behind the
 //! paper's Table II defaults.
 //!
-//! Run with: `cargo run -p diva-examples --bin accelerator_design_space`
+//! Run with: `cargo run --release --example accelerator_design_space`
 
 use diva_core::{Accelerator, AcceleratorConfig, Dataflow, DesignPoint};
 use diva_workload::{zoo, Algorithm};

@@ -2,7 +2,7 @@
 //! miniature): memory breakdown, max batch, per-phase latency on the WS
 //! baseline, and what DiVa does to it.
 //!
-//! Run with: `cargo run -p diva-examples --bin characterize_workload [model]`
+//! Run with: `cargo run --release --example characterize_workload -- [model]`
 //! where `[model]` is one of: vgg16, resnet50, resnet152, squeezenet,
 //! mobilenet, bert-base, bert-large, lstm-small, lstm-large.
 

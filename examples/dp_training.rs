@@ -4,7 +4,7 @@
 //! tight PLD bound next to the conservative RDP one), and verifies the
 //! DP-SGD ≡ DP-SGD(R) identity the paper exploits.
 //!
-//! Run with: `cargo run -p diva-examples --bin dp_training`
+//! Run with: `cargo run --release --example dp_training`
 
 use diva_dp::{make_blobs, DpSgdConfig, DpTrainer, TrainingAlgorithm};
 use diva_nn::{Layer, Network};

@@ -3,11 +3,11 @@
 //! how to calibrate σ for a target budget — the knobs a DiVa user would
 //! tune before training.
 //!
-//! Run with: `cargo run -p diva-examples --bin privacy_budget`
+//! Run with: `cargo run --release --example privacy_budget`
 
 use diva_dp::{
     batch_epsilons, calibrate_noise, classic_gaussian_sigma, gaussian_sigma, AccountantKind,
-    DpEvent, RdpAccountant,
+    DpEvent,
 };
 
 fn main() {
@@ -68,13 +68,6 @@ fn main() {
         .expect_err("absurd target");
     println!("\nimpossible target: {err}");
 
-    // Show the order that wins the RDP conversion, for the curious.
-    let acc = RdpAccountant::new(q, 1.1);
-    println!(
-        "\nat sigma = 1.1 after {steps} steps: rdp eps = {:.3}, best Renyi order alpha = {}",
-        acc.epsilon(steps, delta),
-        acc.best_order(steps, delta)
-    );
     println!(
         "\nTighter budgets need more noise; DP-SGD's compute cost is what DiVa attacks,\n\
          so cheaper steps let you buy accuracy back with longer training at the same eps."

@@ -6,7 +6,7 @@
 //! scale, then with the register-level functional arrays at a small scale
 //! to show both agree.
 //!
-//! Run with: `cargo run -p diva-examples --bin quickstart`
+//! Run with: `cargo run --release --example quickstart`
 
 use diva_core::{Accelerator, DesignPoint, GemmShape};
 use diva_pearray::{OuterProductArray, WsArray};

@@ -16,10 +16,7 @@
 //!   thread count — the workspace determinism contract extended to the
 //!   accounting engine.
 
-use diva_dp::{
-    batch_epsilons, event_epsilon, Accountant, AccountantKind, DpEvent, PldAccountant,
-    RdpAccountant,
-};
+use diva_dp::{batch_epsilons, event_epsilon, Accountant, AccountantKind, DpEvent, PldAccountant};
 use diva_tensor::{Backend, DivaRng};
 
 const DELTA: f64 = 1e-5;
@@ -190,27 +187,6 @@ fn composition_is_additive_within_discretization_error() {
         assert!(
             (e1 - e2).abs() <= 1e-12 * e1.max(1.0),
             "case {case}: RDP bulk {e1} vs sequential {e2}"
-        );
-    }
-}
-
-/// The legacy RDP accountant and the event-tree RDP accountant are the
-/// same bound: they must agree to round-off on every random draw.
-#[test]
-fn event_accountant_matches_legacy_rdp() {
-    let mut gen = DivaRng::seed_from_u64(0xac6);
-    for _ in 0..10 {
-        let (q, sigma, steps) = random_config(&mut gen);
-        let legacy = RdpAccountant::new(q, sigma).epsilon(steps, DELTA);
-        let event = event_epsilon(
-            AccountantKind::Rdp,
-            &DpEvent::dp_sgd(q, sigma, steps),
-            DELTA,
-        )
-        .unwrap();
-        assert!(
-            (legacy - event).abs() < 1e-12 * legacy.max(1.0),
-            "q={q} sigma={sigma} steps={steps}: legacy {legacy} vs event {event}"
         );
     }
 }

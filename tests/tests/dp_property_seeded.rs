@@ -15,9 +15,19 @@
 //! * The counter-based Gaussian noise of the mechanism is standard normal:
 //!   moments, a Kolmogorov–Smirnov test against Φ, and the 3σ tail mass.
 
-use diva_dp::{clip_factors, RdpAccountant};
+use diva_dp::{clip_factors, event_epsilon, AccountantKind, DpEvent};
 use diva_nn::{GradMode, Layer, Network};
 use diva_tensor::{add_gaussian_noise, softmax_cross_entropy, DivaRng, Tensor};
+
+/// ε of `steps` DP-SGD steps at `(q, σ)` under the RDP accountant.
+fn rdp_epsilon(q: f64, sigma: f64, steps: u64, delta: f64) -> f64 {
+    event_epsilon(
+        AccountantKind::Rdp,
+        &DpEvent::dp_sgd(q, sigma, steps),
+        delta,
+    )
+    .unwrap()
+}
 
 /// ε must grow strictly with composition length for any valid mechanism.
 #[test]
@@ -27,10 +37,9 @@ fn epsilon_is_monotone_in_steps() {
         let q = 0.001 + 0.2 * f64::from(gen.uniform(0.0, 1.0));
         let sigma = 0.5 + 2.5 * f64::from(gen.uniform(0.0, 1.0));
         let delta = 1e-5;
-        let acc = RdpAccountant::new(q, sigma);
         let mut prev = 0.0;
         for steps in [50u64, 200, 800, 3200, 12800] {
-            let eps = acc.epsilon(steps, delta);
+            let eps = rdp_epsilon(q, sigma, steps, delta);
             assert!(
                 eps > prev,
                 "epsilon not increasing in steps: q={q} sigma={sigma} steps={steps}: \
@@ -51,35 +60,13 @@ fn epsilon_is_monotone_in_sigma() {
         let delta = 1e-5;
         let mut prev = f64::INFINITY;
         for sigma in [0.6, 0.9, 1.4, 2.2, 3.5] {
-            let eps = RdpAccountant::new(q, sigma).epsilon(steps, delta);
+            let eps = rdp_epsilon(q, sigma, steps, delta);
             assert!(
                 eps < prev,
                 "epsilon not decreasing in sigma: q={q} steps={steps} sigma={sigma}: \
                  {eps} >= {prev}"
             );
             prev = eps;
-        }
-    }
-}
-
-/// Per-step RDP is non-negative and non-decreasing in the order α (a known
-/// property of Rényi divergence the log-sum-exp implementation must keep).
-#[test]
-fn rdp_is_nonnegative_and_monotone_in_order() {
-    let mut gen = DivaRng::seed_from_u64(0xd3);
-    for _ in 0..20 {
-        let q = 0.001 + 0.3 * f64::from(gen.uniform(0.0, 1.0));
-        let sigma = 0.5 + 2.0 * f64::from(gen.uniform(0.0, 1.0));
-        let acc = RdpAccountant::new(q, sigma);
-        let mut prev = 0.0;
-        for alpha in [2u32, 4, 8, 16, 32, 64, 128] {
-            let rdp = acc.rdp_at(alpha);
-            assert!(rdp >= 0.0, "negative RDP at alpha={alpha}");
-            assert!(
-                rdp >= prev - 1e-12,
-                "RDP decreasing in alpha: q={q} sigma={sigma} alpha={alpha}"
-            );
-            prev = rdp;
         }
     }
 }

@@ -5,7 +5,8 @@
 //! complete DP-SGD system as deployed.
 
 use diva_dp::{
-    make_image_blobs, poisson_sample, DpSgdConfig, DpTrainer, RdpAccountant, TrainingAlgorithm,
+    event_epsilon, make_image_blobs, poisson_sample, AccountantKind, DpEvent, DpSgdConfig,
+    DpTrainer, TrainingAlgorithm,
 };
 use diva_nn::{Layer, Network};
 use diva_tensor::{argmax_rows, DivaRng, Tensor};
@@ -114,7 +115,6 @@ fn poisson_sampled_training_with_accountant() {
         noise_multiplier: sigma,
         learning_rate: 0.5,
     });
-    let accountant = RdpAccountant::new(q, sigma);
     let mut steps = 0u64;
     let mut last_loss = f64::INFINITY;
     for _ in 0..100 {
@@ -123,7 +123,7 @@ fn poisson_sampled_training_with_accountant() {
         }
         steps += 1; // privacy is charged whether or not the draw was empty
     }
-    let eps = accountant.epsilon(steps, 1e-5);
+    let eps = event_epsilon(AccountantKind::Rdp, &DpEvent::dp_sgd(q, sigma, steps), 1e-5).unwrap();
     assert!(eps > 0.0 && eps < 20.0, "epsilon {eps} out of range");
     assert!(
         last_loss < 0.5,

@@ -6,7 +6,7 @@
 
 use diva_bench::scenario::{self, json, RunOptions};
 use diva_dp::{event_epsilon, AccountantKind, DpEvent};
-use diva_serve::{client, Server, ServerConfig};
+use diva_serve::{api, client, Server, ServerConfig};
 
 fn start() -> Server {
     Server::start(ServerConfig::default()).expect("starting in-process server")
@@ -190,16 +190,16 @@ fn job_mode_defers_and_returns_the_sync_bytes() {
 
     let accepted = client::post_json(server.addr(), "/run", job_body).unwrap();
     assert_eq!(accepted.status, 202, "{}", accepted.text());
-    let text = accepted.text();
-    let poll_path = text
-        .split('"')
-        .find(|s| s.starts_with("/jobs/"))
-        .unwrap_or_else(|| panic!("no poll path in {text}"))
-        .to_string();
+    let estimate = api::estimate_cells(&api::parse_run_request(job_body).unwrap());
+    assert_eq!(
+        accepted.text(),
+        format!("{{\"job_id\": 1, \"poll\": \"/jobs/1\", \"estimated_cells\": {estimate}}}\n")
+    );
+    let poll_path = "/jobs/1";
 
     let mut job_bytes = None;
     for _ in 0..600 {
-        let poll = client::get(server.addr(), &poll_path).unwrap();
+        let poll = client::get(server.addr(), poll_path).unwrap();
         match poll.status {
             200 => {
                 job_bytes = Some(poll.body);
@@ -231,16 +231,15 @@ fn explore_endpoint_defers_to_a_job_and_matches_the_cli_document() {
 
     let accepted = client::post_json(server.addr(), "/explore", body).unwrap();
     assert_eq!(accepted.status, 202, "{}", accepted.text());
-    let text = accepted.text();
-    let poll_path = text
-        .split('"')
-        .find(|s| s.starts_with("/jobs/"))
-        .unwrap_or_else(|| panic!("no poll path in {text}"))
-        .to_string();
+    assert_eq!(
+        accepted.text(),
+        "{\"job_id\": 1, \"poll\": \"/jobs/1\", \"budget\": 6}\n"
+    );
+    let poll_path = "/jobs/1";
 
     let mut job_bytes = None;
     for _ in 0..600 {
-        let poll = client::get(server.addr(), &poll_path).unwrap();
+        let poll = client::get(server.addr(), poll_path).unwrap();
         match poll.status {
             200 => {
                 job_bytes = Some(poll.body);
@@ -274,6 +273,38 @@ fn explore_endpoint_defers_to_a_job_and_matches_the_cli_document() {
     let bad =
         client::post_json(server.addr(), "/explore", br#"{"strategy": "annealing"}"#).unwrap();
     assert_eq!(bad.status, 400, "{}", bad.text());
+    server.shutdown();
+    server.wait();
+}
+
+/// A server whose job queue holds nothing refuses every deferred request
+/// with 429 `queue-full` — `/run` forced into job mode and a default
+/// (job-mode) `/explore` alike — while inline requests still answer 200.
+#[test]
+fn full_job_queue_answers_429_and_sync_runs_still_succeed() {
+    let server = Server::start(ServerConfig {
+        job_capacity: 0,
+        ..ServerConfig::default()
+    })
+    .expect("starting in-process server");
+    let job_run = br#"{"scenario": "fig13", "models": "squeezenet", "points": "ws,diva", "batch": "32", "mode": "job"}"#;
+    let explore = br#"{"strategy": "grid", "budget": 6, "batch_size": 3,
+                       "workloads": "squeezenet@4", "knob.pe.rows": "64|128",
+                       "knob.drain_rows": "2|4|8"}"#;
+    for (path, body) in [("/run", &job_run[..]), ("/explore", &explore[..])] {
+        let refused = client::post_json(server.addr(), path, body).unwrap();
+        assert_eq!(refused.status, 429, "{path}: {}", refused.text());
+        assert_eq!(
+            refused.text(),
+            "{\"error\": \"queue-full\", \"message\": \"job queue is full (0 deferred runs); \
+             retry after polling existing jobs\"}\n",
+            "{path}"
+        );
+    }
+    let sync = client::post_json(server.addr(), "/run", RUN_BODY).unwrap();
+    assert_eq!(sync.status, 200, "{}", sync.text());
+    let cli = json::to_json(&scenario::run_with("fig13", &run_body_options()).unwrap());
+    assert_eq!(sync.body, cli.into_bytes());
     server.shutdown();
     server.wait();
 }
