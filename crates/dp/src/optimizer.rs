@@ -790,13 +790,17 @@ mod tests {
             .build();
     }
 
-    /// A whole private step — backward, clip-reduce and the counter-based
-    /// noise — leaves the same parameter bits on one thread and on two.
-    /// The dense layer's 16,448 parameters are noised in parallel chunks.
+    /// A whole step — backward, clip-reduce and the counter-based noise —
+    /// leaves the same parameter bits at every width. The first network's
+    /// dense layer has 16,448 parameters noised in parallel chunks. The
+    /// second runs every pool-split kernel of the step: two convolutions
+    /// (so `col2im` runs), max pooling, a conv2 per-batch weight gradient
+    /// (16×2800×72) and a dense layer (7×1600×192) past the column-split
+    /// floor, and a batch of 7 that splits unevenly.
     #[test]
     fn serial_and_parallel_steps_are_bitwise_equal() {
         let mut rng = DivaRng::seed_from_u64(108);
-        let net0 = Network::new(vec![
+        let small = Network::new(vec![
             Layer::conv2d(1, 4, 3, 1, 1, 8, 8, &mut rng),
             Layer::relu(),
             Layer::flatten(),
@@ -804,8 +808,19 @@ mod tests {
             Layer::relu(),
             Layer::dense(64, 3, true, &mut rng),
         ]);
-        let x = Tensor::uniform(&[12, 1, 8, 8], -1.0, 1.0, &mut rng);
-        let labels: Vec<usize> = (0..12).map(|i| i % 3).collect();
+        let x_small = Tensor::uniform(&[12, 1, 8, 8], -1.0, 1.0, &mut rng);
+        let skinny = Network::new(vec![
+            Layer::conv2d(1, 8, 3, 1, 1, 20, 20, &mut rng),
+            Layer::relu(),
+            Layer::conv2d(8, 16, 3, 1, 1, 20, 20, &mut rng),
+            Layer::relu(),
+            Layer::max_pool2d(2),
+            Layer::flatten(),
+            Layer::dense(1600, 192, true, &mut rng),
+            Layer::relu(),
+            Layer::dense(192, 3, true, &mut rng),
+        ]);
+        let x_skinny = Tensor::uniform(&[7, 1, 20, 20], -1.0, 1.0, &mut rng);
         let params_bits = |net: &Network| -> Vec<u32> {
             net.layers()
                 .iter()
@@ -813,23 +828,32 @@ mod tests {
                 .flat_map(|p| p.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
                 .collect()
         };
-        for algorithm in [TrainingAlgorithm::DpSgd, TrainingAlgorithm::DpSgdReweighted] {
-            let step = |backend: Backend| {
-                let mut net = net0.clone();
-                DpTrainer::builder()
-                    .algorithm(algorithm)
-                    .clip_norm(0.5)
-                    .noise_multiplier(1.1)
-                    .backend(backend)
-                    .build()
-                    .step(&mut net, &x, &labels, &mut DivaRng::seed_from_u64(9));
-                params_bits(&net)
-            };
-            assert_eq!(
-                step(Backend::serial()),
-                step(Backend::with_threads(2)),
-                "{algorithm} step depends on the thread count"
-            );
+        for (name, net0, x) in [("small", &small, &x_small), ("skinny", &skinny, &x_skinny)] {
+            let labels: Vec<usize> = (0..x.shape().dim(0)).map(|i| i % 3).collect();
+            for algorithm in [
+                TrainingAlgorithm::DpSgd,
+                TrainingAlgorithm::DpSgdReweighted,
+                TrainingAlgorithm::Sgd,
+            ] {
+                let step = |backend: Backend| {
+                    let mut net = net0.clone();
+                    DpTrainer::builder()
+                        .algorithm(algorithm)
+                        .clip_norm(0.5)
+                        .noise_multiplier(1.1)
+                        .backend(backend)
+                        .build()
+                        .step(&mut net, x, &labels, &mut DivaRng::seed_from_u64(9));
+                    params_bits(&net)
+                };
+                let serial = step(Backend::serial());
+                for threads in [2, 3] {
+                    assert!(
+                        serial == step(Backend::with_threads(threads)),
+                        "{name}: {algorithm} step differs at {threads} threads"
+                    );
+                }
+            }
         }
     }
 

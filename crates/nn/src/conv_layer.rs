@@ -14,9 +14,14 @@
 //! so the patch buffer (and its packed GEMM panels) is lowered/packed once
 //! and reused by both passes. The per-example results are bit-identical to
 //! the naive per-example `im2col` path (`tests/conv_fused_parity.rs`).
+//!
+//! The bias is added inside the forward's rows→NCHW reorder, and its
+//! per-batch gradient is split over the shared pool by channel; both are
+//! bitwise the serial loops at any thread count.
 
 use diva_tensor::{
-    conv2d_backward_data_from_rows, nchw_to_rows, Conv2dGeom, DivaRng, PatchBuffer, Tensor,
+    conv2d_backward_data_from_rows, nchw_to_rows, parallel, Conv2dGeom, DivaRng, PatchBuffer,
+    Tensor,
 };
 
 use crate::layer::{BackwardOutput, GradMode, ParamGrads};
@@ -74,21 +79,7 @@ impl Conv2dLayer {
     /// Panics if the input does not match the layer geometry.
     pub fn forward(&self, x: &Tensor) -> (Tensor, Conv2dCache) {
         let patches = PatchBuffer::lower(x, &self.geom);
-        let mut y = patches.forward(&self.weight);
-        if let Some(b) = &self.bias {
-            let dims = y.shape().dims().to_vec();
-            let (n, c, p, q) = (dims[0], dims[1], dims[2], dims[3]);
-            let yv = y.data_mut();
-            for ni in 0..n {
-                for ci in 0..c {
-                    let bc = b.data()[ci];
-                    let base = (ni * c + ci) * p * q;
-                    for v in &mut yv[base..base + p * q] {
-                        *v += bc;
-                    }
-                }
-            }
-        }
+        let y = patches.forward(&self.weight, self.bias.as_ref());
         (y, Conv2dCache { patches })
     }
 
@@ -184,19 +175,21 @@ impl Conv2dLayer {
     }
 }
 
-/// Bias gradient: sums `(N, C, P, Q)` over batch and spatial dims to `(C,)`.
+/// Bias gradient: sums `(N, C, P, Q)` over batch and spatial dims to `(C,)`,
+/// one pool task per channel. Each channel sums every example's spatial
+/// block in ascending order and adds the block sums in example order.
 fn bias_grad(grad_out: &Tensor) -> Tensor {
     let dims = grad_out.shape().dims();
     let (n, c, p, q) = (dims[0], dims[1], dims[2], dims[3]);
     let mut out = Tensor::zeros(&[c]);
     let gv = grad_out.data();
-    for ni in 0..n {
-        for ci in 0..c {
+    parallel::par_chunks_mut(out.data_mut(), 1, |ci, acc| {
+        for ni in 0..n {
             let base = (ni * c + ci) * p * q;
             let s: f32 = gv[base..base + p * q].iter().sum();
-            out.data_mut()[ci] += s;
+            acc[0] += s;
         }
-    }
+    });
     out
 }
 

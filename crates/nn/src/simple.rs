@@ -1,4 +1,8 @@
-//! Parameter-free layers: ReLU and Flatten.
+//! Parameter-free layers: ReLU, Flatten, sigmoid and tanh.
+//!
+//! ReLU's forward and backward are one pool-parallel pass each, and its
+//! cache keeps a copy of the output rather than of the input: the
+//! backward's mask `y <= 0` is the same as `x <= 0`.
 
 use diva_tensor::{relu, relu_backward, Tensor};
 
@@ -8,10 +12,11 @@ use crate::layer::{BackwardOutput, ParamGrads};
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Relu;
 
-/// Forward cache for [`Relu`]: the pre-activation input.
+/// Forward cache for [`Relu`]: the activation output. Its mask `y <= 0`
+/// equals the input's `x <= 0` for every input, −0.0 and NaN included.
 #[derive(Clone, Debug)]
 pub struct ReluCache {
-    x: Tensor,
+    y: Tensor,
 }
 
 impl Relu {
@@ -22,13 +27,14 @@ impl Relu {
 
     /// Applies ReLU elementwise.
     pub fn forward(&self, x: &Tensor) -> (Tensor, ReluCache) {
-        (relu(x), ReluCache { x: x.clone() })
+        let y = relu(x);
+        (y.clone(), ReluCache { y })
     }
 
-    /// Masks the upstream gradient where the input was non-positive.
+    /// Masks the upstream gradient where the activation was non-positive.
     pub fn backward(&self, cache: &ReluCache, grad_out: &Tensor) -> BackwardOutput {
         BackwardOutput {
-            grad_input: Some(relu_backward(grad_out, &cache.x)),
+            grad_input: Some(relu_backward(grad_out, &cache.y)),
             grads: ParamGrads::None,
         }
     }

@@ -17,10 +17,10 @@
 //! search plus one push or removal over at most [`IDLE_BUFFERS`] entries;
 //! an evicted buffer is freed after the lock is released.
 //!
-//! The GEMM's packing scratch does not come from here: it stays
-//! thread-local (`gemm` module) because it is per-thread and per-call,
-//! lives only inside one GEMM, and must be re-entrant under nested
-//! scheduling, which a thread-local slot serves without a lock.
+//! The GEMM's packing and column-block scratch does not come from here:
+//! it stays thread-local (`gemm` module) because it is per-thread and
+//! per-call, lives only inside one GEMM, and must be re-entrant under
+//! nested scheduling, which a thread-local slot serves without a lock.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};

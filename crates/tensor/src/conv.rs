@@ -19,10 +19,22 @@
 //!   weight gradients of DP-SGD — executes as a strided panel over that one
 //!   buffer, with the packed-B panels cached across DP-SGD(R)'s two
 //!   backward passes.
+//!
+//! The data movement around the GEMMs — [`im2col`], [`col2im`],
+//! [`nchw_to_rows`] and the rows→NCHW reorder of [`PatchBuffer::forward`]
+//! (which folds in the bias) — runs on the shared pool, one task per
+//! example. Every output element is written by exactly one task, padding
+//! included, and `col2im` adds each element's contributions in the same
+//! order as a serial loop, starting from +0.0, so the results are bitwise
+//! the same at every thread count. The inner loops visit only the output
+//! positions each filter tap lands in bounds for (worked out once per
+//! call), instead of bounds-checking every element.
 
 use crate::gemm::{blocked_kernel, gemm_packed_window, gemm_reference, MatRef, PackCache, PackedB};
 use crate::matmul::{matmul, matmul_nt, matmul_tn};
+use crate::parallel;
 use crate::tensor::Tensor;
+use std::ops::Range;
 
 /// Geometry of a 2-D convolution: channel counts, filter size, stride,
 /// padding and the input spatial extent.
@@ -103,7 +115,31 @@ impl Conv2dGeom {
     pub fn patch_len(&self) -> usize {
         self.cin * self.k * self.k
     }
+
+    /// For each filter tap `t < k`, the output rows and the output columns
+    /// at which it lands inside the input (`o·stride + t − pad ∈ [0, len)`
+    /// along each axis); possibly empty.
+    fn taps_in_bounds(&self) -> (Vec<Range<usize>>, Vec<Range<usize>>) {
+        let (p, q) = self.out_hw();
+        let along = |len: usize, outputs: usize| -> Vec<Range<usize>> {
+            (0..self.k)
+                .map(|t| {
+                    let lo = self.pad.saturating_sub(t).div_ceil(self.stride);
+                    let hi = (len + self.pad)
+                        .saturating_sub(t)
+                        .div_ceil(self.stride)
+                        .min(outputs);
+                    lo.min(hi)..hi
+                })
+                .collect()
+        };
+        (along(self.in_h, p), along(self.in_w, q))
+    }
 }
+
+/// Output positions per tile of the per-example `(C, P·Q)` ↔ `(P·Q, C)`
+/// transposes: both sides of a tile stay L1-resident.
+const TILE: usize = 64;
 
 /// Unfolds an NCHW input batch into the patch matrix of shape
 /// `(N * P * Q, C_in * R * S)`.
@@ -137,35 +173,30 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeom) -> Tensor {
 
     let (p, q) = geom.out_hw();
     let patch = geom.patch_len();
-    let mut out = Tensor::zeros(&[n * p * q, patch]);
+    let (k, stride, pad) = (geom.k, geom.stride, geom.pad);
+    let (in_rows, in_cols) = geom.taps_in_bounds();
+    let mut out = Tensor::for_overwrite(&[n * p * q, patch]);
     let iv = input.data();
-    let ov = out.data_mut();
-    let k = geom.k;
-    for ni in 0..n {
-        for pi in 0..p {
-            for qi in 0..q {
-                let row = (ni * p + pi) * q + qi;
-                let base = row * patch;
-                for ci in 0..c {
-                    for ki in 0..k {
-                        let ih = (pi * geom.stride + ki) as isize - geom.pad as isize;
-                        if ih < 0 || ih >= h as isize {
-                            continue;
-                        }
-                        for kj in 0..k {
-                            let iw = (qi * geom.stride + kj) as isize - geom.pad as isize;
-                            if iw < 0 || iw >= w as isize {
-                                continue;
-                            }
-                            let src = ((ni * c + ci) * h + ih as usize) * w + iw as usize;
-                            let dst = base + (ci * k + ki) * k + kj;
-                            ov[dst] = iv[src];
+    // One task per example. Each output row `pi` of it (Q patch rows) is
+    // zeroed, then every in-bounds tap `(ci, ki, kj)` copies its run of
+    // input columns down one patch column.
+    parallel::par_chunks_mut(out.data_mut(), (p * q * patch).max(1), |ni, rows| {
+        let image = &iv[ni * c * h * w..(ni + 1) * c * h * w];
+        for (pi, block) in rows.chunks_exact_mut(q * patch).enumerate() {
+            block.fill(0.0);
+            for (ci, plane) in image.chunks_exact(h * w).enumerate() {
+                for ki in (0..k).filter(|&ki| in_rows[ki].contains(&pi)) {
+                    let line = &plane[(pi * stride + ki - pad) * w..][..w];
+                    for (kj, cols) in in_cols.iter().enumerate() {
+                        let col = (ci * k + ki) * k + kj;
+                        for qi in cols.clone() {
+                            block[qi * patch + col] = line[qi * stride + kj - pad];
                         }
                     }
                 }
             }
         }
-    }
+    });
     out
 }
 
@@ -187,35 +218,32 @@ pub fn col2im(cols: &Tensor, geom: &Conv2dGeom, n: usize) -> Tensor {
     assert_eq!(cols_w, patch, "col2im patch length mismatch");
 
     let (c, h, w) = (geom.cin, geom.in_h, geom.in_w);
-    let mut out = Tensor::zeros(&[n, c, h, w]);
-    let ov = out.data_mut();
+    let (k, stride, pad) = (geom.k, geom.stride, geom.pad);
+    let (in_rows, in_cols) = geom.taps_in_bounds();
+    let mut out = Tensor::for_overwrite(&[n, c, h, w]);
     let cv = cols.data();
-    let k = geom.k;
-    for ni in 0..n {
-        for pi in 0..p {
-            for qi in 0..q {
-                let row = (ni * p + pi) * q + qi;
-                let base = row * patch;
-                for ci in 0..c {
-                    for ki in 0..k {
-                        let ih = (pi * geom.stride + ki) as isize - geom.pad as isize;
-                        if ih < 0 || ih >= h as isize {
-                            continue;
-                        }
-                        for kj in 0..k {
-                            let iw = (qi * geom.stride + kj) as isize - geom.pad as isize;
-                            if iw < 0 || iw >= w as isize {
-                                continue;
-                            }
-                            let dst = ((ni * c + ci) * h + ih as usize) * w + iw as usize;
-                            let src = base + (ci * k + ki) * k + kj;
-                            ov[dst] += cv[src];
+    // One task per example image, zeroed first. An input element takes its
+    // contributions in patch-row order `(pi, qi)`, starting from +0.0, as
+    // in a serial loop over the rows: `pi` is the outer loop, a given `pi`
+    // reaches the element through one `ki` only, and among its taps `kj`
+    // falls as `qi` rises — so walking `kj` downwards keeps `qi` ascending.
+    parallel::par_chunks_mut(out.data_mut(), (c * h * w).max(1), |ni, image| {
+        image.fill(0.0);
+        let rows = &cv[ni * p * q * patch..(ni + 1) * p * q * patch];
+        for (pi, block) in rows.chunks_exact(q * patch).enumerate() {
+            for (ci, plane) in image.chunks_exact_mut(h * w).enumerate() {
+                for ki in (0..k).filter(|&ki| in_rows[ki].contains(&pi)) {
+                    let line = &mut plane[(pi * stride + ki - pad) * w..][..w];
+                    for (kj, cols) in in_cols.iter().enumerate().rev() {
+                        let col = (ci * k + ki) * k + kj;
+                        for qi in cols.clone() {
+                            line[qi * stride + kj - pad] += block[qi * patch + col];
                         }
                     }
                 }
             }
         }
-    }
+    });
     out
 }
 
@@ -229,7 +257,7 @@ pub fn col2im(cols: &Tensor, geom: &Conv2dGeom, n: usize) -> Tensor {
 ///
 /// Panics on any layout mismatch with `geom`.
 pub fn conv2d(input: &Tensor, weight: &Tensor, geom: &Conv2dGeom) -> Tensor {
-    PatchBuffer::lower(input, geom).forward(weight)
+    PatchBuffer::lower(input, geom).forward(weight, None)
 }
 
 /// Backpropagates a convolution to its input: given `G(Y)` of shape
@@ -361,12 +389,14 @@ impl PatchBuffer {
     }
 
     /// Forward convolution from the lowered patches: identical arithmetic
-    /// to [`conv2d`], minus the re-lowering.
+    /// to [`conv2d`], minus the re-lowering. A `bias` of `(C_out,)` is added
+    /// in the reorder's write, one rounding per element, exactly as adding
+    /// it to the reordered output would.
     ///
     /// # Panics
     ///
-    /// Panics if `weight` does not match the geometry.
-    pub fn forward(&self, weight: &Tensor) -> Tensor {
+    /// Panics if `weight` or `bias` does not match the geometry.
+    pub fn forward(&self, weight: &Tensor, bias: Option<&Tensor>) -> Tensor {
         assert_eq!(
             weight.len(),
             self.geom.weight_len(),
@@ -374,24 +404,46 @@ impl PatchBuffer {
             weight.len(),
             self.geom.weight_len()
         );
-        let (p, q) = self.geom.out_hw();
         let cout = self.geom.cout;
+        if let Some(b) = bias {
+            assert_eq!(
+                b.len(),
+                cout,
+                "bias has {} elements, C_out is {cout}",
+                b.len()
+            );
+        }
+        let pq = self.rows_per_example();
         let w2d = weight.clone().reshape(&[cout, self.geom.patch_len()]);
         let y = matmul_nt(&self.patches, &w2d); // (N*P*Q, Cout)
-                                                // Reorder (N*P*Q, Cout) -> (N, Cout, P, Q).
+        let (p, q) = self.geom.out_hw();
         let mut out = Tensor::for_overwrite(&[self.n, cout, p, q]);
         let yv = y.data();
-        let ov = out.data_mut();
-        for ni in 0..self.n {
-            for pi in 0..p {
-                for qi in 0..q {
-                    let row = (ni * p + pi) * q + qi;
-                    for co in 0..cout {
-                        ov[((ni * cout + co) * p + pi) * q + qi] = yv[row * cout + co];
+        // Reorder (N*P*Q, Cout) -> (N, Cout, P, Q), one task per example,
+        // in tiles of positions.
+        parallel::par_chunks_mut(out.data_mut(), (cout * pq).max(1), |ni, image| {
+            let rows = &yv[ni * pq * cout..(ni + 1) * pq * cout];
+            for r0 in (0..pq).step_by(TILE) {
+                let r1 = (r0 + TILE).min(pq);
+                let tile = &rows[r0 * cout..r1 * cout];
+                for (co, plane) in image.chunks_exact_mut(pq).enumerate() {
+                    let outs = plane[r0..r1].iter_mut().zip(tile.chunks_exact(cout));
+                    match bias {
+                        Some(b) => {
+                            let bc = b.data()[co];
+                            for (o, row) in outs {
+                                *o = row[co] + bc;
+                            }
+                        }
+                        None => {
+                            for (o, row) in outs {
+                                *o = row[co];
+                            }
+                        }
                     }
                 }
             }
-        }
+        });
         out
     }
 
@@ -480,19 +532,23 @@ pub fn nchw_to_rows(t: &Tensor, geom: &Conv2dGeom) -> Tensor {
     assert_eq!(dims.len(), 4, "expected NCHW, got {}", t.shape());
     let (n, c, p, q) = (dims[0], dims[1], dims[2], dims[3]);
     assert_eq!(c, geom.cout, "channel mismatch in gradient tensor");
-    let mut out = Tensor::for_overwrite(&[n * p * q, c]);
+    let pq = p * q;
+    let mut out = Tensor::for_overwrite(&[n * pq, c]);
     let tv = t.data();
-    let ov = out.data_mut();
-    for ni in 0..n {
-        for ci in 0..c {
-            for pi in 0..p {
-                for qi in 0..q {
-                    let row = (ni * p + pi) * q + qi;
-                    ov[row * c + ci] = tv[((ni * c + ci) * p + pi) * q + qi];
+    // One task per example: a (C, P·Q) -> (P·Q, C) transpose, in tiles of
+    // positions.
+    parallel::par_chunks_mut(out.data_mut(), (pq * c).max(1), |ni, rows| {
+        let image = &tv[ni * c * pq..(ni + 1) * c * pq];
+        for r0 in (0..pq).step_by(TILE) {
+            let r1 = (r0 + TILE).min(pq);
+            let tile = &mut rows[r0 * c..r1 * c];
+            for (ci, plane) in image.chunks_exact(pq).enumerate() {
+                for (row, &v) in tile.chunks_exact_mut(c).zip(&plane[r0..r1]) {
+                    row[ci] = v;
                 }
             }
         }
-    }
+    });
     out
 }
 

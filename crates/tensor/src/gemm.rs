@@ -9,7 +9,12 @@
 //!   strip), shared read-only by all workers.
 //! * The M dimension is split across workers of the shared pool
 //!   ([`crate::parallel`]); each worker owns a contiguous row-block of C, so
-//!   no synchronization is needed on the output.
+//!   no synchronization is needed on the output. A skinny GEMM whose M
+//!   gives only one worker (M a batch size or a channel count) splits its
+//!   columns instead once it is large enough: each worker takes an
+//!   `NR`-aligned block of columns, packs (or slices, for pre-packed B)
+//!   only that block's strips, and runs every K panel in order, so every
+//!   element keeps its exact FMA sequence at any thread count.
 //! * Within a worker, M is blocked by `MC`; each `MC × KC` block of A is
 //!   packed into `MR`-tall row strips, then an `MR × NR` register-tile
 //!   micro-kernel walks the packed panels. The safe micro-kernel's inner
@@ -36,7 +41,7 @@
 use crate::buffer::Buffer;
 use crate::parallel::{self, Backend};
 use std::cell::RefCell;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::thread::LocalKey;
 
 /// The GEMM arm a [`Backend`] runs, slowest to fastest.
@@ -167,6 +172,10 @@ thread_local! {
     static PACK_A_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Per-thread packed-B scratch; same rationale as [`PACK_A_SCRATCH`].
     static PACK_B_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread copy of a column block of C ([`gemm_col_split`]); kept
+    /// out of the recycled buffer pool, whose bounded idle set holds a
+    /// training step's large tensors.
+    static C_BLOCK_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Runs `f` on a thread-local scratch slice of exactly `len` elements.
@@ -200,6 +209,14 @@ fn with_pack_scratch<R>(
 /// Minimum C rows per worker before the M dimension is split across
 /// threads; keeps per-thread work well above spawn cost.
 const ROWS_PER_WORKER_MIN: usize = 48;
+
+/// Fewest multiply-adds for which a GEMM whose M gives a single worker
+/// splits its columns instead ([`col_blocks`]). The benchmark CNN's
+/// full-batch skinny GEMMs clear it (fc1's 32×1568×256 forward is 12.8M,
+/// conv2's 32×6272×144 weight gradient 28.9M); the per-example GEMMs inside
+/// DP-SGD's batch fan-out stay under it and keep their single task (a
+/// per-example conv2 weight gradient, 32×196×144, is 0.9M).
+const COL_SPLIT_THRESHOLD: usize = 1 << 21;
 
 /// C rows per pool chunk of the tiny-K path ([`gemm_tiny_k`]).
 const TINY_K_ROWS: usize = 256;
@@ -244,6 +261,14 @@ impl<'a> MatRef<'a> {
     fn rows_from(self, row0: usize) -> Self {
         Self {
             data: &self.data[row0 * self.rs..],
+            ..self
+        }
+    }
+
+    /// The view of columns `col0..` of this operand.
+    fn cols_from(self, col0: usize) -> Self {
+        Self {
+            data: &self.data[col0 * self.cs..],
             ..self
         }
     }
@@ -489,7 +514,8 @@ pub(crate) fn blocked_kernel(m: usize, k: usize, n: usize) -> Option<Kernel> {
     (kernel != Kernel::Reference && k >= 16 && m * k * n >= BLOCKED_THRESHOLD).then_some(kernel)
 }
 
-/// Blocked, packed, M-parallel GEMM: `out += A × B` where `A` is logically
+/// Blocked, packed, M-parallel (or, for a skinny M, column-split) GEMM:
+/// `out += A × B` where `A` is logically
 /// `(m, k)` and `B` is `(k, n)` under their respective stride views, and
 /// `out` is row-major `(m, n)`.
 ///
@@ -508,6 +534,15 @@ pub(crate) fn gemm(m: usize, k: usize, n: usize, a: MatRef, b: MatRef, out: &mut
     }
     if k < 16 {
         gemm_tiny_k(k, n, a, b, out);
+        return;
+    }
+    let blocks = col_blocks(m, k, n);
+    if blocks > 1 {
+        let panels: Vec<Panel> = (0..k)
+            .step_by(KC)
+            .map(|kc| (kc, KC.min(k - kc), 0))
+            .collect();
+        gemm_col_split(kernel, m, n, a, &panels, Strips::Pack(b), blocks, out);
         return;
     }
     let threads = parallel::effective_threads().min(m.div_ceil(ROWS_PER_WORKER_MIN));
@@ -535,6 +570,86 @@ pub(crate) fn gemm(m: usize, k: usize, n: usize, a: MatRef, b: MatRef, out: &mut
             }
         },
     );
+}
+
+/// How many column blocks a blocked GEMM of this shape splits into: the
+/// backend's width, capped at N's `NR` strips, when the M split would give
+/// a single worker and the GEMM reaches [`COL_SPLIT_THRESHOLD`]; else 1.
+fn col_blocks(m: usize, k: usize, n: usize) -> usize {
+    let threads = parallel::effective_threads();
+    if threads < 2 || m > ROWS_PER_WORKER_MIN || m * k * n < COL_SPLIT_THRESHOLD {
+        return 1;
+    }
+    threads.min(n.div_ceil(NR))
+}
+
+/// One K panel of a column-split GEMM: its offset on A's K axis, its
+/// length, and (for [`Strips::Packed`]) its offset in the packed data.
+type Panel = (usize, usize, usize);
+
+/// Where a column block of [`gemm_col_split`] finds its packed B strips.
+#[derive(Clone, Copy)]
+enum Strips<'a> {
+    /// Packs its own strips from B, panel by panel; B's K axis is A's.
+    Pack(MatRef<'a>),
+    /// Slices them out of panels packed in advance ([`PackedB`] data).
+    Packed(&'a [f32]),
+}
+
+/// `out += A × B` split into `blocks` `NR`-aligned column blocks, one pool
+/// task each. A block takes only its own B strips and runs every panel in
+/// order through [`gemm_rows`], so each element of C sees the same tiles,
+/// added in the same order, as under the unsplit GEMM. Its columns of C go
+/// through thread-local scratch (M is small by construction): copied in,
+/// accumulated, copied back, with `out` locked for each copy.
+#[allow(clippy::too_many_arguments)] // the flat signature of `gemm_rows`, plus the split
+fn gemm_col_split(
+    kernel: Kernel,
+    m: usize,
+    n: usize,
+    a: MatRef,
+    panels: &[Panel],
+    b: Strips,
+    blocks: usize,
+    out: &mut [f32],
+) {
+    let n_strips = n.div_ceil(NR);
+    let max_kb = panels.iter().map(|p| p.1).max().unwrap_or(0);
+    let out = Mutex::new(out);
+    // Blocks own disjoint columns, and a task panicking mid-copy fails the
+    // whole region, so a poisoned lock guards nothing anyone reads.
+    let lock = || out.lock().unwrap_or_else(PoisonError::into_inner);
+    parallel::par_map(blocks, |blk| {
+        let (s0, s1) = (blk * n_strips / blocks, (blk + 1) * n_strips / blocks);
+        let (j0, j1) = (s0 * NR, (s1 * NR).min(n));
+        let nb = j1 - j0;
+        with_pack_scratch(&C_BLOCK_SCRATCH, m * nb, |c| {
+            for (crow, row) in c.chunks_exact_mut(nb).zip(lock().chunks_exact(n)) {
+                crow.copy_from_slice(&row[j0..j1]);
+            }
+            match b {
+                Strips::Pack(b) => {
+                    let b = b.cols_from(j0);
+                    with_pack_scratch(&PACK_B_SCRATCH, (s1 - s0) * max_kb * NR, |scratch| {
+                        for &(kc, kb, _) in panels {
+                            let strips = &mut scratch[..(s1 - s0) * kb * NR];
+                            pack_b(b, kc, kb, nb, strips);
+                            gemm_rows(kernel, a, 0, m, kc, kb, nb, strips, c);
+                        }
+                    });
+                }
+                Strips::Packed(data) => {
+                    for &(kc, kb, offset) in panels {
+                        let strips = &data[offset + s0 * kb * NR..offset + s1 * kb * NR];
+                        gemm_rows(kernel, a, 0, m, kc, kb, nb, strips, c);
+                    }
+                }
+            }
+            for (row, crow) in lock().chunks_exact_mut(n).zip(c.chunks_exact(nb)) {
+                row[j0..j1].copy_from_slice(crow);
+            }
+        });
+    });
 }
 
 /// [`gemm_reference`] for a large GEMM with `k < 16`, split over the pool
@@ -653,8 +768,8 @@ impl PackCache {
     }
 }
 
-/// Blocked, M-parallel GEMM against pre-packed B panels covering the global
-/// B-row window `lo..hi`: `out += A × B[lo..hi, :]`, where `A` is `(m,
+/// Blocked, M-parallel (or, for a skinny M, column-split) GEMM against
+/// pre-packed B panels covering the global B-row window `lo..hi`: `out += A × B[lo..hi, :]`, where `A` is `(m,
 /// hi-lo)` under its stride view, A's K axis is window-local, and `out` is
 /// row-major `(m, pb.n)`.
 ///
@@ -679,9 +794,8 @@ pub(crate) fn gemm_packed_window(
         "window {lo}..{hi} outside K {}",
         pb.k
     );
-    let threads = parallel::effective_threads().min(m.div_ceil(ROWS_PER_WORKER_MIN));
-    let rows_per_worker = m.div_ceil(threads.max(1));
-    let n_strips = n.div_ceil(NR);
+    // The window's panels, with their K offsets made local to A.
+    let mut panels: Vec<Panel> = Vec::new();
     let mut covered = lo;
     for &(k0, kb, offset) in &pb.panels {
         if k0 + kb <= lo || k0 >= hi {
@@ -692,8 +806,28 @@ pub(crate) fn gemm_packed_window(
             "window {lo}..{hi} does not align with packed panel boundaries"
         );
         covered = k0 + kb;
+        panels.push((k0 - lo, kb, offset));
+    }
+    assert_eq!(covered, hi, "packed panels do not cover window {lo}..{hi}");
+    let blocks = col_blocks(m, hi - lo, n);
+    if blocks > 1 {
+        gemm_col_split(
+            kernel,
+            m,
+            n,
+            a,
+            &panels,
+            Strips::Packed(&pb.data),
+            blocks,
+            out,
+        );
+        return;
+    }
+    let threads = parallel::effective_threads().min(m.div_ceil(ROWS_PER_WORKER_MIN));
+    let rows_per_worker = m.div_ceil(threads.max(1));
+    let n_strips = n.div_ceil(NR);
+    for &(kc_local, kb, offset) in &panels {
         let panel = &pb.data[offset..offset + n_strips * kb * NR];
-        let kc_local = k0 - lo;
         if threads <= 1 {
             gemm_rows(kernel, a, 0, m, kc_local, kb, n, panel, out);
         } else {
@@ -704,7 +838,6 @@ pub(crate) fn gemm_packed_window(
             });
         }
     }
-    assert_eq!(covered, hi, "packed panels do not cover window {lo}..{hi}");
 }
 
 #[cfg(test)]

@@ -13,38 +13,47 @@ use crate::tensor::Tensor;
 /// branch-free FMA vector code.
 const LANES: usize = 16;
 
-/// Applies ReLU elementwise, returning a new tensor.
+/// Elements per pool task of the elementwise ReLU kernels (64 KiB).
+const ELEMENTWISE_BLOCK: usize = 16 * 1024;
+
+/// Applies ReLU elementwise, returning a new tensor: one pass, split over
+/// the shared pool in fixed-size blocks.
 pub fn relu(x: &Tensor) -> Tensor {
-    let mut out = x.clone();
-    for v in out.data_mut() {
-        // Comparison (not `f32::max`) preserves NaN propagation.
-        if *v < 0.0 {
-            *v = 0.0;
+    let mut out = Tensor::for_overwrite(x.shape().dims());
+    let xv = x.data();
+    parallel::par_chunks_mut(out.data_mut(), ELEMENTWISE_BLOCK, |blk, ys| {
+        for (y, &v) in ys.iter_mut().zip(&xv[blk * ELEMENTWISE_BLOCK..]) {
+            // Comparison (not `f32::max`) preserves NaN propagation.
+            *y = if v < 0.0 { 0.0 } else { v };
         }
-    }
+    });
     out
 }
 
 /// Backpropagates through ReLU: zeroes gradient entries where the forward
-/// input was non-positive.
+/// activation was non-positive. `activation` may be the ReLU's input or its
+/// output: `relu(x) <= 0` exactly when `x <= 0`, −0.0 and NaN included.
+/// One pass, split over the shared pool in fixed-size blocks.
 ///
 /// # Panics
 ///
-/// Panics if the shapes of `grad_out` and `input` differ.
-pub fn relu_backward(grad_out: &Tensor, input: &Tensor) -> Tensor {
+/// Panics if the shapes of `grad_out` and `activation` differ.
+pub fn relu_backward(grad_out: &Tensor, activation: &Tensor) -> Tensor {
     assert_eq!(
         grad_out.shape(),
-        input.shape(),
+        activation.shape(),
         "relu_backward shape mismatch: {} vs {}",
         grad_out.shape(),
-        input.shape()
+        activation.shape()
     );
-    let mut out = grad_out.clone();
-    for (g, &x) in out.data_mut().iter_mut().zip(input.data()) {
-        if x <= 0.0 {
-            *g = 0.0;
+    let mut out = Tensor::for_overwrite(grad_out.shape().dims());
+    let (gv, av) = (grad_out.data(), activation.data());
+    parallel::par_chunks_mut(out.data_mut(), ELEMENTWISE_BLOCK, |blk, gs| {
+        let off = blk * ELEMENTWISE_BLOCK;
+        for ((g, &gy), &a) in gs.iter_mut().zip(&gv[off..]).zip(&av[off..]) {
+            *g = if a <= 0.0 { 0.0 } else { gy };
         }
-    }
+    });
     out
 }
 

@@ -42,8 +42,9 @@ impl Tensor {
     }
 
     /// A tensor of unspecified contents (see [`Buffer::for_overwrite`]), for
-    /// a producer that writes every element before anything reads one.
-    pub(crate) fn for_overwrite(dims: &[usize]) -> Self {
+    /// a producer that writes every element before anything reads one —
+    /// a parallel kernel whose tasks each fill their own slice, say.
+    pub fn for_overwrite(dims: &[usize]) -> Self {
         let shape = Shape::new(dims);
         let data = Buffer::for_overwrite(shape.len());
         Self { shape, data }

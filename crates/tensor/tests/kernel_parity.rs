@@ -316,3 +316,87 @@ fn tiny_k_gemm_is_bitwise_reference() {
         }
     }
 }
+
+/// Skinny GEMMs — M a batch size or a channel count, which the M split
+/// gives a single worker — split their columns instead. Every transpose
+/// flavour, on every kernel arm at widths 1–4, must be bitwise its 1-thread
+/// result: N runs from one `NR` strip to many with a ragged tail, and K
+/// always crosses the 768-long K panel and is large enough to reach the
+/// column split's work floor.
+#[test]
+fn skinny_gemm_thread_matrix_is_bit_identical() {
+    use diva_tensor::{Backend, Kernel};
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut rng = DivaRng::seed_from_u64(7);
+    for m in [1usize, 6, 32, 47] {
+        for n in [16usize, 40, 61, 449] {
+            let k = (800usize).max((1 << 21) / (m * n) + 1);
+            let a = Tensor::uniform(&[m, k], -1.0, 1.0, &mut rng);
+            let b = Tensor::uniform(&[k, n], -1.0, 1.0, &mut rng);
+            let (at, bt) = (a.transpose(), b.transpose());
+            let flavours = |backend: Backend| {
+                backend.install(|| {
+                    [
+                        ("nn", matmul(&a, &b)),
+                        ("nt", matmul_nt(&a, &bt)),
+                        ("tn", matmul_tn(&at, &b)),
+                        ("tt", matmul_tt(&at, &bt)),
+                    ]
+                })
+            };
+            let baseline = flavours(Backend::serial().with_kernel(Kernel::Safe));
+            for kernel in [Kernel::Safe, Kernel::Avx2, Kernel::Avx512] {
+                for threads in 1..=4 {
+                    let backend = Backend::with_threads(threads).with_kernel(kernel);
+                    for ((name, out), (_, base)) in flavours(backend).iter().zip(&baseline) {
+                        assert!(
+                            bits(out) == bits(base),
+                            "{name} ({m},{k},{n}) {kernel:?} threads={threads} diverged"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The per-batch convolution weight gradient runs a skinny GEMM over the
+/// cached, pre-packed patch panels; its column split slices those panels.
+/// It must be bitwise its 1-thread result on every arm at widths 1–4, from
+/// a one-strip `C_in·R·S` up to several strips with a ragged tail.
+#[test]
+fn packed_window_weight_gradient_thread_matrix_is_bit_identical() {
+    use diva_tensor::{Backend, Kernel, PatchBuffer};
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut rng = DivaRng::seed_from_u64(8);
+    for (geom, batch) in [
+        // M = 32, N = 144 (9 strips), K = 5·196.
+        (Conv2dGeom::new(16, 32, 3, 1, 1, 14, 14), 5usize),
+        // M = 6, N = 108 (7 strips, ragged), K = 40·100, stride 2.
+        (Conv2dGeom::new(12, 6, 3, 2, 1, 20, 20), 40),
+        // M = 47, N = 9: a single strip.
+        (Conv2dGeom::new(1, 47, 3, 1, 1, 28, 28), 4),
+    ] {
+        let x = Tensor::uniform(
+            &[batch, geom.cin, geom.in_h, geom.in_w],
+            -1.0,
+            1.0,
+            &mut rng,
+        );
+        let (p, q) = geom.out_hw();
+        let gy = Tensor::uniform(&[batch * p * q, geom.cout], -1.0, 1.0, &mut rng);
+        let grad = |backend: Backend| {
+            backend.install(|| PatchBuffer::lower(&x, &geom).backward_weight_batch(&gy))
+        };
+        let baseline = bits(&grad(Backend::serial().with_kernel(Kernel::Safe)));
+        for kernel in [Kernel::Safe, Kernel::Avx2, Kernel::Avx512] {
+            for threads in 1..=4 {
+                let out = grad(Backend::with_threads(threads).with_kernel(kernel));
+                assert!(
+                    bits(&out) == baseline,
+                    "{geom:?} b={batch} {kernel:?} threads={threads} diverged"
+                );
+            }
+        }
+    }
+}
