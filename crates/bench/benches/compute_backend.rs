@@ -16,19 +16,11 @@
 //! Kernel policy: every row picks its GEMM arm through the `Backend` it
 //! runs under, so no row can observe another's configuration. `scalar`
 //! rows run `Kernel::Reference` (every GEMM through the seed's scalar
-//! loop). The conv / DP-step / first-backward rows run `Kernel::Safe`, the
-//! portable kernel, so their speedups are comparable whether or not the
-//! bench was compiled with the `simd` feature; that is what lets the CI
-//! regression gate, which builds without features, diff them against a
-//! record generated with `--features simd`. The matmul section is the
-//! exception: its `serial` / `parallel` rows run the default kernel
-//! (AVX-512 → AVX2 → safe, whatever this build and host resolve to) so the
-//! recorded milliseconds reflect what `matmul` actually delivers, and those
-//! rows carry no speedup metric (the absolute number is ISA-dependent, so
-//! gating its ratio across heterogeneous runners would be noise). The
-//! cross-config `serial_safe` row keeps the safe kernel and carries
-//! `speedup_vs_scalar`; that is what `bench_regress` gates for matmul (it
-//! also covers the safe kernel's L1 B-strip grouping).
+//! loop); every other row runs `Kernel::Safe`, the one blocked
+//! micro-kernel. The matmul section records `scalar`, `parallel` (the
+//! default backend; informational, with no speedup metric) and
+//! `serial_safe`, whose `speedup_vs_scalar` is what `bench_regress` gates
+//! for matmul (it also covers the safe kernel's L1 B-strip grouping).
 //!
 //! Nested-scaling row: `dpsgd_step_b32_nested` runs full DP-SGD steps
 //! inside an outer 2-cell parallel region — the scenario-runner shape —
@@ -84,19 +76,9 @@ fn bench_matmul(h: &mut Harness, sink: &mut PerfSink) {
 
     h.bench("matmul_256/scalar", || matmul_reference(black_box(&a), &b));
 
-    // Production-dispatch rows: whatever kernel this build and host resolve
-    // to (AVX-512 → AVX2 → safe). These record what `matmul` actually
-    // delivers; their absolute numbers are ISA-dependent, so they carry no
-    // speedup metric and are not gated (see the module docs).
-    h.bench("matmul_256/blocked_serial", || {
-        Backend::serial().install(|| matmul(black_box(&a), &b))
-    });
     h.bench("matmul_256/blocked_parallel", || {
         Backend::auto().install(|| matmul(black_box(&a), &b))
     });
-
-    // Cross-config row: the safe kernel, so the number is comparable
-    // whether or not the bench was compiled with `simd`.
     let safe = Backend::serial().with_kernel(Kernel::Safe);
     h.bench("matmul_256/safe_serial", || {
         safe.install(|| matmul(black_box(&a), &b))
@@ -105,7 +87,6 @@ fn bench_matmul(h: &mut Harness, sink: &mut PerfSink) {
     let scalar = h.get("matmul_256/scalar").unwrap().secs_per_iter;
     for (short, backend, gate) in [
         ("scalar", "scalar", true),
-        ("blocked_serial", "serial", false),
         ("blocked_parallel", "parallel", false),
         ("safe_serial", "serial_safe", true),
     ] {

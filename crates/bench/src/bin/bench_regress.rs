@@ -107,8 +107,8 @@ fn main() {
             .find(|r| r.name == base.name && r.tag_value("backend") == Some(backend))
         else {
             missing.push(format!(
-                "{} [{}]: row missing from current run (renamed benchmark, or a \
-                 feature-gated row in the committed record?)",
+                "{} [{}]: row missing from current run (renamed or deleted \
+                 benchmark still in the committed record?)",
                 base.name, backend
             ));
             continue;
@@ -166,9 +166,9 @@ fn main() {
              BENCH_perf.json with justification in the PR); (2) the scalar reference was\n\
              accidentally optimized, shrinking the ratio (check gemm_reference /\n\
              Kernel::Reference call sites); (3) a missing row means the bench\n\
-             stopped emitting it — usually a renamed benchmark or a feature-gated row\n\
-             leaking into the committed record. See ARCHITECTURE.md ('Benchmarks and the\n\
-             regression gate') for the full contract."
+             stopped emitting it — usually a renamed or deleted benchmark still in the\n\
+             committed record. See ARCHITECTURE.md ('Benchmarks and the regression\n\
+             gate') for the full contract."
         );
         // Regressions exit 1; a missing-rows-only failure exits 3 so CI
         // can tell "the code got slower" from "the record went stale".

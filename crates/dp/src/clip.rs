@@ -51,7 +51,9 @@ pub fn clip_factors(sq_norms: &[f64], clip_norm: f64) -> ClipSummary {
     }
 }
 
-fn median(values: &[f64]) -> f64 {
+/// The median of `values` (mean of the two middle values for an even
+/// count, 0 for none).
+pub(crate) fn median(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }

@@ -7,7 +7,7 @@
 use diva_nn::{GradMode, Network, NetworkGrads};
 use diva_tensor::{softmax_cross_entropy, sq_norm, Backend, DivaRng, Tensor};
 
-use crate::clip::{clip_factors, ClipSummary};
+use crate::clip::{clip_factors, median, ClipSummary};
 use crate::error::AccountError;
 use crate::event::{event_epsilon, AccountantKind, DpEvent};
 use crate::mechanism::GaussianMechanism;
@@ -538,17 +538,7 @@ fn merge_clip(a: Option<ClipSummary>, b: Option<ClipSummary>) -> Option<ClipSumm
             a.factors.extend(b.factors);
             a.norms.extend(b.norms);
             a.clipped_count += b.clipped_count;
-            // Recompute the median over the union.
-            let mut sorted = a.norms.clone();
-            sorted.sort_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal));
-            let mid = sorted.len() / 2;
-            a.median_norm = if sorted.is_empty() {
-                0.0
-            } else if sorted.len() % 2 == 0 {
-                (sorted[mid - 1] + sorted[mid]) / 2.0
-            } else {
-                sorted[mid]
-            };
+            a.median_norm = median(&a.norms);
             Some(a)
         }
     }
@@ -733,28 +723,46 @@ mod tests {
         let mut l_all = l1.clone();
         l_all.extend_from_slice(&l2);
 
-        let trainer = DpTrainer::new(DpSgdConfig {
-            algorithm: TrainingAlgorithm::DpSgd,
-            clip_norm: 0.7,
-            noise_multiplier: 1.0,
-            learning_rate: 0.2,
-        });
-        let mut net_a = net0.clone();
-        let mut rng_a = DivaRng::seed_from_u64(55);
-        trainer.step(&mut net_a, &x_all, &l_all, &mut rng_a);
+        for algorithm in [TrainingAlgorithm::DpSgd, TrainingAlgorithm::DpSgdReweighted] {
+            let trainer = DpTrainer::new(DpSgdConfig {
+                algorithm,
+                clip_norm: 0.7,
+                noise_multiplier: 1.0,
+                learning_rate: 0.2,
+            });
+            let mut net_a = net0.clone();
+            let mut rng_a = DivaRng::seed_from_u64(55);
+            let report_a = trainer.step(&mut net_a, &x_all, &l_all, &mut rng_a);
 
-        let mut net_b = net0.clone();
-        let mut rng_b = DivaRng::seed_from_u64(55);
-        trainer.step_accumulated(&mut net_b, &[(x1, l1), (x2, l2)], &mut rng_b);
+            let mut net_b = net0.clone();
+            let mut rng_b = DivaRng::seed_from_u64(55);
+            let report_b = trainer.step_accumulated(
+                &mut net_b,
+                &[(x1.clone(), l1.clone()), (x2.clone(), l2.clone())],
+                &mut rng_b,
+            );
 
-        for (la, lb) in net_a.layers().iter().zip(net_b.layers()) {
-            for (pa, pb) in la.params().iter().zip(lb.params()) {
-                assert!(
-                    pa.max_abs_diff(pb) < 1e-5,
-                    "accumulated step diverged: {}",
-                    pa.max_abs_diff(pb)
-                );
+            for (la, lb) in net_a.layers().iter().zip(net_b.layers()) {
+                for (pa, pb) in la.params().iter().zip(lb.params()) {
+                    assert!(
+                        pa.max_abs_diff(pb) < 1e-5,
+                        "{algorithm:?}: accumulated step diverged: {}",
+                        pa.max_abs_diff(pb)
+                    );
+                }
             }
+            // Clipping is per-example, so the merged summary (factors,
+            // norms, clipped count and the median over the union) is the
+            // concatenated step's exactly; the loss is a differently
+            // associated mean.
+            assert!(report_a.clip.is_some(), "{algorithm:?}: no clip summary");
+            assert_eq!(report_b.clip, report_a.clip, "{algorithm:?}: clip summary");
+            assert!(
+                (report_b.mean_loss - report_a.mean_loss).abs() < 1e-12,
+                "{algorithm:?}: mean loss {} vs {}",
+                report_b.mean_loss,
+                report_a.mean_loss
+            );
         }
     }
 

@@ -499,7 +499,7 @@ impl PatchBuffer {
         gw.fill(0.0);
         let (m, k) = (cout, hi - lo);
         let a = MatRef::transposed(&gy_rows.data()[lo * cout..hi * cout], cout);
-        if let Some(kernel) = blocked_kernel(m, k, patch) {
+        if blocked_kernel(m, k, patch) {
             let total = rows;
             let pq = self.rows_per_example();
             let pb = self.pack.get_or_pack(total, patch, || {
@@ -510,7 +510,7 @@ impl PatchBuffer {
                     pq,
                 )
             });
-            gemm_packed_window(kernel, m, a, pb, lo, hi, gw);
+            gemm_packed_window(m, a, pb, lo, hi, gw);
         } else {
             let b = MatRef::row_major(&self.patches.data()[lo * patch..hi * patch], patch);
             gemm_reference(m, k, patch, a, b, gw);

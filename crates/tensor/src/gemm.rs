@@ -17,16 +17,10 @@
 //!   element keeps its exact FMA sequence at any thread count.
 //! * Within a worker, M is blocked by `MC`; each `MC × KC` block of A is
 //!   packed into `MR`-tall row strips, then an `MR × NR` register-tile
-//!   micro-kernel walks the packed panels. The safe micro-kernel's inner
-//!   loops have constant trip counts over contiguous slices (k loop
-//!   unrolled ×4), which the autovectorizer turns into wide FMA code under
-//!   `-C target-cpu=native`; with the `simd` cargo feature on an AVX2+FMA
-//!   x86-64 host, explicit-intrinsics 6×16 kernels ([`crate::simd`]) run
-//!   instead — **bit-identical** by construction (same per-element FMA
-//!   sequence). Which arm runs is the calling thread's [`Kernel`], part of
-//!   its installed [`Backend`]: by default the best arm the build and CPU
-//!   support (runtime-detected), with the safe kernel as the universal
-//!   fallback.
+//!   micro-kernel walks the packed panels. The micro-kernel is safe Rust:
+//!   its inner loops have constant trip counts over contiguous slices (k
+//!   loop unrolled ×4), which the autovectorizer turns into wide FMA code
+//!   under `-C target-cpu=native`.
 //!
 //! Packing absorbs transposition: both A and B are described by arbitrary
 //! (row, column) strides, so NT/TN/TT flavours cost the same as NN and the
@@ -44,86 +38,47 @@ use std::cell::RefCell;
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::thread::LocalKey;
 
-/// The GEMM arm a [`Backend`] runs, slowest to fastest.
+/// The GEMM arm a [`Backend`] runs.
 ///
-/// Every arm but [`Kernel::Reference`] takes the blocked, packed path and
-/// produces bit-identical results (one fused multiply-add per output
-/// element per k, k ascending — see the `simd` module); they differ only in
-/// throughput. `Reference` routes every GEMM through the seed's scalar
-/// loop — the baseline of the benches' `speedup_vs_scalar` rows — and is
-/// bitwise [`crate::matmul_reference`]. [`Backend::with_kernel`] caps a
-/// request at [`Kernel::best`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// [`Kernel::Safe`] takes the blocked, packed path: one fused multiply-add
+/// per output element per k, k ascending, into a single accumulator.
+/// [`Kernel::Reference`] routes every GEMM through the seed's scalar loop —
+/// the baseline of the benches' `speedup_vs_scalar` rows — and is bitwise
+/// [`crate::matmul_reference`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// The seed's scalar i-k-j loop, serial within each GEMM.
     Reference,
-    /// The safe register-tile micro-kernel, autovectorized.
+    /// The safe register-tile micro-kernel, autovectorized (the default).
     Safe,
-    /// The explicit AVX2+FMA micro-kernel (`simd` feature).
-    Avx2,
-    /// The explicit AVX-512 micro-kernel (`simd` feature).
-    Avx512,
 }
 
-impl Kernel {
-    /// The fastest arm this build and CPU support: AVX-512, else AVX2+FMA,
-    /// else safe.
-    pub fn best() -> Self {
-        if !simd_available() {
-            Kernel::Safe
-        } else if avx512_available() {
-            Kernel::Avx512
-        } else {
-            Kernel::Avx2
-        }
-    }
-}
-
-/// Whether the explicit AVX2+FMA micro-kernel is compiled in (`simd`
-/// feature, `x86_64` target) *and* supported by the running CPU.
+/// Always `false`: the GEMM has no explicit-SIMD micro-kernel. Kept only
+/// for the `dpbench` host fingerprint, which prints it.
 pub fn simd_available() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        crate::simd::detected()
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        false
-    }
+    false
 }
 
-/// Whether GEMMs on the calling thread use an explicit-SIMD micro-kernel
-/// (its [`Backend`] runs [`Kernel::Avx2`] or [`Kernel::Avx512`]).
+/// Always `false`: the GEMM has no explicit-SIMD micro-kernel. Kept only
+/// for the `dpbench` host fingerprint, which prints it.
 pub fn simd_enabled() -> bool {
-    Backend::current().kernel() >= Kernel::Avx2
+    false
 }
 
-/// Whether the AVX-512 micro-kernel arm is compiled in (`simd` feature,
-/// `x86_64` target) *and* supported by the running CPU (`avx512f`).
-pub fn avx512_available() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        crate::simd::detected_avx512()
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        false
-    }
-}
-
-/// Whether GEMMs on the calling thread use the AVX-512 micro-kernel arm.
+/// Always `false`: the GEMM has no AVX-512 micro-kernel. Kept only for the
+/// `dpbench` host fingerprint, which prints it.
 pub fn avx512_enabled() -> bool {
-    Backend::current().kernel() == Kernel::Avx512
+    false
 }
 
 /// Micro-tile height (rows of C held in registers). With `NR = 16` the
 /// accumulator occupies 12 256-bit registers — enough independent FMA
 /// chains to hide the FMA latency without spilling.
-pub(crate) const MR: usize = 6;
+const MR: usize = 6;
 /// Micro-tile width (columns of C held in registers): two 256-bit `f32`
 /// vectors per row. Empirically faster than 512-bit tiles on the
 /// virtualized Xeons this repo targets (wide vectors downclock).
-pub(crate) const NR: usize = 16;
+const NR: usize = 16;
 /// K-dimension panel length. Large panels amortize the accumulator
 /// write-back; the packed `MR × KC` A strip (18 KiB) stays L1-resident
 /// while the B strip streams from L2. Tuned empirically at 256³–512³.
@@ -147,18 +102,7 @@ const NB_GROUP: usize = 3;
 const L1_GROUP_BUDGET: usize = 36 * 1024;
 
 /// B strips per packed-A sweep for a `kb`-row panel (see [`NB_GROUP`]).
-///
-/// The AVX-512 arm opts out: measured on the dev host, its kernel is fast
-/// enough that the grouped order's extra L1 pressure (two B panels + the
-/// widened accumulator set live at once) costs ~20% — while the prefetcher
-/// already hides the packed-A streaming the grouping exists to save. The
-/// safe/AVX2 paths keep the grouping: neutral where prefetch covers L2
-/// traffic, a win where it does not (the bandwidth-constrained hosts the
-/// blocking parameters are sized for).
-fn group_width(kb: usize, kernel: Kernel) -> usize {
-    if kernel == Kernel::Avx512 {
-        return 1;
-    }
+fn group_width(kb: usize) -> usize {
     NB_GROUP
         .min(L1_GROUP_BUDGET / (kb * NR * size_of::<f32>()))
         .max(1)
@@ -383,10 +327,9 @@ const KK_UNROLL: usize = 4;
 /// `kb` rank-1 updates on packed panels. Constant-size inner loops over
 /// contiguous slices vectorize to FMA under `-C target-cpu=native`; the k
 /// loop is unrolled ×[`KK_UNROLL`] to amortize loop control. Exactly one
-/// `mul_add` per output element per k — the bit-parity contract shared
-/// with the explicit-SIMD kernel ([`crate::simd`]).
+/// `mul_add` per output element per k, k ascending.
 #[inline(always)]
-pub(crate) fn microkernel(kb: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn microkernel(kb: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
     let a_main = a_panel[..kb * MR].chunks_exact(MR * KK_UNROLL);
     let b_main = b_panel[..kb * NR].chunks_exact(NR * KK_UNROLL);
     let a_tail = a_main.remainder();
@@ -415,31 +358,9 @@ pub(crate) fn microkernel(kb: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut
     }
 }
 
-/// Runs one register tile on the resolved kernel.
-#[inline(always)]
-fn run_microkernel(
-    kernel: Kernel,
-    kb: usize,
-    a_panel: &[f32],
-    b_panel: &[f32],
-    acc: &mut [[f32; NR]; MR],
-) {
-    match kernel {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        Kernel::Avx2 => crate::simd::microkernel_6x16(kb, a_panel, b_panel, acc),
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        Kernel::Avx512 => crate::simd::microkernel_6x16_avx512(kb, a_panel, b_panel, acc),
-        // `Reference` never reaches the blocked path, and builds without
-        // the SIMD arms cap every request at `Safe`.
-        _ => microkernel(kb, a_panel, b_panel, acc),
-    }
-}
-
-/// Computes one worker's row-range of C against the shared packed B panel
-/// on the resolved `kernel`.
-#[allow(clippy::too_many_arguments)] // a flat hot-path signature, called twice
+/// Computes one worker's row-range of C against the shared packed B panel.
+#[allow(clippy::too_many_arguments)] // a flat hot-path signature
 fn gemm_rows(
-    kernel: Kernel,
     a: MatRef,
     row0: usize,
     rows: usize,
@@ -459,7 +380,7 @@ fn gemm_rows(
     // still gets exactly one full-`kb` kernel call, so the per-element FMA
     // chains — and therefore the results — are bit-identical to the
     // ungrouped order; tiles are disjoint, so visit order is free.
-    let gw = group_width(kb, kernel);
+    let gw = group_width(kb);
     with_pack_scratch(&PACK_A_SCRATCH, MC.div_ceil(MR) * MR * kb, |packed_a| {
         let mut i0 = 0;
         while i0 < rows {
@@ -476,7 +397,7 @@ fn gemm_rows(
                     for (g, acc) in accs.iter_mut().take(g_count).enumerate() {
                         let strip_b = gb + g;
                         let b_panel = &packed_b[strip_b * kb * NR..(strip_b + 1) * kb * NR];
-                        run_microkernel(kernel, kb, a_panel, b_panel, acc);
+                        microkernel(kb, a_panel, b_panel, acc);
                     }
                     for (g, acc) in accs.iter().take(g_count).enumerate() {
                         let j0 = (gb + g) * NR;
@@ -496,9 +417,9 @@ fn gemm_rows(
     });
 }
 
-/// The kernel a GEMM of this shape runs on the blocked/packed path under
-/// the calling thread's [`Backend`], or `None` when it takes the scalar
-/// reference arithmetic instead — the decision [`gemm`] makes internally.
+/// Whether a GEMM of this shape takes the blocked/packed path under the
+/// calling thread's [`Backend`] (`false`: the scalar reference arithmetic)
+/// — the decision [`gemm`] makes internally.
 ///
 /// Tiny-K GEMMs (`k < 16`: DP-SGD's per-example rank-1 weight gradients,
 /// a first convolution's `C_in·R·S = 9` patches) are short outer-product
@@ -509,9 +430,8 @@ fn gemm_rows(
 /// Exposed so callers that pre-pack B through a [`PackCache`] replicate the
 /// same routing and therefore stay bit-identical with the unpacked entry
 /// points for every shape.
-pub(crate) fn blocked_kernel(m: usize, k: usize, n: usize) -> Option<Kernel> {
-    let kernel = Backend::current().kernel();
-    (kernel != Kernel::Reference && k >= 16 && m * k * n >= BLOCKED_THRESHOLD).then_some(kernel)
+pub(crate) fn blocked_kernel(m: usize, k: usize, n: usize) -> bool {
+    Backend::current().kernel() != Kernel::Reference && k >= 16 && m * k * n >= BLOCKED_THRESHOLD
 }
 
 /// Blocked, packed, M-parallel (or, for a skinny M, column-split) GEMM:
@@ -527,8 +447,7 @@ pub(crate) fn gemm(m: usize, k: usize, n: usize, a: MatRef, b: MatRef, out: &mut
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let kernel = Backend::current().kernel();
-    if kernel == Kernel::Reference || m * k * n < BLOCKED_THRESHOLD {
+    if Backend::current().kernel() == Kernel::Reference || m * k * n < BLOCKED_THRESHOLD {
         gemm_reference(m, k, n, a, b, out);
         return;
     }
@@ -542,7 +461,7 @@ pub(crate) fn gemm(m: usize, k: usize, n: usize, a: MatRef, b: MatRef, out: &mut
             .step_by(KC)
             .map(|kc| (kc, KC.min(k - kc), 0))
             .collect();
-        gemm_col_split(kernel, m, n, a, &panels, Strips::Pack(b), blocks, out);
+        gemm_col_split(m, n, a, &panels, Strips::Pack(b), blocks, out);
         return;
     }
     let threads = parallel::effective_threads().min(m.div_ceil(ROWS_PER_WORKER_MIN));
@@ -558,12 +477,12 @@ pub(crate) fn gemm(m: usize, k: usize, n: usize, a: MatRef, b: MatRef, out: &mut
                 pack_b(b, kc, kb, n, &mut packed_b[..packed_len]);
                 let packed = &packed_b[..packed_len];
                 if threads <= 1 {
-                    gemm_rows(kernel, a, 0, m, kc, kb, n, packed, out);
+                    gemm_rows(a, 0, m, kc, kb, n, packed, out);
                 } else {
                     parallel::par_chunks_mut(out, rows_per_worker * n, |widx, out_rows| {
                         let row0 = widx * rows_per_worker;
                         let rows = out_rows.len() / n;
-                        gemm_rows(kernel, a, row0, rows, kc, kb, n, packed, out_rows);
+                        gemm_rows(a, row0, rows, kc, kb, n, packed, out_rows);
                     });
                 }
                 kc += kb;
@@ -602,9 +521,7 @@ enum Strips<'a> {
 /// added in the same order, as under the unsplit GEMM. Its columns of C go
 /// through thread-local scratch (M is small by construction): copied in,
 /// accumulated, copied back, with `out` locked for each copy.
-#[allow(clippy::too_many_arguments)] // the flat signature of `gemm_rows`, plus the split
 fn gemm_col_split(
-    kernel: Kernel,
     m: usize,
     n: usize,
     a: MatRef,
@@ -634,14 +551,14 @@ fn gemm_col_split(
                         for &(kc, kb, _) in panels {
                             let strips = &mut scratch[..(s1 - s0) * kb * NR];
                             pack_b(b, kc, kb, nb, strips);
-                            gemm_rows(kernel, a, 0, m, kc, kb, nb, strips, c);
+                            gemm_rows(a, 0, m, kc, kb, nb, strips, c);
                         }
                     });
                 }
                 Strips::Packed(data) => {
                     for &(kc, kb, offset) in panels {
                         let strips = &data[offset + s0 * kb * NR..offset + s1 * kb * NR];
-                        gemm_rows(kernel, a, 0, m, kc, kb, nb, strips, c);
+                        gemm_rows(a, 0, m, kc, kb, nb, strips, c);
                     }
                 }
             }
@@ -775,11 +692,10 @@ impl PackCache {
 ///
 /// The window must start and end on packed panel boundaries (any whole
 /// number of segments of [`PackedB::pack_segmented`] qualifies). Routing is
-/// the caller's job: take `kernel` from [`blocked_kernel`] and fall back to
-/// [`gemm_reference`] on the raw operands when it is `None`, exactly as
+/// the caller's job: call this when [`blocked_kernel`] says so and fall
+/// back to [`gemm_reference`] on the raw operands otherwise, exactly as
 /// [`gemm`] would.
 pub(crate) fn gemm_packed_window(
-    kernel: Kernel,
     m: usize,
     a: MatRef,
     pb: &PackedB,
@@ -811,16 +727,7 @@ pub(crate) fn gemm_packed_window(
     assert_eq!(covered, hi, "packed panels do not cover window {lo}..{hi}");
     let blocks = col_blocks(m, hi - lo, n);
     if blocks > 1 {
-        gemm_col_split(
-            kernel,
-            m,
-            n,
-            a,
-            &panels,
-            Strips::Packed(&pb.data),
-            blocks,
-            out,
-        );
+        gemm_col_split(m, n, a, &panels, Strips::Packed(&pb.data), blocks, out);
         return;
     }
     let threads = parallel::effective_threads().min(m.div_ceil(ROWS_PER_WORKER_MIN));
@@ -829,12 +736,12 @@ pub(crate) fn gemm_packed_window(
     for &(kc_local, kb, offset) in &panels {
         let panel = &pb.data[offset..offset + n_strips * kb * NR];
         if threads <= 1 {
-            gemm_rows(kernel, a, 0, m, kc_local, kb, n, panel, out);
+            gemm_rows(a, 0, m, kc_local, kb, n, panel, out);
         } else {
             parallel::par_chunks_mut(out, rows_per_worker * n, |widx, out_rows| {
                 let row0 = widx * rows_per_worker;
                 let rows = out_rows.len() / n;
-                gemm_rows(kernel, a, row0, rows, kc_local, kb, n, panel, out_rows);
+                gemm_rows(a, row0, rows, kc_local, kb, n, panel, out_rows);
             });
         }
     }
@@ -888,7 +795,6 @@ mod tests {
                 pack_b(bv, kc, kb, n, &mut packed_b[..plen]);
                 parallel::par_chunks_mut(&mut fast, rows_per_worker * n, |widx, rows| {
                     gemm_rows(
-                        Kernel::best(),
                         av,
                         widx * rows_per_worker,
                         rows.len() / n,
@@ -928,7 +834,7 @@ mod tests {
         // reassociates relative to the single-panel reference, so this is a
         // tolerance comparison.
         let mut packed_out = vec![0.0f32; m * n];
-        gemm_packed_window(Kernel::best(), m, av, &pb, 0, k, &mut packed_out);
+        gemm_packed_window(m, av, &pb, 0, k, &mut packed_out);
         let mut slow = vec![0.0f32; m * n];
         gemm_reference(m, k, n, av, bv, &mut slow);
         assert!(max_diff(&packed_out, &slow) < 1e-4);
@@ -941,14 +847,14 @@ mod tests {
             let a_win = dense(m, seg, &mut rng);
             let awv = MatRef::row_major(&a_win, seg);
             let mut win_out = vec![0.0f32; m * n];
-            gemm_packed_window(Kernel::best(), m, awv, &pb, lo, hi, &mut win_out);
+            gemm_packed_window(m, awv, &pb, lo, hi, &mut win_out);
             let b_slab = &b[lo * n..hi * n];
             let mut direct = vec![0.0f32; m * n];
             // Unpacked blocked path on the same slab.
             let bsv = MatRef::row_major(b_slab, n);
             let mut packed_b = vec![0.0f32; n.div_ceil(NR) * seg * NR];
             pack_b(bsv, 0, seg, n, &mut packed_b);
-            gemm_rows(Kernel::best(), awv, 0, m, 0, seg, n, &packed_b, &mut direct);
+            gemm_rows(awv, 0, m, 0, seg, n, &packed_b, &mut direct);
             assert_eq!(win_out, direct, "segment {s} diverged from slab GEMM");
         }
     }
@@ -984,7 +890,6 @@ mod tests {
         let reps = 40;
 
         // Bare kernel sweep over all tiles, panels streamed as in gemm_rows.
-        let kernel = Kernel::best();
         let t0 = std::time::Instant::now();
         let mut sink = 0.0f32;
         for _ in 0..reps {
@@ -993,7 +898,7 @@ mod tests {
                 for strip_a in 0..D.div_ceil(MR) {
                     let a_panel = &packed_a[strip_a * kb * MR..(strip_a + 1) * kb * MR];
                     let mut acc = [[0.0f32; NR]; MR];
-                    run_microkernel(kernel, kb, a_panel, b_panel, &mut acc);
+                    microkernel(kb, a_panel, b_panel, &mut acc);
                     // Defeat dead-code elimination of unused lanes.
                     let acc = std::hint::black_box(acc);
                     sink += acc[0][0];
@@ -1011,7 +916,7 @@ mod tests {
                 for _ in 0..D.div_ceil(MR) {
                     let a_panel = &packed_a[..kb * MR];
                     let mut acc = [[0.0f32; NR]; MR];
-                    run_microkernel(kernel, kb, a_panel, b_panel, &mut acc);
+                    microkernel(kb, a_panel, b_panel, &mut acc);
                     let acc = std::hint::black_box(acc);
                     sink += acc[0][0];
                 }

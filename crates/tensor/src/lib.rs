@@ -21,23 +21,14 @@
 //! ([`buffer_stats`] reports the pool's counters).
 //!
 //! The crate uses no external BLAS, and unsafe code is denied crate-wide
-//! except at two narrow, audited sites: the lifetime erasure inside the
+//! except at one narrow, audited site: the lifetime erasure inside the
 //! persistent worker pool (`pool` module — sound because a region never
-//! returns before all its tasks finish) and the AVX2+FMA intrinsics kernel
-//! (`simd` module, compiled only under the `simd` cargo feature). GEMM is a
-//! cache-blocked, register-tiled, multi-threaded kernel (see the `gemm`
-//! module and [`parallel`]): the safe micro-kernel is written so the
-//! autovectorizer emits wide FMA code, the optional explicit-SIMD kernel is
-//! bit-identical to it and runtime-detected, and the seed's scalar loop is
-//! retained as [`matmul_reference`] and [`Kernel::Reference`] for parity
-//! testing and benchmarking.
-//!
-//! # Feature flags
-//!
-//! * `simd` — compiles the explicit AVX2+FMA and AVX-512 6×16
-//!   micro-kernels ([`simd_available`], [`Kernel::Avx2`],
-//!   [`Kernel::Avx512`]). Off by default; results are bit-identical with
-//!   the feature on or off, on any CPU.
+//! returns before all its tasks finish). GEMM is a cache-blocked,
+//! register-tiled, multi-threaded kernel (see the `gemm` module and
+//! [`parallel`]) whose one micro-kernel is safe Rust written so the
+//! autovectorizer emits wide FMA code; the seed's scalar loop is retained
+//! as [`matmul_reference`] and [`Kernel::Reference`] for parity testing and
+//! benchmarking.
 //!
 //! # Execution configuration
 //!
@@ -45,7 +36,7 @@
 //! GEMM [`Kernel`], installed per thread with [`Backend::install`] and
 //! carried with every pool task (see [`parallel`]). Without one, a thread
 //! runs [`Backend::auto`]: `DIVA_NUM_THREADS` workers (else one per core)
-//! on [`Kernel::best`].
+//! on [`Kernel::Safe`].
 //!
 //! # Example
 //!
@@ -73,8 +64,6 @@ pub mod parallel;
 mod pool;
 mod rng;
 mod shape;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod simd;
 mod tensor;
 
 pub use bf16::{round_bf16, BF16_MAX_RELATIVE_ERROR};
@@ -83,7 +72,7 @@ pub use conv::{
     col2im, conv2d, conv2d_backward_data, conv2d_backward_data_from_rows, conv2d_backward_weight,
     im2col, nchw_to_rows, Conv2dGeom, PatchBuffer,
 };
-pub use gemm::{avx512_available, avx512_enabled, simd_available, simd_enabled, Kernel};
+pub use gemm::{avx512_enabled, simd_available, simd_enabled, Kernel};
 pub use matmul::{
     matmul, matmul_nt, matmul_reference, matmul_tn, matmul_tt, outer_product_accumulate,
 };

@@ -39,7 +39,7 @@
 //!   backend, not the worker's.
 //!
 //! A thread with no backend installed runs [`Backend::auto`]: the default
-//! width ([`max_threads`]) on the best kernel the build and CPU support.
+//! width ([`max_threads`]) on [`Kernel::Safe`].
 
 use crate::gemm::Kernel;
 use crate::pool;
@@ -124,11 +124,8 @@ pub fn pool_stats() -> PoolStats {
 /// use diva_tensor::{Backend, Kernel};
 /// let serial = Backend::serial();
 /// assert_eq!(serial.threads(), 1);
-/// let auto = Backend::auto();
-/// assert!(auto.threads() >= 1);
-/// assert_eq!(auto.kernel(), Kernel::best());
-/// // A request for an arm the build or CPU lacks runs the best one it has.
-/// assert_eq!(serial.with_kernel(Kernel::Avx512).kernel(), Kernel::best());
+/// assert!(Backend::auto().threads() >= 1);
+/// assert_eq!(Backend::auto().kernel(), Kernel::Safe);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Backend {
@@ -137,18 +134,18 @@ pub struct Backend {
 }
 
 impl Backend {
-    /// A single-threaded backend on the best kernel.
+    /// A single-threaded backend on [`Kernel::Safe`].
     pub fn serial() -> Self {
         Self::with_threads(1)
     }
 
-    /// A parallel backend of the default width ([`max_threads`]) on the
-    /// best kernel.
+    /// A parallel backend of the default width ([`max_threads`]) on
+    /// [`Kernel::Safe`].
     pub fn auto() -> Self {
         Self::with_threads(max_threads())
     }
 
-    /// A parallel backend capped at `threads` workers, on the best kernel.
+    /// A parallel backend capped at `threads` workers, on [`Kernel::Safe`].
     ///
     /// # Panics
     ///
@@ -157,17 +154,13 @@ impl Backend {
         assert!(threads > 0, "use Backend::auto() for the default count");
         Self {
             threads,
-            kernel: Kernel::best(),
+            kernel: Kernel::Safe,
         }
     }
 
-    /// This backend with its GEMMs on `kernel`, capped at [`Kernel::best`]:
-    /// a build or CPU without an arm runs the fastest arm it has instead.
+    /// This backend with its GEMMs on `kernel`.
     pub fn with_kernel(self, kernel: Kernel) -> Self {
-        Self {
-            kernel: kernel.min(Kernel::best()),
-            ..self
-        }
+        Self { kernel, ..self }
     }
 
     /// The backend in force on the calling thread: the one installed by

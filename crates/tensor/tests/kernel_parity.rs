@@ -235,18 +235,13 @@ fn parallel_split_is_bitwise_invisible() {
     }
 }
 
-/// The full dispatch matrix — requested kernel × threads 1/4/8 × odd
-/// blocked-path shapes — must produce bit-identical outputs: every blocked
-/// kernel performs the same per-element FMA sequence, so neither the
-/// kernel choice nor the M-split may show up in a single bit.
-///
-/// Each cell is its own `Backend`, so nothing needs restoring. A request
-/// for an arm the build or CPU lacks is capped at `Kernel::best()`: without
-/// the `simd` feature the matrix degenerates to the thread sweep on the
-/// safe kernel; AVX-512 hosts built with it sweep safe × AVX2 × AVX-512.
-/// `Kernel::Reference` must be bitwise `matmul_reference` at any width.
+/// The thread matrix — threads 1/4/8 × odd blocked-path shapes — must
+/// produce bit-identical outputs: the M split gives each worker disjoint
+/// rows of C and keeps every element's FMA sequence, so it may not show up
+/// in a single bit. `Kernel::Reference` must be bitwise `matmul_reference`
+/// at any width.
 #[test]
-fn simd_thread_matrix_is_bit_identical() {
+fn thread_matrix_is_bit_identical() {
     use diva_tensor::{Backend, Kernel};
     // Odd shapes that all route through the blocked/packed path (k >= 16,
     // m*k*n over the threshold), straddling panel and strip boundaries.
@@ -261,17 +256,13 @@ fn simd_thread_matrix_is_bit_identical() {
                 .with_kernel(Kernel::Safe)
                 .install(|| matmul(&a, &b)),
         );
-        for kernel in [Kernel::Safe, Kernel::Avx2, Kernel::Avx512] {
-            for threads in [1usize, 4, 8] {
-                let backend = Backend::with_threads(threads).with_kernel(kernel);
-                let out = backend.install(|| matmul(&a, &b));
-                assert_eq!(
-                    bits(&out),
-                    baseline,
-                    "({m},{k},{n}) {kernel:?} (ran {:?}) threads={threads} diverged from baseline",
-                    backend.kernel()
-                );
-            }
+        for threads in [1usize, 4, 8] {
+            let out = Backend::with_threads(threads).install(|| matmul(&a, &b));
+            assert_eq!(
+                bits(&out),
+                baseline,
+                "({m},{k},{n}) threads={threads} diverged from baseline"
+            );
         }
         let reference = bits(&matmul_reference(&a, &b));
         for threads in [1usize, 4] {
@@ -319,10 +310,12 @@ fn tiny_k_gemm_is_bitwise_reference() {
 
 /// Skinny GEMMs — M a batch size or a channel count, which the M split
 /// gives a single worker — split their columns instead. Every transpose
-/// flavour, on every kernel arm at widths 1–4, must be bitwise its 1-thread
-/// result: N runs from one `NR` strip to many with a ragged tail, and K
-/// always crosses the 768-long K panel and is large enough to reach the
-/// column split's work floor.
+/// flavour at widths 1–4 must be bitwise its 1-thread result: N runs from
+/// one `NR` strip to many with a ragged tail, and K always crosses the
+/// 768-long K panel and is large enough to reach the column split's work
+/// floor. Under `Kernel::Reference` (the benches' `scalar` baselines) every
+/// flavour at widths 1 and 4 must be bitwise `matmul_reference`: the split
+/// may not pull a reference GEMM onto the blocked path.
 #[test]
 fn skinny_gemm_thread_matrix_is_bit_identical() {
     use diva_tensor::{Backend, Kernel};
@@ -345,15 +338,25 @@ fn skinny_gemm_thread_matrix_is_bit_identical() {
                 })
             };
             let baseline = flavours(Backend::serial().with_kernel(Kernel::Safe));
-            for kernel in [Kernel::Safe, Kernel::Avx2, Kernel::Avx512] {
-                for threads in 1..=4 {
-                    let backend = Backend::with_threads(threads).with_kernel(kernel);
-                    for ((name, out), (_, base)) in flavours(backend).iter().zip(&baseline) {
-                        assert!(
-                            bits(out) == bits(base),
-                            "{name} ({m},{k},{n}) {kernel:?} threads={threads} diverged"
-                        );
-                    }
+            for threads in 1..=4 {
+                for ((name, out), (_, base)) in flavours(Backend::with_threads(threads))
+                    .iter()
+                    .zip(&baseline)
+                {
+                    assert!(
+                        bits(out) == bits(base),
+                        "{name} ({m},{k},{n}) threads={threads} diverged"
+                    );
+                }
+            }
+            let reference = bits(&matmul_reference(&a, &b));
+            for threads in [1usize, 4] {
+                let backend = Backend::with_threads(threads).with_kernel(Kernel::Reference);
+                for (name, out) in flavours(backend) {
+                    assert!(
+                        bits(&out) == reference,
+                        "{name} ({m},{k},{n}) Reference threads={threads} is not matmul_reference"
+                    );
                 }
             }
         }
@@ -362,11 +365,13 @@ fn skinny_gemm_thread_matrix_is_bit_identical() {
 
 /// The per-batch convolution weight gradient runs a skinny GEMM over the
 /// cached, pre-packed patch panels; its column split slices those panels.
-/// It must be bitwise its 1-thread result on every arm at widths 1–4, from
-/// a one-strip `C_in·R·S` up to several strips with a ragged tail.
+/// It must be bitwise its 1-thread result at widths 1–4, from a one-strip
+/// `C_in·R·S` up to several strips with a ragged tail. Under
+/// `Kernel::Reference` it must be bitwise the scalar GEMM of `gyᵀ` with the
+/// `im2col` patches at widths 1 and 4, which the safe kernel is not.
 #[test]
 fn packed_window_weight_gradient_thread_matrix_is_bit_identical() {
-    use diva_tensor::{Backend, Kernel, PatchBuffer};
+    use diva_tensor::{im2col, Backend, Kernel, PatchBuffer};
     let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let mut rng = DivaRng::seed_from_u64(8);
     for (geom, batch) in [
@@ -389,14 +394,24 @@ fn packed_window_weight_gradient_thread_matrix_is_bit_identical() {
             backend.install(|| PatchBuffer::lower(&x, &geom).backward_weight_batch(&gy))
         };
         let baseline = bits(&grad(Backend::serial().with_kernel(Kernel::Safe)));
-        for kernel in [Kernel::Safe, Kernel::Avx2, Kernel::Avx512] {
-            for threads in 1..=4 {
-                let out = grad(Backend::with_threads(threads).with_kernel(kernel));
-                assert!(
-                    bits(&out) == baseline,
-                    "{geom:?} b={batch} {kernel:?} threads={threads} diverged"
-                );
-            }
+        for threads in 1..=4 {
+            let out = grad(Backend::with_threads(threads));
+            assert!(
+                bits(&out) == baseline,
+                "{geom:?} b={batch} threads={threads} diverged"
+            );
+        }
+        let reference = bits(&matmul_reference(&gy.transpose(), &im2col(&x, &geom)));
+        assert_ne!(
+            baseline, reference,
+            "{geom:?}: the safe kernel must differ from the oracle, or the Reference arm pins nothing"
+        );
+        for threads in [1usize, 4] {
+            let out = grad(Backend::with_threads(threads).with_kernel(Kernel::Reference));
+            assert!(
+                bits(&out) == reference,
+                "{geom:?} b={batch} Reference threads={threads} is not matmul_reference"
+            );
         }
     }
 }
