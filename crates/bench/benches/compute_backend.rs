@@ -43,7 +43,7 @@ use diva_nn::{slice_example, Conv2dLayer, GradMode, Layer, Network, ParamGrads};
 use std::sync::Mutex;
 
 use diva_tensor::{
-    conv2d, conv2d_backward_data, conv2d_backward_weight, matmul, matmul_reference, parallel,
+    col2im, conv2d, conv2d_backward_weight, matmul, matmul_reference, nchw_to_rows, parallel,
     sq_norm, Backend, Conv2dGeom, DivaRng, Kernel, Tensor,
 };
 
@@ -320,16 +320,6 @@ fn bench_conv_dp_step(h: &mut Harness, sink: &mut PerfSink) {
     }
 }
 
-/// DP-SGD(R)'s *first* backward (the `NormOnly` pass) on a first-layer
-/// convolution at batch 32: the fused patch-reuse path versus the naive
-/// per-example `im2col` path this PR replaced.
-///
-/// The naive side reproduces the pre-fusion semantics exactly: derive the
-/// (dead) input gradient — the pre-fusion network always did — then, per
-/// example, slice the batch, re-lower the example with `im2col` inside
-/// `conv2d_backward_weight`, and take norms. The fused side is the current
-/// layer path: strided GEMM windows over the patch buffer lowered in the
-/// forward, dead input gradient skipped.
 /// One example's pre-fusion `NormOnly` contribution: slice, re-lower with
 /// `im2col` (inside `conv2d_backward_weight`), take weight + bias norms.
 /// Shared by the timed naive closure and the divergence sanity check so
@@ -346,6 +336,17 @@ fn naive_example_norm(x: &Tensor, gy: &Tensor, geom: &Conv2dGeom, i: usize) -> f
     gw.squared_norm() + sq_norm(&gb)
 }
 
+/// DP-SGD(R)'s *first* backward (the `NormOnly` pass) on a first-layer
+/// convolution at batch 32: the fused patch-reuse path versus the naive
+/// per-example `im2col` path it replaced.
+///
+/// The naive side reproduces the pre-fusion semantics exactly: derive the
+/// (dead) input gradient — the pre-fusion network always did — through the
+/// unfused whole-batch lowering (`nchw_to_rows`, one GEMM, `col2im`), then,
+/// per example, slice the batch, re-lower the example with `im2col` inside
+/// `conv2d_backward_weight`, and take norms. The fused side is the current
+/// layer path: strided GEMM windows over the patch buffer lowered in the
+/// forward, dead input gradient skipped.
 fn bench_conv_first_backward(h: &mut Harness, sink: &mut PerfSink) {
     const B: usize = 32;
     let label = "conv_dpsgdr_first_backward_b32";
@@ -355,12 +356,13 @@ fn bench_conv_first_backward(h: &mut Harness, sink: &mut PerfSink) {
     let x = Tensor::uniform(&[B, 8, 14, 14], -1.0, 1.0, &mut rng);
     let (y, cache) = layer.forward(&x);
     let gy = Tensor::uniform(y.shape().dims(), -1.0, 1.0, &mut rng);
-    let weight = layer.params()[0].clone();
+    let w2d = layer.params()[0].clone().reshape(&[16, geom.patch_len()]);
 
     let safe = Backend::auto().with_kernel(Kernel::Safe);
     h.bench(&format!("{label}/naive"), || {
         safe.install(|| {
-            let gx = conv2d_backward_data(black_box(&gy), &weight, &geom);
+            let gy_rows = nchw_to_rows(black_box(&gy), &geom);
+            let gx = col2im(&matmul(&gy_rows, &w2d), &geom, B);
             let norms = parallel::par_map(B, |i| naive_example_norm(&x, &gy, &geom, i));
             (gx, norms)
         })

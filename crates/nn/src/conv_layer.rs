@@ -15,14 +15,14 @@
 //! and reused by both passes. The per-example results are bit-identical to
 //! the naive per-example `im2col` path (`tests/conv_fused_parity.rs`).
 //!
-//! The bias is added inside the forward's rows→NCHW reorder, and its
-//! per-batch gradient is split over the shared pool by channel; both are
-//! bitwise the serial loops at any thread count.
+//! Activations and gradients stay NCHW: the GEMMs read and write them in
+//! place, one example per pool task (see `diva_tensor`'s `conv` module),
+//! so no pass transposes its gradient to rows. The bias is added inside
+//! the forward's per-example reorder, and its per-batch gradient is split
+//! over the shared pool by channel; both are bitwise the serial loops at
+//! any thread count.
 
-use diva_tensor::{
-    conv2d_backward_data_from_rows, nchw_to_rows, parallel, Conv2dGeom, DivaRng, PatchBuffer,
-    Tensor,
-};
+use diva_tensor::{conv2d_backward_data, parallel, Conv2dGeom, DivaRng, PatchBuffer, Tensor};
 
 use crate::layer::{BackwardOutput, GradMode, ParamGrads};
 use crate::per_example::{self, PerExampleGrads};
@@ -96,11 +96,11 @@ impl Conv2dLayer {
 
     /// Backward pass; derives the input gradient only when
     /// `need_input_grad` is set (a first-layer convolution's input gradient
-    /// is dead work — a full `(B·P·Q, C_out, C_in·R·S)` GEMM plus `col2im`).
+    /// is dead work — a full `(B·P·Q, C_out, C_in·R·S)` GEMM plus its fold).
     ///
-    /// The output gradient is flattened to GEMM rows once per call and
-    /// sliced per example; the weight-gradient GEMMs read the shared patch
-    /// buffer lowered in the forward.
+    /// The weight-gradient GEMMs read each example's NCHW slice of the
+    /// output gradient as it stands, against the shared patch buffer
+    /// lowered in the forward.
     pub fn backward_opt(
         &self,
         cache: &Conv2dCache,
@@ -114,11 +114,9 @@ impl Conv2dLayer {
             cache.patches.batch(),
             "gradient batch does not match the cached forward batch"
         );
-        let gy_rows = nchw_to_rows(grad_out, &self.geom);
-
         let grads = match mode {
             GradMode::PerBatch => {
-                let gw = cache.patches.backward_weight_batch(&gy_rows);
+                let gw = cache.patches.backward_weight_batch(grad_out);
                 let mut out = vec![gw];
                 if self.bias.is_some() {
                     out.push(bias_grad(grad_out));
@@ -132,27 +130,28 @@ impl Conv2dLayer {
             // the example's arena (or scratch) row.
             GradMode::PerExample => {
                 ParamGrads::PerExample(PerExampleGrads::build(b, &self.params(), |i, row| {
-                    self.write_example(cache, &gy_rows, i, row)
+                    self.write_example(cache, grad_out, i, row)
                 }))
             }
             GradMode::NormOnly => {
                 ParamGrads::SqNorms(per_example::sq_norms(b, &self.params(), |i, row| {
-                    self.write_example(cache, &gy_rows, i, row)
+                    self.write_example(cache, grad_out, i, row)
                 }))
             }
         };
-        let grad_input = need_input_grad
-            .then(|| conv2d_backward_data_from_rows(&gy_rows, &self.weight, &self.geom, b));
+        let grad_input =
+            need_input_grad.then(|| conv2d_backward_data(grad_out, &self.weight, &self.geom));
         BackwardOutput { grad_input, grads }
     }
 
     /// Writes example `i`'s `[G(W), G(b)]` over a per-example row.
-    fn write_example(&self, cache: &Conv2dCache, gy_rows: &Tensor, i: usize, row: &mut [f32]) {
+    fn write_example(&self, cache: &Conv2dCache, grad_out: &Tensor, i: usize, row: &mut [f32]) {
         let (weight, bias) = row.split_at_mut(self.geom.weight_len());
-        cache.patches.backward_weight_example(gy_rows, i, weight);
+        cache.patches.backward_weight_example(grad_out, i, weight);
         if self.bias.is_some() {
             let (p, q) = self.geom.out_hw();
-            bias_grad_example(gy_rows, i, p * q, bias);
+            let len = self.geom.cout * p * q;
+            bias_grad_example(&grad_out.data()[i * len..(i + 1) * len], bias);
         }
     }
 
@@ -193,16 +192,15 @@ fn bias_grad(grad_out: &Tensor) -> Tensor {
     out
 }
 
-/// Per-example bias gradient from the `(N·P·Q, C_out)` row layout, written
-/// over `out`: sums example `i`'s rows per channel. Each channel accumulates
-/// in ascending spatial order, the same order as [`bias_grad`] on the sliced
-/// example, so the result is bit-identical to the naive path.
-fn bias_grad_example(gy_rows: &Tensor, i: usize, pq: usize, out: &mut [f32]) {
-    out.fill(0.0);
-    for r in i * pq..(i + 1) * pq {
-        for (acc, &v) in out.iter_mut().zip(gy_rows.row(r)) {
-            *acc += v;
-        }
+/// Per-example bias gradient from one example's `(C_out, P, Q)` gradient
+/// image, written over `out`: each channel sums its `P·Q` plane in
+/// ascending spatial order, starting from +0.0 — the order of
+/// [`bias_grad`] on the sliced example, so the result is bit-identical to
+/// the naive path.
+fn bias_grad_example(image: &[f32], out: &mut [f32]) {
+    let pq = image.len() / out.len().max(1);
+    for (acc, plane) in out.iter_mut().zip(image.chunks_exact(pq.max(1))) {
+        *acc = plane.iter().fold(0.0, |s, &v| s + v);
     }
 }
 

@@ -1,8 +1,9 @@
 //! Parameter-free layers: ReLU, Flatten, sigmoid and tanh.
 //!
-//! ReLU's forward and backward are one pool-parallel pass each, and its
-//! cache keeps a copy of the output rather than of the input: the
-//! backward's mask `y <= 0` is the same as `x <= 0`.
+//! ReLU's forward and backward are one pool-parallel pass each. The
+//! forward hands its output on without copying it and caches only the
+//! backward's one-byte mask `y <= 0` (the same as `x <= 0`), written in
+//! the same pass.
 
 use diva_tensor::{relu, relu_backward, Tensor};
 
@@ -12,11 +13,12 @@ use crate::layer::{BackwardOutput, ParamGrads};
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Relu;
 
-/// Forward cache for [`Relu`]: the activation output. Its mask `y <= 0`
-/// equals the input's `x <= 0` for every input, −0.0 and NaN included.
+/// Forward cache for [`Relu`]: the mask `y <= 0` of the activation
+/// output, which equals the input's `x <= 0` for every input, −0.0 and NaN
+/// included.
 #[derive(Clone, Debug)]
 pub struct ReluCache {
-    y: Tensor,
+    mask: Vec<bool>,
 }
 
 impl Relu {
@@ -27,14 +29,14 @@ impl Relu {
 
     /// Applies ReLU elementwise.
     pub fn forward(&self, x: &Tensor) -> (Tensor, ReluCache) {
-        let y = relu(x);
-        (y.clone(), ReluCache { y })
+        let (y, mask) = relu(x);
+        (y, ReluCache { mask })
     }
 
     /// Masks the upstream gradient where the activation was non-positive.
     pub fn backward(&self, cache: &ReluCache, grad_out: &Tensor) -> BackwardOutput {
         BackwardOutput {
-            grad_input: Some(relu_backward(grad_out, &cache.y)),
+            grad_input: Some(relu_backward(grad_out, &cache.mask)),
             grads: ParamGrads::None,
         }
     }

@@ -1,21 +1,31 @@
 //! Thread parity of the pool-split data movement around the GEMMs.
 //!
 //! `im2col`, `col2im`, `nchw_to_rows`, the convolution forward's
-//! rows→NCHW reorder with its bias, the convolution bias gradient, max and
-//! average pooling and ReLU each run one pool task per example (ReLU: per
-//! fixed-size block). The oracles below are the serial loops those kernels
-//! replaced, kept verbatim apart from the max-pool argmax, which now starts
-//! at each window's own first element. Every split kernel must equal its
-//! oracle bit for bit at widths 1–4, over stride-2, pad-0/1/2 and 1×1
-//! geometries and batches of 1, 5 and 33 — inputs salted with −0.0, NaN and
-//! −∞ where the kernel's sign and NaN handling matter.
+//! per-example GEMM tile and its reorder to NCHW with the bias, the
+//! convolution data gradient's per-example tile and fold, the convolution
+//! bias gradient, max and average pooling and ReLU each run one pool task
+//! per example (ReLU: per fixed-size block). The oracles below are the
+//! serial loops those kernels replaced, kept verbatim apart from the
+//! max-pool argmax, which now starts at each window's own first element.
+//! Every split kernel must equal its oracle bit for bit at widths 1–4, over
+//! stride-2, pad-0/1/2 and 1×1 geometries, geometries large enough for the
+//! blocked GEMM route, and batches of 1, 5 and 33 — inputs salted with
+//! −0.0, NaN and −∞ where the kernel's sign and NaN handling matter.
 
 use diva_nn::{Conv2dLayer, GradMode, Layer, LayerCache};
-use diva_tensor::{col2im, im2col, matmul_nt, nchw_to_rows, Backend, Conv2dGeom, DivaRng, Tensor};
+use diva_tensor::{
+    col2im, im2col, matmul, matmul_nt, nchw_to_rows, Backend, Conv2dGeom, DivaRng, Kernel, Tensor,
+};
 
 const THREADS: [usize; 4] = [1, 2, 3, 4];
 const BATCHES: [usize; 3] = [1, 5, 33];
 
+/// The first five route every convolution GEMM through the scalar
+/// reference loop. The sixth takes the blocked kernel at batch 33 only:
+/// there the whole batch's forward and data-gradient GEMMs pass `48³`
+/// multiply-adds while each example's stays under it, so the route must
+/// come from the batch. The last two take the blocked kernel at every
+/// batch.
 fn geoms() -> Vec<Conv2dGeom> {
     vec![
         Conv2dGeom::new(3, 5, 3, 2, 1, 9, 7),
@@ -23,6 +33,10 @@ fn geoms() -> Vec<Conv2dGeom> {
         Conv2dGeom::new(2, 3, 3, 2, 0, 7, 9),
         Conv2dGeom::new(4, 3, 1, 1, 0, 5, 5),
         Conv2dGeom::new(2, 6, 3, 2, 2, 7, 5),
+        Conv2dGeom::new(2, 16, 3, 1, 1, 8, 8),
+        // The benchmark CNN's conv2.
+        Conv2dGeom::new(16, 32, 3, 1, 1, 14, 14),
+        Conv2dGeom::new(16, 24, 3, 2, 1, 15, 13),
     ]
 }
 
@@ -48,11 +62,21 @@ fn salted(dims: &[usize], nan: bool, rng: &mut DivaRng) -> Tensor {
 
 /// Asserts `kernel()` is bitwise `oracle` at every width.
 fn assert_split_matches(what: &str, oracle: &Tensor, kernel: impl Fn() -> Tensor) {
+    assert_split_matches_on(Kernel::Safe, what, oracle, kernel);
+}
+
+/// Asserts `kernel()` is bitwise `oracle` at every width on GEMM `arm`.
+fn assert_split_matches_on(arm: Kernel, what: &str, oracle: &Tensor, kernel: impl Fn() -> Tensor) {
     let want = bits(oracle);
     for threads in THREADS {
-        let got = Backend::with_threads(threads).install(&kernel);
+        let got = Backend::with_threads(threads)
+            .with_kernel(arm)
+            .install(&kernel);
         assert_eq!(got.shape(), oracle.shape(), "{what}: shape");
-        assert!(bits(&got) == want, "{what}: threads={threads} diverged");
+        assert!(
+            bits(&got) == want,
+            "{what}: {arm:?} threads={threads} diverged"
+        );
     }
 }
 
@@ -179,6 +203,19 @@ fn conv_forward_serial(x: &Tensor, weight: &Tensor, bias: &Tensor, geom: &Conv2d
         }
     }
     out
+}
+
+/// The convolution data gradient as it ran before the per-example tiles:
+/// the gradient flattened to rows, one whole-batch GEMM with the filter
+/// matrix on GEMM `arm`, then the fold.
+fn conv_data_grad_serial(gy: &Tensor, weight: &Tensor, geom: &Conv2dGeom, arm: Kernel) -> Tensor {
+    let n = gy.shape().dim(0);
+    let w2d = weight.clone().reshape(&[geom.cout, geom.patch_len()]);
+    let rows = nchw_to_rows_serial(gy);
+    let dpatches = Backend::serial()
+        .with_kernel(arm)
+        .install(|| matmul(&rows, &w2d));
+    col2im_serial(&dpatches, geom, n)
 }
 
 fn bias_grad_serial(grad_out: &Tensor) -> Tensor {
@@ -366,6 +403,54 @@ fn conv_layer_bias_paths_match_serial_loops() {
                 let grads = layer.backward(&cache, &gy, GradMode::PerBatch).grads;
                 grads.expect_per_batch()[1].clone()
             });
+        }
+    }
+}
+
+/// The layer's input gradient — a per-example `Wᵀ × G(Y)_i` tile folded in
+/// place — must be bitwise the whole-batch GEMM of the gradient rows, then
+/// `col2im`, on both GEMM arms: the blocked route keeps its K panels and
+/// FMA sequence (transposed, which FMA's commutativity makes invisible),
+/// the reference route its zero skip on the gradient. Gradients and
+/// weights are salted with −0.0, and in a second round the gradients with
+/// NaN and −∞ as well, so a zero skip on the wrong operand shows (−∞ times
+/// a −0.0 weight is NaN, unless skipped).
+#[test]
+fn conv_data_gradient_matches_serial_loops() {
+    let mut rng = DivaRng::seed_from_u64(0xd9ad);
+    for geom in geoms() {
+        let (p, q) = geom.out_hw();
+        for batch in BATCHES {
+            let mut layer = Conv2dLayer::new(
+                geom.cin,
+                geom.cout,
+                geom.k,
+                geom.stride,
+                geom.pad,
+                geom.in_h,
+                geom.in_w,
+                &mut rng,
+            );
+            let x = salted(&[batch, geom.cin, geom.in_h, geom.in_w], false, &mut rng);
+            let (_, cache) = layer.forward(&x);
+            for nan in [false, true] {
+                let weight = salted(&[geom.cout, geom.cin, geom.k, geom.k], false, &mut rng);
+                *layer.params_mut()[0] = weight.clone();
+                let gy = salted(&[batch, geom.cout, p, q], nan, &mut rng);
+                for arm in [Kernel::Safe, Kernel::Reference] {
+                    assert_split_matches_on(
+                        arm,
+                        &format!("data grad {geom:?} b={batch} nan={nan}"),
+                        &conv_data_grad_serial(&gy, &weight, &geom, arm),
+                        || {
+                            layer
+                                .backward(&cache, &gy, GradMode::PerBatch)
+                                .grad_input
+                                .expect("the input gradient was asked for")
+                        },
+                    );
+                }
+            }
         }
     }
 }

@@ -3,38 +3,79 @@
 //! SGD can all be permuted to GEMM for representative DNN layers"
 //! (Section II-D, citing cuDNN's `im2col`).
 //!
-//! Layouts: activations are NCHW, weights are `(C_out, C_in, R, S)` where
-//! `R`/`S` are the filter height/width, matching the paper's Figure 6
-//! nomenclature.
+//! Layouts: activations and their gradients are NCHW, weights are
+//! `(C_out, C_in, R, S)` where `R`/`S` are the filter height/width,
+//! matching the paper's Figure 6 nomenclature.
 //!
 //! Two tiers of API live here:
 //!
-//! * The free functions ([`conv2d`], [`conv2d_backward_weight`],
-//!   [`conv2d_backward_data`]) lower their input with `im2col` on every
-//!   call. They are the naive reference path — simple, stateless, and the
-//!   baseline the fused path is parity-tested against.
 //! * [`PatchBuffer`] is the reuse-aware path DiVa's dataflow motivates:
 //!   `im2col` runs **once per batch**, and every subsequent GEMM — the
 //!   forward, the per-batch weight gradient, and all `B` per-example
 //!   weight gradients of DP-SGD — executes as a strided panel over that one
 //!   buffer, with the packed-B panels cached across DP-SGD(R)'s two
-//!   backward passes.
+//!   backward passes. [`conv2d`] and [`conv2d_backward_data`] are the
+//!   stateless entry points to the same per-example GEMMs.
+//! * [`conv2d_backward_weight`], [`nchw_to_rows`] and [`col2im`] are the
+//!   naive whole-batch lowering — a rows-layout gradient, one big GEMM, a
+//!   patch matrix folded back — kept as the baselines and test oracles the
+//!   fused path is pinned against.
 //!
-//! The data movement around the GEMMs — [`im2col`], [`col2im`],
-//! [`nchw_to_rows`] and the rows→NCHW reorder of [`PatchBuffer::forward`]
-//! (which folds in the bias) — runs on the shared pool, one task per
+//! # NCHW in place, one example per task
+//!
+//! No convolution GEMM writes a whole-batch intermediate. Each runs one
+//! example per pool task, through a thread-local tile that stays in L2:
+//!
+//! * forward: `patches_i × Wᵀ` into a `(P·Q, C_out)` tile, which the same
+//!   task reorders into the example's NCHW image, adding the bias;
+//! * data gradient: `Wᵀ × G(Y)_i` into a `(C_in·R·S, P·Q)` tile, which the
+//!   task folds into `G(X)_i` as [`col2im`] would, reading each tile row
+//!   contiguously (on the reference route, the `(P·Q, C_in·R·S)` product
+//!   `G(Y)_iᵀ × W`);
+//! * weight gradients: `G(Y)_i`'s `(C_out, P·Q)` NCHW slice is the A
+//!   operand as it stands. The per-batch GEMM takes it one packed K panel
+//!   at a time, since the patch panels split at example boundaries.
+//!
+//! Every element comes out with the bits of the whole-batch GEMM. The route
+//! (blocked kernel or the scalar reference loop's arithmetic, see
+//! `gemm::Route`) is decided once, from the whole-batch shape, and
+//! replayed per example, so each element keeps its
+//! kernel, its K panels and its FMA sequence. The blocked data gradient
+//! computes the transpose of the batch product `G(Y) × W`; a fused
+//! multiply-add rounds only its exact result, so it is commutative in its
+//! two factors and the transpose changes no bit. On the reference route
+//! the gradient stays the scalar loop's A operand, so the loop's zero skip
+//! tests the same values it always did.
+//!
+//! The data movement around the GEMMs — [`im2col`], the folds, the forward
+//! reorder and [`nchw_to_rows`] — runs on the shared pool, one task per
 //! example. Every output element is written by exactly one task, padding
-//! included, and `col2im` adds each element's contributions in the same
+//! included, and a fold adds each element's contributions in the same
 //! order as a serial loop, starting from +0.0, so the results are bitwise
 //! the same at every thread count. The inner loops visit only the output
 //! positions each filter tap lands in bounds for (worked out once per
 //! call), instead of bounds-checking every element.
 
-use crate::gemm::{blocked_kernel, gemm_packed_window, gemm_reference, MatRef, PackCache, PackedB};
-use crate::matmul::{matmul, matmul_nt, matmul_tn};
+use crate::gemm::{
+    gemm_packed_window, gemm_reference, gemm_serial, with_scratch, MatRef, PackCache, PackedB,
+    Route,
+};
+use crate::matmul::matmul_tn;
 use crate::parallel;
 use crate::tensor::Tensor;
+use std::cell::RefCell;
 use std::ops::Range;
+
+thread_local! {
+    /// Per-thread GEMM tile of the per-example convolution tasks: one
+    /// example's forward output or patch gradient (113 KB for a 16→32
+    /// channel 3×3 convolution on 14×14), reused across calls.
+    static TILE_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Per filter tap, the output rows and the output columns at which it
+/// lands inside the input ([`Conv2dGeom::taps_in_bounds`]).
+type Taps = (Vec<Range<usize>>, Vec<Range<usize>>);
 
 /// Geometry of a 2-D convolution: channel counts, filter size, stride,
 /// padding and the input spatial extent.
@@ -119,7 +160,7 @@ impl Conv2dGeom {
     /// For each filter tap `t < k`, the output rows and the output columns
     /// at which it lands inside the input (`o·stride + t − pad ∈ [0, len)`
     /// along each axis); possibly empty.
-    fn taps_in_bounds(&self) -> (Vec<Range<usize>>, Vec<Range<usize>>) {
+    fn taps_in_bounds(&self) -> Taps {
         let (p, q) = self.out_hw();
         let along = |len: usize, outputs: usize| -> Vec<Range<usize>> {
             (0..self.k)
@@ -137,9 +178,64 @@ impl Conv2dGeom {
     }
 }
 
-/// Output positions per tile of the per-example `(C, P·Q)` ↔ `(P·Q, C)`
-/// transposes: both sides of a tile stay L1-resident.
-const TILE: usize = 64;
+/// Output positions per block of the per-example `(C, P·Q)` ↔ `(P·Q, C)`
+/// transposes: both sides of a block stay L1-resident.
+const BLOCK: usize = 64;
+
+/// Checks that `t` is an `(N, C_out, P, Q)` output gradient under `geom`
+/// and returns `N`.
+fn grad_batch(t: &Tensor, geom: &Conv2dGeom) -> usize {
+    let dims = t.shape().dims();
+    let (p, q) = geom.out_hw();
+    assert!(
+        dims.len() == 4 && dims[1..] == [geom.cout, p, q],
+        "expected an (N, {}, {p}, {q}) gradient, got {}",
+        geom.cout,
+        t.shape()
+    );
+    dims[0]
+}
+
+/// Folds one example's patch gradient into `image`, its `(C_in, H, W)`
+/// block, overwriting it: `src.at(s, col)` is patch column `col` of output
+/// position `s = pi·Q + qi`. `taps` is [`Conv2dGeom::taps_in_bounds`].
+///
+/// An input element takes its contributions in position order `(pi, qi)`,
+/// starting from +0.0, as in a serial loop over the patch rows: `pi` is
+/// the outer loop, a given `pi` reaches the element through one `ki` only,
+/// and among its taps `kj` falls as `qi` rises — so walking `kj` downwards
+/// keeps `qi` ascending.
+#[inline(always)]
+fn fold(geom: &Conv2dGeom, taps: &Taps, src: MatRef, image: &mut [f32]) {
+    let (p, q) = geom.out_hw();
+    let (h, w, k, stride, pad) = (geom.in_h, geom.in_w, geom.k, geom.stride, geom.pad);
+    let (in_rows, in_cols) = taps;
+    image.fill(0.0);
+    for pi in 0..p {
+        for (ci, plane) in image.chunks_exact_mut(h * w).enumerate() {
+            for ki in (0..k).filter(|&ki| in_rows[ki].contains(&pi)) {
+                let line = &mut plane[(pi * stride + ki - pad) * w..][..w];
+                for (kj, cols) in in_cols.iter().enumerate().rev() {
+                    let col = (ci * k + ki) * k + kj;
+                    match src.col_run(pi * q, col) {
+                        // Unit stride on both sides (a tile): one run.
+                        Some(run) if stride == 1 => {
+                            let first = cols.start + kj - pad;
+                            for (o, &v) in line[first..].iter_mut().zip(&run[cols.clone()]) {
+                                *o += v;
+                            }
+                        }
+                        _ => {
+                            for qi in cols.clone() {
+                                line[qi * stride + kj - pad] += src.at(pi * q + qi, col);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
 
 /// Unfolds an NCHW input batch into the patch matrix of shape
 /// `(N * P * Q, C_in * R * S)`.
@@ -217,32 +313,14 @@ pub fn col2im(cols: &Tensor, geom: &Conv2dGeom, n: usize) -> Tensor {
     assert_eq!(rows, n * p * q, "col2im row count mismatch");
     assert_eq!(cols_w, patch, "col2im patch length mismatch");
 
-    let (c, h, w) = (geom.cin, geom.in_h, geom.in_w);
-    let (k, stride, pad) = (geom.k, geom.stride, geom.pad);
-    let (in_rows, in_cols) = geom.taps_in_bounds();
-    let mut out = Tensor::for_overwrite(&[n, c, h, w]);
+    let image_len = geom.cin * geom.in_h * geom.in_w;
+    let taps = geom.taps_in_bounds();
+    let mut out = Tensor::for_overwrite(&[n, geom.cin, geom.in_h, geom.in_w]);
     let cv = cols.data();
-    // One task per example image, zeroed first. An input element takes its
-    // contributions in patch-row order `(pi, qi)`, starting from +0.0, as
-    // in a serial loop over the rows: `pi` is the outer loop, a given `pi`
-    // reaches the element through one `ki` only, and among its taps `kj`
-    // falls as `qi` rises — so walking `kj` downwards keeps `qi` ascending.
-    parallel::par_chunks_mut(out.data_mut(), (c * h * w).max(1), |ni, image| {
-        image.fill(0.0);
+    // One task per example image.
+    parallel::par_chunks_mut(out.data_mut(), image_len.max(1), |ni, image| {
         let rows = &cv[ni * p * q * patch..(ni + 1) * p * q * patch];
-        for (pi, block) in rows.chunks_exact(q * patch).enumerate() {
-            for (ci, plane) in image.chunks_exact_mut(h * w).enumerate() {
-                for ki in (0..k).filter(|&ki| in_rows[ki].contains(&pi)) {
-                    let line = &mut plane[(pi * stride + ki - pad) * w..][..w];
-                    for (kj, cols) in in_cols.iter().enumerate().rev() {
-                        let col = (ci * k + ki) * k + kj;
-                        for qi in cols.clone() {
-                            line[qi * stride + kj - pad] += block[qi * patch + col];
-                        }
-                    }
-                }
-            }
-        }
+        fold(geom, &taps, MatRef::row_major(rows, patch), image);
     });
     out
 }
@@ -263,40 +341,54 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, geom: &Conv2dGeom) -> Tensor {
 /// Backpropagates a convolution to its input: given `G(Y)` of shape
 /// `(N, C_out, P, Q)`, returns `G(X)` of shape `(N, C_in, H, W)`.
 ///
+/// One pool task per example: the example's patch gradient goes into a
+/// thread-local tile that the same task folds into `G(X)_i` (see the module
+/// docs) — on the blocked route `Wᵀ × G(Y)_i`, `(C_in·R·S, P·Q)`, on the
+/// reference route `G(Y)_iᵀ × W`. The bits are those of the whole-batch
+/// lowering, [`col2im`] of the `(N·P·Q, C_out) × (C_out, C_in·R·S)` GEMM of
+/// [`nchw_to_rows`]`(G(Y))` and the filter matrix.
+///
 /// # Panics
 ///
 /// Panics on layout mismatch.
 pub fn conv2d_backward_data(grad_out: &Tensor, weight: &Tensor, geom: &Conv2dGeom) -> Tensor {
-    let n = grad_out.shape().dim(0);
-    let gy2d = nchw_to_rows(grad_out, geom); // (N*P*Q, Cout)
-    let w2d = weight.clone().reshape(&[geom.cout, geom.patch_len()]);
-    let dpatches = matmul(&gy2d, &w2d); // (N*P*Q, Cin*R*S)
-    col2im(&dpatches, geom, n)
-}
-
-/// [`conv2d_backward_data`] over a gradient already flattened with
-/// [`nchw_to_rows`]: one `(N·P·Q, C_out) × (C_out, C_in·R·S)` GEMM, then
-/// [`col2im`] — the same arithmetic, bit for bit.
-///
-/// The conv layer's backward flattens the gradient once per pass for the
-/// weight-gradient GEMMs; taking the rows here saves it a second
-/// NCHW-to-rows transpose.
-///
-/// # Panics
-///
-/// Panics on layout mismatch.
-pub fn conv2d_backward_data_from_rows(
-    gy_rows: &Tensor,
-    weight: &Tensor,
-    geom: &Conv2dGeom,
-    n: usize,
-) -> Tensor {
-    let (rows, cout) = gy_rows.dims2();
+    let n = grad_batch(grad_out, geom);
+    assert_eq!(
+        weight.len(),
+        geom.weight_len(),
+        "weight has {} elements, geometry implies {}",
+        weight.len(),
+        geom.weight_len()
+    );
     let (p, q) = geom.out_hw();
-    assert_eq!(rows, n * p * q, "gradient row-count mismatch");
-    assert_eq!(cout, geom.cout, "gradient channel mismatch");
-    let w2d = weight.clone().reshape(&[geom.cout, geom.patch_len()]);
-    col2im(&matmul(gy_rows, &w2d), geom, n)
+    let (pq, cout, patch) = (p * q, geom.cout, geom.patch_len());
+    // The whole-batch GEMM's route, replayed per example. Its B, the filter
+    // matrix, is contiguous already, so the tiny-K route needs no copy.
+    let blocked = Route::of(n * pq, cout, patch) == Route::Blocked;
+    let taps = geom.taps_in_bounds();
+    let (gv, wv) = (grad_out.data(), weight.data());
+    let mut out = Tensor::for_overwrite(&[n, geom.cin, geom.in_h, geom.in_w]);
+    let image_len = geom.cin * geom.in_h * geom.in_w;
+    parallel::par_chunks_mut(out.data_mut(), image_len.max(1), |ni, image| {
+        let gy = &gv[ni * cout * pq..(ni + 1) * cout * pq];
+        with_scratch(&TILE_SCRATCH, patch * pq, |tile| {
+            tile.fill(0.0);
+            let src = if blocked {
+                // The transposed product: a `(C_in·R·S, P·Q)` tile.
+                let w_t = MatRef::transposed(wv, patch);
+                gemm_serial(patch, cout, pq, w_t, MatRef::row_major(gy, pq), tile);
+                MatRef::transposed(tile, pq)
+            } else {
+                // The gradient stays the scalar loop's A operand, so its
+                // zero skip tests the same values: a `(P·Q, C_in·R·S)` tile.
+                let gy_rows = MatRef::transposed(gy, pq);
+                gemm_reference(pq, cout, patch, gy_rows, MatRef::row_major(wv, patch), tile);
+                MatRef::row_major(tile, patch)
+            };
+            fold(geom, &taps, src, image);
+        });
+    });
+    out
 }
 
 /// Backpropagates a convolution to its weights: given the layer input and
@@ -327,7 +419,8 @@ pub fn conv2d_backward_weight(input: &Tensor, grad_out: &Tensor, geom: &Conv2dGe
 /// fields, so a per-example weight gradient is a GEMM over a contiguous
 /// row-window of the shared buffer — no per-example `im2col`, no
 /// per-example copy. The weight-gradient GEMM is formulated as
-/// `G(W) = G(Y)ᵀ × patches` (B = the patch buffer), which makes the packed
+/// `G(W) = G(Y) × patches` (A = each example's `(C_out, P·Q)` NCHW slice
+/// of the output gradient, B = the patch buffer), which makes the packed
 /// operand the *invariant* one: packed once, it serves all `B` per-example
 /// GEMMs of the `NormOnly`/`PerExample` pass *and* the per-batch GEMM of
 /// the reweighted second pass.
@@ -389,9 +482,11 @@ impl PatchBuffer {
     }
 
     /// Forward convolution from the lowered patches: identical arithmetic
-    /// to [`conv2d`], minus the re-lowering. A `bias` of `(C_out,)` is added
-    /// in the reorder's write, one rounding per element, exactly as adding
-    /// it to the reordered output would.
+    /// to [`conv2d`], minus the re-lowering. One pool task per example runs
+    /// `patches_i × Wᵀ` into a `(P·Q, C_out)` tile and reorders it into the
+    /// example's NCHW image. A `bias` of `(C_out,)` is added in the
+    /// reorder's write, one rounding per element, exactly as adding it to
+    /// the reordered output would.
     ///
     /// # Panics
     ///
@@ -404,7 +499,7 @@ impl PatchBuffer {
             weight.len(),
             self.geom.weight_len()
         );
-        let cout = self.geom.cout;
+        let (cout, patch) = (self.geom.cout, self.geom.patch_len());
         if let Some(b) = bias {
             assert_eq!(
                 b.len(),
@@ -414,51 +509,68 @@ impl PatchBuffer {
             );
         }
         let pq = self.rows_per_example();
-        let w2d = weight.clone().reshape(&[cout, self.geom.patch_len()]);
-        let y = matmul_nt(&self.patches, &w2d); // (N*P*Q, Cout)
+        let wv = weight.data();
+        // The whole-batch GEMM's route, replayed per example. The tiny-K
+        // route reads B = Wᵀ from a contiguous copy, as `gemm` does.
+        let route = Route::of(self.n * pq, patch, cout);
+        let w_t = MatRef::transposed(wv, patch);
+        let copy;
+        let b = if route == Route::TinyK {
+            copy = w_t.to_row_major(patch, cout);
+            MatRef::row_major(&copy, cout)
+        } else {
+            w_t
+        };
         let (p, q) = self.geom.out_hw();
         let mut out = Tensor::for_overwrite(&[self.n, cout, p, q]);
-        let yv = y.data();
-        // Reorder (N*P*Q, Cout) -> (N, Cout, P, Q), one task per example,
-        // in tiles of positions.
+        let pv = self.patches.data();
         parallel::par_chunks_mut(out.data_mut(), (cout * pq).max(1), |ni, image| {
-            let rows = &yv[ni * pq * cout..(ni + 1) * pq * cout];
-            for r0 in (0..pq).step_by(TILE) {
-                let r1 = (r0 + TILE).min(pq);
-                let tile = &rows[r0 * cout..r1 * cout];
-                for (co, plane) in image.chunks_exact_mut(pq).enumerate() {
-                    let outs = plane[r0..r1].iter_mut().zip(tile.chunks_exact(cout));
-                    match bias {
-                        Some(b) => {
-                            let bc = b.data()[co];
-                            for (o, row) in outs {
-                                *o = row[co] + bc;
+            let a = MatRef::row_major(&pv[ni * pq * patch..(ni + 1) * pq * patch], patch);
+            with_scratch(&TILE_SCRATCH, pq * cout, |tile| {
+                tile.fill(0.0);
+                if route == Route::Blocked {
+                    gemm_serial(pq, patch, cout, a, b, tile);
+                } else {
+                    gemm_reference(pq, patch, cout, a, b, tile);
+                }
+                // (P·Q, C_out) -> (C_out, P·Q), in blocks of positions.
+                for r0 in (0..pq).step_by(BLOCK) {
+                    let r1 = (r0 + BLOCK).min(pq);
+                    let rows = &tile[r0 * cout..r1 * cout];
+                    for (co, plane) in image.chunks_exact_mut(pq).enumerate() {
+                        let outs = plane[r0..r1].iter_mut().zip(rows.chunks_exact(cout));
+                        match bias {
+                            Some(bias) => {
+                                let bc = bias.data()[co];
+                                for (o, row) in outs {
+                                    *o = row[co] + bc;
+                                }
                             }
-                        }
-                        None => {
-                            for (o, row) in outs {
-                                *o = row[co];
+                            None => {
+                                for (o, row) in outs {
+                                    *o = row[co];
+                                }
                             }
                         }
                     }
                 }
-            }
+            });
         });
         out
     }
 
     /// The per-batch weight gradient `(C_out, C_in, R, S)` from the shared
-    /// buffer: the `(C_out, B·P·Q, C_in·R·S)` GEMM of the reweighted second
-    /// pass, reusing the packed patch panels if a per-example pass already
-    /// paid for them.
+    /// buffer and the `(N, C_out, P, Q)` output gradient: the
+    /// `(C_out, B·P·Q, C_in·R·S)` GEMM of the reweighted second pass,
+    /// reusing the packed patch panels if a per-example pass already paid
+    /// for them.
     ///
     /// # Panics
     ///
-    /// Panics if `gy_rows` is not the `(N·P·Q, C_out)` row layout of
-    /// [`nchw_to_rows`].
-    pub fn backward_weight_batch(&self, gy_rows: &Tensor) -> Tensor {
+    /// Panics if `grad_out` is not this buffer's `(N, C_out, P, Q)`.
+    pub fn backward_weight_batch(&self, grad_out: &Tensor) -> Tensor {
         let mut gw = Tensor::zeros(&[self.geom.cout, self.geom.cin, self.geom.k, self.geom.k]);
-        self.weight_grad_window(gy_rows, 0, self.n * self.rows_per_example(), gw.data_mut());
+        self.weight_grad_window(grad_out, 0..self.n, gw.data_mut());
         gw
     }
 
@@ -470,38 +582,35 @@ impl PatchBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if `i >= batch`, `gy_rows` has the wrong layout, or `out` is
-    /// not [`Conv2dGeom::weight_len`] long.
-    pub fn backward_weight_example(&self, gy_rows: &Tensor, i: usize, out: &mut [f32]) {
+    /// Panics if `i >= batch`, `grad_out` is not this buffer's
+    /// `(N, C_out, P, Q)`, or `out` is not [`Conv2dGeom::weight_len`] long.
+    pub fn backward_weight_example(&self, grad_out: &Tensor, i: usize, out: &mut [f32]) {
         assert!(i < self.n, "example {i} out of bounds for batch {}", self.n);
-        let pq = self.rows_per_example();
-        self.weight_grad_window(gy_rows, i * pq, (i + 1) * pq, out);
+        self.weight_grad_window(grad_out, i..i + 1, out);
     }
 
-    /// Shared weight-gradient core over patch-buffer rows `lo..hi`:
-    /// `G(W)[co][d] = Σ_r gy[r][co] · patches[r][d]` with the patch buffer
-    /// as the (packed, cached) B operand, written over `gw`.
-    fn weight_grad_window(&self, gy_rows: &Tensor, lo: usize, hi: usize, gw: &mut [f32]) {
-        let (rows, cout) = gy_rows.dims2();
-        assert_eq!(cout, self.geom.cout, "gradient channel mismatch");
+    /// Shared weight-gradient core over the examples `ex`:
+    /// `G(W)[co][d] = Σ_i Σ_s gy_i[co][s] · patches_i[s][d]`, each example's
+    /// NCHW gradient slice the A operand and the patch buffer the (packed,
+    /// cached) B operand, written over `gw`.
+    fn weight_grad_window(&self, grad_out: &Tensor, ex: Range<usize>, gw: &mut [f32]) {
         assert_eq!(
-            rows,
-            self.n * self.rows_per_example(),
-            "gradient row-count mismatch"
+            grad_batch(grad_out, &self.geom),
+            self.n,
+            "gradient batch mismatch"
         );
-        let patch = self.geom.patch_len();
+        let (cout, patch) = (self.geom.cout, self.geom.patch_len());
         assert_eq!(
             gw.len(),
             self.geom.weight_len(),
             "weight-gradient output length mismatch"
         );
+        let pq = self.rows_per_example();
+        let gy = |i: usize| MatRef::row_major(&grad_out.data()[i * cout * pq..][..cout * pq], pq);
         // Both kernels accumulate into their output.
         gw.fill(0.0);
-        let (m, k) = (cout, hi - lo);
-        let a = MatRef::transposed(&gy_rows.data()[lo * cout..hi * cout], cout);
-        if blocked_kernel(m, k, patch) {
-            let total = rows;
-            let pq = self.rows_per_example();
+        if Route::of(cout, ex.len() * pq, patch) == Route::Blocked {
+            let total = self.n * pq;
             let pb = self.pack.get_or_pack(total, patch, || {
                 PackedB::pack_segmented(
                     MatRef::row_major(self.patches.data(), patch),
@@ -510,19 +619,30 @@ impl PatchBuffer {
                     pq,
                 )
             });
-            gemm_packed_window(m, a, pb, lo, hi, gw);
+            // The panels split at example boundaries: each reads the slice
+            // of the example it lies in.
+            let a = |k0: usize| gy(k0 / pq).cols_from(k0 % pq);
+            gemm_packed_window(cout, a, pb, ex.start * pq, ex.end * pq, gw);
         } else {
-            let b = MatRef::row_major(&self.patches.data()[lo * patch..hi * patch], patch);
-            gemm_reference(m, k, patch, a, b, gw);
+            // One example at a time: every element still takes its terms
+            // in ascending row order.
+            for i in ex {
+                let b =
+                    MatRef::row_major(&self.patches.data()[i * pq * patch..][..pq * patch], patch);
+                gemm_reference(cout, pq, patch, gy(i), b, gw);
+            }
         }
     }
 }
 
-/// Flattens `(N, C_out, P, Q)` into GEMM row-major order `(N*P*Q, C_out)` —
-/// the row layout [`PatchBuffer`]'s weight-gradient GEMMs consume. Row
-/// `n·P·Q + p·Q + q` holds the `C_out` output-gradient channels of position
-/// `(p, q)` in example `n`, matching [`im2col`]'s row indexing so that a
-/// contiguous row-window selects one example in both operands.
+/// Flattens `(N, C_out, P, Q)` into GEMM row-major order `(N*P*Q, C_out)`.
+/// Row `n·P·Q + p·Q + q` holds the `C_out` output-gradient channels of
+/// position `(p, q)` in example `n`, matching [`im2col`]'s row indexing.
+///
+/// This is the gradient layout of the naive whole-batch lowering:
+/// [`conv2d_backward_weight`] reads it, and `col2im(nchw_to_rows(G(Y)) ×
+/// W)` is the data gradient [`conv2d_backward_data`] reproduces bit for
+/// bit. The fused paths read NCHW as it stands.
 ///
 /// # Panics
 ///
@@ -535,15 +655,15 @@ pub fn nchw_to_rows(t: &Tensor, geom: &Conv2dGeom) -> Tensor {
     let pq = p * q;
     let mut out = Tensor::for_overwrite(&[n * pq, c]);
     let tv = t.data();
-    // One task per example: a (C, P·Q) -> (P·Q, C) transpose, in tiles of
+    // One task per example: a (C, P·Q) -> (P·Q, C) transpose, in blocks of
     // positions.
     parallel::par_chunks_mut(out.data_mut(), (pq * c).max(1), |ni, rows| {
         let image = &tv[ni * c * pq..(ni + 1) * c * pq];
-        for r0 in (0..pq).step_by(TILE) {
-            let r1 = (r0 + TILE).min(pq);
-            let tile = &mut rows[r0 * c..r1 * c];
+        for r0 in (0..pq).step_by(BLOCK) {
+            let r1 = (r0 + BLOCK).min(pq);
+            let block = &mut rows[r0 * c..r1 * c];
             for (ci, plane) in image.chunks_exact(pq).enumerate() {
-                for (row, &v) in tile.chunks_exact_mut(c).zip(&plane[r0..r1]) {
+                for (row, &v) in block.chunks_exact_mut(c).zip(&plane[r0..r1]) {
                     row[ci] = v;
                 }
             }
@@ -687,28 +807,35 @@ mod tests {
         }
     }
 
-    /// The row-input data-gradient path must match the plain
-    /// `conv2d_backward_data` bitwise on both the blocked-eligible and the
-    /// reference-kernel shapes — the oracle for its `nchw_to_rows` wiring.
+    /// The fused data gradient (per-example `Wᵀ × G(Y)_i` tiles folded in
+    /// place) must be bitwise the unfused lowering it replaced — `col2im`
+    /// of the whole-batch `nchw_to_rows(G(Y)) × W` GEMM — on both routes,
+    /// with zeros in the gradient for the reference loop's zero skip.
     #[test]
-    fn data_gradient_from_rows_matches_reference_path() {
+    fn fused_data_gradient_matches_unfused_lowering() {
+        use crate::matmul::matmul;
         let mut rng = DivaRng::seed_from_u64(37);
         for (geom, n) in [
-            // rows=1152, k=cout=16, n=patch=36: blocked/packed route.
+            // rows=1152, k=cout=16, n=patch=36: blocked route.
             (Conv2dGeom::new(4, 16, 3, 1, 1, 12, 12), 8usize),
+            // K = C_out = 24 crossing no panel, stride 2: blocked route.
+            (Conv2dGeom::new(8, 24, 3, 2, 1, 15, 13), 5),
             // Tiny: reference-kernel route.
             (Conv2dGeom::new(2, 3, 3, 2, 1, 6, 6), 2),
         ] {
             let (p, q) = geom.out_hw();
-            let gy = Tensor::uniform(&[n, geom.cout, p, q], -1.0, 1.0, &mut rng);
+            let mut gy = Tensor::uniform(&[n, geom.cout, p, q], -1.0, 1.0, &mut rng);
+            for v in gy.data_mut().iter_mut().step_by(5) {
+                *v = -0.0;
+            }
             let w = Tensor::uniform(&[geom.cout, geom.cin, geom.k, geom.k], -0.5, 0.5, &mut rng);
-            let reference = conv2d_backward_data(&gy, &w, &geom);
-            let rows = nchw_to_rows(&gy, &geom);
-            let from_rows = conv2d_backward_data_from_rows(&rows, &w, &geom, n);
-            assert_eq!(
-                from_rows.data(),
-                reference.data(),
-                "row-input path diverged: {geom:?}"
+            let w2d = w.clone().reshape(&[geom.cout, geom.patch_len()]);
+            let unfused = col2im(&matmul(&nchw_to_rows(&gy, &geom), &w2d), &geom, n);
+            let fused = conv2d_backward_data(&gy, &w, &geom);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert!(
+                bits(&fused) == bits(&unfused),
+                "fused data gradient diverged: {geom:?}"
             );
         }
     }

@@ -14,7 +14,10 @@
 //!   columns instead once it is large enough: each worker takes an
 //!   `NR`-aligned block of columns, packs (or slices, for pre-packed B)
 //!   only that block's strips, and runs every K panel in order, so every
-//!   element keeps its exact FMA sequence at any thread count.
+//!   element keeps its exact FMA sequence at any thread count. Against
+//!   pre-packed B, a skinny GEMM whose N fits one strip (a first
+//!   convolution's weight gradient) splits M into `MR`-aligned row blocks
+//!   instead, each again running every panel in order.
 //! * Within a worker, M is blocked by `MC`; each `MC × KC` block of A is
 //!   packed into `MR`-tall row strips, then an `MR × NR` register-tile
 //!   micro-kernel walks the packed panels. The micro-kernel is safe Rust:
@@ -75,9 +78,11 @@ pub fn avx512_enabled() -> bool {
 /// accumulator occupies 12 256-bit registers — enough independent FMA
 /// chains to hide the FMA latency without spilling.
 const MR: usize = 6;
-/// Micro-tile width (columns of C held in registers): two 256-bit `f32`
-/// vectors per row. Empirically faster than 512-bit tiles on the
-/// virtualized Xeons this repo targets (wide vectors downclock).
+/// Micro-tile width (columns of C held in registers): 16 `f32` per row,
+/// which LLVM lowers to two 256-bit vectors even where AVX-512 is
+/// available. That is a codegen outcome, not a measured optimum: on a
+/// 2-vCPU AVX-512 Xeon VM an explicit 512-bit arm (since deleted) was
+/// faster in 10 of 11 paired rounds, by about 4% of a training step.
 const NR: usize = 16;
 /// K-dimension panel length. Large panels amortize the accumulator
 /// write-back; the packed `MR × KC` A strip (18 KiB) stays L1-resident
@@ -122,11 +127,13 @@ thread_local! {
     static C_BLOCK_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Runs `f` on a thread-local scratch slice of exactly `len` elements.
+/// Runs `f` on the thread-local scratch slice `key` holds, exactly `len`
+/// elements long.
 ///
 /// Contents are **unspecified on entry** — `pack_a`/`pack_b` overwrite
 /// every slot the kernels later read (tail strips are zero-padded
-/// explicitly), so stale data from a previous GEMM can never leak into a
+/// explicitly), and the convolutions zero their tiles before a GEMM adds
+/// into them, so stale data from a previous call can never leak into a
 /// result. If the slot is already borrowed, falls back to a fresh
 /// allocation rather than panicking. Re-entrancy is real under
 /// hierarchical nested scheduling: a GEMM's submitter *helps* while
@@ -134,7 +141,7 @@ thread_local! {
 /// can open another GEMM on this very thread while the outer one's scratch
 /// is still borrowed. The fallback costs an allocation, never correctness
 /// — packing layout is identical either way.
-fn with_pack_scratch<R>(
+pub(crate) fn with_scratch<R>(
     key: &'static LocalKey<RefCell<Vec<f32>>>,
     len: usize,
     f: impl FnOnce(&mut [f32]) -> R,
@@ -197,7 +204,7 @@ impl<'a> MatRef<'a> {
     }
 
     #[inline(always)]
-    fn at(&self, i: usize, j: usize) -> f32 {
+    pub(crate) fn at(&self, i: usize, j: usize) -> f32 {
         self.data[i * self.rs + j * self.cs]
     }
 
@@ -209,8 +216,21 @@ impl<'a> MatRef<'a> {
         }
     }
 
+    /// A contiguous row-major copy of the first `rows × cols` elements.
+    pub(crate) fn to_row_major(self, rows: usize, cols: usize) -> Vec<f32> {
+        (0..rows)
+            .flat_map(|i| (0..cols).map(move |j| self.at(i, j)))
+            .collect()
+    }
+
+    /// Column `j` from row `i0` on as a slice, if rows are unit-stride (a
+    /// transposed view); else `None`.
+    pub(crate) fn col_run(&self, i0: usize, j: usize) -> Option<&'a [f32]> {
+        (self.rs == 1).then(|| &self.data[i0 + j * self.cs..])
+    }
+
     /// The view of columns `col0..` of this operand.
-    fn cols_from(self, col0: usize) -> Self {
+    pub(crate) fn cols_from(self, col0: usize) -> Self {
         Self {
             data: &self.data[col0 * self.cs..],
             ..self
@@ -381,7 +401,7 @@ fn gemm_rows(
     // chains — and therefore the results — are bit-identical to the
     // ungrouped order; tiles are disjoint, so visit order is free.
     let gw = group_width(kb);
-    with_pack_scratch(&PACK_A_SCRATCH, MC.div_ceil(MR) * MR * kb, |packed_a| {
+    with_scratch(&PACK_A_SCRATCH, MC.div_ceil(MR) * MR * kb, |packed_a| {
         let mut i0 = 0;
         while i0 < rows {
             let mb = MC.min(rows - i0);
@@ -417,21 +437,39 @@ fn gemm_rows(
     });
 }
 
-/// Whether a GEMM of this shape takes the blocked/packed path under the
-/// calling thread's [`Backend`] (`false`: the scalar reference arithmetic)
-/// — the decision [`gemm`] makes internally.
+/// The arithmetic a GEMM of this shape runs under the calling thread's
+/// [`Backend`] — the decision [`gemm`] makes internally.
 ///
-/// Tiny-K GEMMs (`k < 16`: DP-SGD's per-example rank-1 weight gradients,
-/// a first convolution's `C_in·R·S = 9` patches) are short outer-product
-/// accumulations, where the packing passes cost more than they save. They
-/// run the reference kernel's arithmetic, row-parallel and over a
-/// contiguous copy of B when large enough ([`gemm_tiny_k`]).
-///
-/// Exposed so callers that pre-pack B through a [`PackCache`] replicate the
-/// same routing and therefore stay bit-identical with the unpacked entry
-/// points for every shape.
-pub(crate) fn blocked_kernel(m: usize, k: usize, n: usize) -> bool {
-    Backend::current().kernel() != Kernel::Reference && k >= 16 && m * k * n >= BLOCKED_THRESHOLD
+/// Exposed so callers that pre-pack B through a [`PackCache`], or that run
+/// one GEMM per example of a batch, replicate the same routing and
+/// therefore stay bit-identical with the unpacked entry points for every
+/// shape.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Route {
+    /// The scalar reference loop on the operands as given: under
+    /// [`Kernel::Reference`], or below [`BLOCKED_THRESHOLD`] multiply-adds.
+    Reference,
+    /// The reference loop's arithmetic over a contiguous copy of B
+    /// ([`gemm_tiny_k`]). Tiny-K GEMMs (`k < 16`: DP-SGD's per-example
+    /// rank-1 weight gradients, a first convolution's `C_in·R·S = 9`
+    /// patches) are short outer-product accumulations, where the packing
+    /// passes cost more than they save.
+    TinyK,
+    /// The blocked, packed kernel.
+    Blocked,
+}
+
+impl Route {
+    /// The route of an `(m, k, n)` GEMM.
+    pub(crate) fn of(m: usize, k: usize, n: usize) -> Self {
+        if Backend::current().kernel() == Kernel::Reference || m * k * n < BLOCKED_THRESHOLD {
+            Route::Reference
+        } else if k < 16 {
+            Route::TinyK
+        } else {
+            Route::Blocked
+        }
+    }
 }
 
 /// Blocked, packed, M-parallel (or, for a skinny M, column-split) GEMM:
@@ -447,26 +485,31 @@ pub(crate) fn gemm(m: usize, k: usize, n: usize, a: MatRef, b: MatRef, out: &mut
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    if Backend::current().kernel() == Kernel::Reference || m * k * n < BLOCKED_THRESHOLD {
-        gemm_reference(m, k, n, a, b, out);
-        return;
-    }
-    if k < 16 {
-        gemm_tiny_k(k, n, a, b, out);
-        return;
+    match Route::of(m, k, n) {
+        Route::Reference => return gemm_reference(m, k, n, a, b, out),
+        Route::TinyK => return gemm_tiny_k(k, n, a, b, out),
+        Route::Blocked => {}
     }
     let blocks = col_blocks(m, k, n);
     if blocks > 1 {
         let panels: Vec<Panel> = (0..k)
             .step_by(KC)
-            .map(|kc| (kc, KC.min(k - kc), 0))
+            .map(|kc| Panel {
+                a: a.cols_from(kc),
+                at: kc,
+                kb: KC.min(k - kc),
+            })
             .collect();
-        gemm_col_split(m, n, a, &panels, Strips::Pack(b), blocks, out);
+        gemm_col_split(m, n, &panels, Strips::Pack(b), blocks, out);
         return;
     }
     let threads = parallel::effective_threads().min(m.div_ceil(ROWS_PER_WORKER_MIN));
-    let rows_per_worker = m.div_ceil(threads.max(1));
-    with_pack_scratch(
+    if threads <= 1 {
+        gemm_serial(m, k, n, a, b, out);
+        return;
+    }
+    let rows_per_worker = m.div_ceil(threads);
+    with_scratch(
         &PACK_B_SCRATCH,
         n.div_ceil(NR) * KC.min(k) * NR,
         |packed_b| {
@@ -476,16 +519,34 @@ pub(crate) fn gemm(m: usize, k: usize, n: usize, a: MatRef, b: MatRef, out: &mut
                 let packed_len = n.div_ceil(NR) * kb * NR;
                 pack_b(b, kc, kb, n, &mut packed_b[..packed_len]);
                 let packed = &packed_b[..packed_len];
-                if threads <= 1 {
-                    gemm_rows(a, 0, m, kc, kb, n, packed, out);
-                } else {
-                    parallel::par_chunks_mut(out, rows_per_worker * n, |widx, out_rows| {
-                        let row0 = widx * rows_per_worker;
-                        let rows = out_rows.len() / n;
-                        gemm_rows(a, row0, rows, kc, kb, n, packed, out_rows);
-                    });
-                }
+                parallel::par_chunks_mut(out, rows_per_worker * n, |widx, out_rows| {
+                    let row0 = widx * rows_per_worker;
+                    let rows = out_rows.len() / n;
+                    gemm_rows(a, row0, rows, kc, kb, n, packed, out_rows);
+                });
                 kc += kb;
+            }
+        },
+    );
+}
+
+/// [`gemm`]'s blocked route on the calling thread alone: the same K
+/// panels, packing and per-element FMA sequence, so a caller that runs one
+/// GEMM per pool task (say, one per example of a batch) gets exactly the
+/// bits [`gemm`] would give each of those rows or columns. Routing is the
+/// caller's: call it where the whole GEMM the tasks replace takes
+/// [`Route::Blocked`].
+pub(crate) fn gemm_serial(m: usize, k: usize, n: usize, a: MatRef, b: MatRef, out: &mut [f32]) {
+    debug_assert_eq!(out.len(), m * n);
+    with_scratch(
+        &PACK_B_SCRATCH,
+        n.div_ceil(NR) * KC.min(k) * NR,
+        |packed_b| {
+            for kc in (0..k).step_by(KC) {
+                let kb = KC.min(k - kc);
+                let packed = &mut packed_b[..n.div_ceil(NR) * kb * NR];
+                pack_b(b, kc, kb, n, packed);
+                gemm_rows(a, 0, m, kc, kb, n, packed, out);
             }
         },
     );
@@ -502,9 +563,17 @@ fn col_blocks(m: usize, k: usize, n: usize) -> usize {
     threads.min(n.div_ceil(NR))
 }
 
-/// One K panel of a column-split GEMM: its offset on A's K axis, its
-/// length, and (for [`Strips::Packed`]) its offset in the packed data.
-type Panel = (usize, usize, usize);
+/// One K panel of a split GEMM.
+#[derive(Clone, Copy)]
+struct Panel<'a> {
+    /// A from the panel's first K column on.
+    a: MatRef<'a>,
+    /// The panel's first row of B ([`Strips::Pack`]), or its offset in the
+    /// packed data ([`Strips::Packed`], [`PackedB`]).
+    at: usize,
+    /// The panel's length along K.
+    kb: usize,
+}
 
 /// Where a column block of [`gemm_col_split`] finds its packed B strips.
 #[derive(Clone, Copy)]
@@ -521,17 +590,9 @@ enum Strips<'a> {
 /// added in the same order, as under the unsplit GEMM. Its columns of C go
 /// through thread-local scratch (M is small by construction): copied in,
 /// accumulated, copied back, with `out` locked for each copy.
-fn gemm_col_split(
-    m: usize,
-    n: usize,
-    a: MatRef,
-    panels: &[Panel],
-    b: Strips,
-    blocks: usize,
-    out: &mut [f32],
-) {
+fn gemm_col_split(m: usize, n: usize, panels: &[Panel], b: Strips, blocks: usize, out: &mut [f32]) {
     let n_strips = n.div_ceil(NR);
-    let max_kb = panels.iter().map(|p| p.1).max().unwrap_or(0);
+    let max_kb = panels.iter().map(|p| p.kb).max().unwrap_or(0);
     let out = Mutex::new(out);
     // Blocks own disjoint columns, and a task panicking mid-copy fails the
     // whole region, so a poisoned lock guards nothing anyone reads.
@@ -540,25 +601,25 @@ fn gemm_col_split(
         let (s0, s1) = (blk * n_strips / blocks, (blk + 1) * n_strips / blocks);
         let (j0, j1) = (s0 * NR, (s1 * NR).min(n));
         let nb = j1 - j0;
-        with_pack_scratch(&C_BLOCK_SCRATCH, m * nb, |c| {
+        with_scratch(&C_BLOCK_SCRATCH, m * nb, |c| {
             for (crow, row) in c.chunks_exact_mut(nb).zip(lock().chunks_exact(n)) {
                 crow.copy_from_slice(&row[j0..j1]);
             }
             match b {
                 Strips::Pack(b) => {
                     let b = b.cols_from(j0);
-                    with_pack_scratch(&PACK_B_SCRATCH, (s1 - s0) * max_kb * NR, |scratch| {
-                        for &(kc, kb, _) in panels {
-                            let strips = &mut scratch[..(s1 - s0) * kb * NR];
-                            pack_b(b, kc, kb, nb, strips);
-                            gemm_rows(a, 0, m, kc, kb, nb, strips, c);
+                    with_scratch(&PACK_B_SCRATCH, (s1 - s0) * max_kb * NR, |scratch| {
+                        for p in panels {
+                            let strips = &mut scratch[..(s1 - s0) * p.kb * NR];
+                            pack_b(b, p.at, p.kb, nb, strips);
+                            gemm_rows(p.a, 0, m, 0, p.kb, nb, strips, c);
                         }
                     });
                 }
                 Strips::Packed(data) => {
-                    for &(kc, kb, offset) in panels {
-                        let strips = &data[offset + s0 * kb * NR..offset + s1 * kb * NR];
-                        gemm_rows(a, 0, m, kc, kb, nb, strips, c);
+                    for p in panels {
+                        let strips = &data[p.at + s0 * p.kb * NR..p.at + s1 * p.kb * NR];
+                        gemm_rows(p.a, 0, m, 0, p.kb, nb, strips, c);
                     }
                 }
             }
@@ -576,9 +637,7 @@ fn gemm_col_split(
 /// C still takes the reference kernel's multiply-adds in the same order,
 /// so the result is bitwise [`gemm_reference`]'s at every thread count.
 fn gemm_tiny_k(k: usize, n: usize, a: MatRef, b: MatRef, out: &mut [f32]) {
-    let b_rows: Vec<f32> = (0..k)
-        .flat_map(|kk| (0..n).map(move |j| b.at(kk, j)))
-        .collect();
+    let b_rows = b.to_row_major(k, n);
     let b = MatRef::row_major(&b_rows, n);
     parallel::par_chunks_mut(out, TINY_K_ROWS * n, |blk, rows| {
         let a = a.rows_from(blk * TINY_K_ROWS);
@@ -685,19 +744,26 @@ impl PackCache {
     }
 }
 
-/// Blocked, M-parallel (or, for a skinny M, column-split) GEMM against
-/// pre-packed B panels covering the global B-row window `lo..hi`: `out += A × B[lo..hi, :]`, where `A` is `(m,
-/// hi-lo)` under its stride view, A's K axis is window-local, and `out` is
-/// row-major `(m, pb.n)`.
+/// Blocked GEMM against pre-packed B panels covering the global B-row
+/// window `lo..hi`: `out += A × B[lo..hi, :]`, where `out` is row-major
+/// `(m, pb.n)` and `a(k0)` is the A operand from the column that multiplies
+/// B's row `k0` on. Taking A per panel lets it come in pieces — one per
+/// example of a batch, say — as long as no packed panel straddles two.
 ///
 /// The window must start and end on packed panel boundaries (any whole
 /// number of segments of [`PackedB::pack_segmented`] qualifies). Routing is
-/// the caller's job: call this when [`blocked_kernel`] says so and fall
-/// back to [`gemm_reference`] on the raw operands otherwise, exactly as
-/// [`gemm`] would.
-pub(crate) fn gemm_packed_window(
+/// the caller's job: call this on [`Route::Blocked`] and fall back to
+/// [`gemm_reference`] on the raw operands otherwise.
+///
+/// Split over the pool as [`gemm`] splits: M-parallel for a tall M,
+/// column blocks for a skinny one. A skinny GEMM whose N fits one `NR`
+/// strip, so that neither split yields a second worker, takes `MR`-aligned
+/// row blocks instead once it reaches [`COL_SPLIT_THRESHOLD`]. Every worker
+/// runs all panels in order over its rows, so each element keeps its FMA
+/// sequence at any thread count.
+pub(crate) fn gemm_packed_window<'a>(
     m: usize,
-    a: MatRef,
+    a: impl Fn(usize) -> MatRef<'a>,
     pb: &PackedB,
     lo: usize,
     hi: usize,
@@ -710,7 +776,6 @@ pub(crate) fn gemm_packed_window(
         "window {lo}..{hi} outside K {}",
         pb.k
     );
-    // The window's panels, with their K offsets made local to A.
     let mut panels: Vec<Panel> = Vec::new();
     let mut covered = lo;
     for &(k0, kb, offset) in &pb.panels {
@@ -722,28 +787,40 @@ pub(crate) fn gemm_packed_window(
             "window {lo}..{hi} does not align with packed panel boundaries"
         );
         covered = k0 + kb;
-        panels.push((k0 - lo, kb, offset));
+        panels.push(Panel {
+            a: a(k0),
+            at: offset,
+            kb,
+        });
     }
     assert_eq!(covered, hi, "packed panels do not cover window {lo}..{hi}");
-    let blocks = col_blocks(m, hi - lo, n);
+    let k = hi - lo;
+    let blocks = col_blocks(m, k, n);
     if blocks > 1 {
-        gemm_col_split(m, n, a, &panels, Strips::Packed(&pb.data), blocks, out);
+        gemm_col_split(m, n, &panels, Strips::Packed(&pb.data), blocks, out);
         return;
     }
-    let threads = parallel::effective_threads().min(m.div_ceil(ROWS_PER_WORKER_MIN));
-    let rows_per_worker = m.div_ceil(threads.max(1));
+    let threads = parallel::effective_threads();
+    let rows_per_worker = if m > ROWS_PER_WORKER_MIN {
+        m.div_ceil(threads.min(m.div_ceil(ROWS_PER_WORKER_MIN)))
+    } else if m * k * n >= COL_SPLIT_THRESHOLD {
+        m.div_ceil(threads.min(m.div_ceil(MR))).next_multiple_of(MR)
+    } else {
+        m
+    };
     let n_strips = n.div_ceil(NR);
-    for &(kc_local, kb, offset) in &panels {
-        let panel = &pb.data[offset..offset + n_strips * kb * NR];
-        if threads <= 1 {
-            gemm_rows(a, 0, m, kc_local, kb, n, panel, out);
-        } else {
-            parallel::par_chunks_mut(out, rows_per_worker * n, |widx, out_rows| {
-                let row0 = widx * rows_per_worker;
-                let rows = out_rows.len() / n;
-                gemm_rows(a, row0, rows, kc_local, kb, n, panel, out_rows);
-            });
+    let run = |row0: usize, rows: usize, out_rows: &mut [f32]| {
+        for p in &panels {
+            let strips = &pb.data[p.at..p.at + n_strips * p.kb * NR];
+            gemm_rows(p.a, row0, rows, 0, p.kb, n, strips, out_rows);
         }
+    };
+    if rows_per_worker >= m {
+        run(0, m, out);
+    } else {
+        parallel::par_chunks_mut(out, rows_per_worker * n, |widx, out_rows| {
+            run(widx * rows_per_worker, out_rows.len() / n, out_rows);
+        });
     }
 }
 
@@ -834,7 +911,7 @@ mod tests {
         // reassociates relative to the single-panel reference, so this is a
         // tolerance comparison.
         let mut packed_out = vec![0.0f32; m * n];
-        gemm_packed_window(m, av, &pb, 0, k, &mut packed_out);
+        gemm_packed_window(m, |k0| av.cols_from(k0), &pb, 0, k, &mut packed_out);
         let mut slow = vec![0.0f32; m * n];
         gemm_reference(m, k, n, av, bv, &mut slow);
         assert!(max_diff(&packed_out, &slow) < 1e-4);
@@ -847,7 +924,7 @@ mod tests {
             let a_win = dense(m, seg, &mut rng);
             let awv = MatRef::row_major(&a_win, seg);
             let mut win_out = vec![0.0f32; m * n];
-            gemm_packed_window(m, awv, &pb, lo, hi, &mut win_out);
+            gemm_packed_window(m, |k0| awv.cols_from(k0 - lo), &pb, lo, hi, &mut win_out);
             let b_slab = &b[lo * n..hi * n];
             let mut direct = vec![0.0f32; m * n];
             // Unpacked blocked path on the same slab.

@@ -28,7 +28,10 @@
 //! [`parallel`]) whose one micro-kernel is safe Rust written so the
 //! autovectorizer emits wide FMA code; the seed's scalar loop is retained
 //! as [`matmul_reference`] and [`Kernel::Reference`] for parity testing and
-//! benchmarking.
+//! benchmarking. The convolutions run their GEMMs on NCHW data in place,
+//! one example per pool task through an L2-resident tile, with the bits of
+//! the whole-batch lowering (see [`PatchBuffer`] and
+//! [`conv2d_backward_data`]).
 //!
 //! # Execution configuration
 //!
@@ -69,8 +72,8 @@ mod tensor;
 pub use bf16::{round_bf16, BF16_MAX_RELATIVE_ERROR};
 pub use buffer::{buffer_stats, Buffer, BufferStats};
 pub use conv::{
-    col2im, conv2d, conv2d_backward_data, conv2d_backward_data_from_rows, conv2d_backward_weight,
-    im2col, nchw_to_rows, Conv2dGeom, PatchBuffer,
+    col2im, conv2d, conv2d_backward_data, conv2d_backward_weight, im2col, nchw_to_rows, Conv2dGeom,
+    PatchBuffer,
 };
 pub use gemm::{avx512_enabled, simd_available, simd_enabled, Kernel};
 pub use matmul::{

@@ -16,42 +16,52 @@ const LANES: usize = 16;
 /// Elements per pool task of the elementwise ReLU kernels (64 KiB).
 const ELEMENTWISE_BLOCK: usize = 16 * 1024;
 
-/// Applies ReLU elementwise, returning a new tensor: one pass, split over
-/// the shared pool in fixed-size blocks.
-pub fn relu(x: &Tensor) -> Tensor {
+/// Applies ReLU elementwise, returning the output and the mask its
+/// backward needs: `true` where the output is non-positive (`y <= 0`,
+/// exactly where `x <= 0`: −0.0 stays −0.0 and is masked, NaN passes
+/// through unmasked). One pass, split over the shared pool in fixed-size
+/// blocks, writes both.
+pub fn relu(x: &Tensor) -> (Tensor, Vec<bool>) {
     let mut out = Tensor::for_overwrite(x.shape().dims());
+    let mut mask = vec![false; x.len()];
     let xv = x.data();
-    parallel::par_chunks_mut(out.data_mut(), ELEMENTWISE_BLOCK, |blk, ys| {
-        for (y, &v) in ys.iter_mut().zip(&xv[blk * ELEMENTWISE_BLOCK..]) {
+    let mut blocks: Vec<(&mut [f32], &mut [bool])> = out
+        .data_mut()
+        .chunks_mut(ELEMENTWISE_BLOCK)
+        .zip(mask.chunks_mut(ELEMENTWISE_BLOCK))
+        .collect();
+    parallel::par_chunks_mut(&mut blocks, 1, |blk, pair| {
+        let (ys, ms) = &mut pair[0];
+        let xs = &xv[blk * ELEMENTWISE_BLOCK..];
+        for ((y, m), &v) in ys.iter_mut().zip(ms.iter_mut()).zip(xs) {
             // Comparison (not `f32::max`) preserves NaN propagation.
             *y = if v < 0.0 { 0.0 } else { v };
+            *m = *y <= 0.0;
         }
     });
-    out
+    (out, mask)
 }
 
-/// Backpropagates through ReLU: zeroes gradient entries where the forward
-/// activation was non-positive. `activation` may be the ReLU's input or its
-/// output: `relu(x) <= 0` exactly when `x <= 0`, −0.0 and NaN included.
-/// One pass, split over the shared pool in fixed-size blocks.
+/// Backpropagates through ReLU: zeroes the gradient entries [`relu`]'s
+/// mask marks. One pass, split over the shared pool in fixed-size blocks.
 ///
 /// # Panics
 ///
-/// Panics if the shapes of `grad_out` and `activation` differ.
-pub fn relu_backward(grad_out: &Tensor, activation: &Tensor) -> Tensor {
+/// Panics if `mask` and `grad_out` differ in length.
+pub fn relu_backward(grad_out: &Tensor, mask: &[bool]) -> Tensor {
     assert_eq!(
+        grad_out.len(),
+        mask.len(),
+        "relu_backward shape mismatch: {} vs a mask of {}",
         grad_out.shape(),
-        activation.shape(),
-        "relu_backward shape mismatch: {} vs {}",
-        grad_out.shape(),
-        activation.shape()
+        mask.len()
     );
     let mut out = Tensor::for_overwrite(grad_out.shape().dims());
-    let (gv, av) = (grad_out.data(), activation.data());
+    let gv = grad_out.data();
     parallel::par_chunks_mut(out.data_mut(), ELEMENTWISE_BLOCK, |blk, gs| {
         let off = blk * ELEMENTWISE_BLOCK;
-        for ((g, &gy), &a) in gs.iter_mut().zip(&gv[off..]).zip(&av[off..]) {
-            *g = if a <= 0.0 { 0.0 } else { gy };
+        for ((g, &gy), &m) in gs.iter_mut().zip(&gv[off..]).zip(&mask[off..]) {
+            *g = if m { 0.0 } else { gy };
         }
     });
     out
@@ -268,14 +278,20 @@ mod tests {
     #[test]
     fn relu_clamps_negatives_only() {
         let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]);
-        assert_eq!(relu(&x).data(), &[0.0, 0.0, 2.0]);
+        let (y, mask) = relu(&x);
+        assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
+        assert_eq!(mask, [true, true, false]);
     }
 
     #[test]
     fn relu_backward_masks_gradient() {
-        let x = Tensor::from_vec(vec![-1.0, 0.5, 0.0], &[3]);
-        let g = Tensor::from_vec(vec![10.0, 10.0, 10.0], &[3]);
-        assert_eq!(relu_backward(&g, &x).data(), &[0.0, 10.0, 0.0]);
+        let x = Tensor::from_vec(vec![-1.0, 0.5, 0.0, -0.0, f32::NAN], &[5]);
+        let g = Tensor::full(&[5], 10.0);
+        let (_, mask) = relu(&x);
+        assert_eq!(
+            relu_backward(&g, &mask).data(),
+            &[0.0, 10.0, 0.0, 0.0, 10.0]
+        );
     }
 
     #[test]

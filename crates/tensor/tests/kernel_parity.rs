@@ -364,14 +364,16 @@ fn skinny_gemm_thread_matrix_is_bit_identical() {
 }
 
 /// The per-batch convolution weight gradient runs a skinny GEMM over the
-/// cached, pre-packed patch panels; its column split slices those panels.
-/// It must be bitwise its 1-thread result at widths 1–4, from a one-strip
-/// `C_in·R·S` up to several strips with a ragged tail. Under
-/// `Kernel::Reference` it must be bitwise the scalar GEMM of `gyᵀ` with the
+/// cached, pre-packed patch panels, reading the NCHW gradient one example
+/// per panel; its column split slices those panels, and a one-strip
+/// `C_in·R·S` too long for one worker splits its rows instead. It must be
+/// bitwise its 1-thread result at widths 1–4, from a one-strip `C_in·R·S`
+/// up to several strips with a ragged tail. Under `Kernel::Reference` it
+/// must be bitwise the scalar GEMM of the gradient rows' transpose with the
 /// `im2col` patches at widths 1 and 4, which the safe kernel is not.
 #[test]
 fn packed_window_weight_gradient_thread_matrix_is_bit_identical() {
-    use diva_tensor::{im2col, Backend, Kernel, PatchBuffer};
+    use diva_tensor::{im2col, nchw_to_rows, Backend, Kernel, PatchBuffer};
     let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let mut rng = DivaRng::seed_from_u64(8);
     for (geom, batch) in [
@@ -381,6 +383,9 @@ fn packed_window_weight_gradient_thread_matrix_is_bit_identical() {
         (Conv2dGeom::new(12, 6, 3, 2, 1, 20, 20), 40),
         // M = 47, N = 9: a single strip.
         (Conv2dGeom::new(1, 47, 3, 1, 1, 28, 28), 4),
+        // M = 16, N = 9, K = 20·784: one strip and three `MR` row blocks,
+        // past the split's work floor (the benchmark CNN's conv1).
+        (Conv2dGeom::new(1, 16, 3, 1, 1, 28, 28), 20),
     ] {
         let x = Tensor::uniform(
             &[batch, geom.cin, geom.in_h, geom.in_w],
@@ -389,7 +394,7 @@ fn packed_window_weight_gradient_thread_matrix_is_bit_identical() {
             &mut rng,
         );
         let (p, q) = geom.out_hw();
-        let gy = Tensor::uniform(&[batch * p * q, geom.cout], -1.0, 1.0, &mut rng);
+        let gy = Tensor::uniform(&[batch, geom.cout, p, q], -1.0, 1.0, &mut rng);
         let grad = |backend: Backend| {
             backend.install(|| PatchBuffer::lower(&x, &geom).backward_weight_batch(&gy))
         };
@@ -401,7 +406,8 @@ fn packed_window_weight_gradient_thread_matrix_is_bit_identical() {
                 "{geom:?} b={batch} threads={threads} diverged"
             );
         }
-        let reference = bits(&matmul_reference(&gy.transpose(), &im2col(&x, &geom)));
+        let gy_rows = nchw_to_rows(&gy, &geom);
+        let reference = bits(&matmul_reference(&gy_rows.transpose(), &im2col(&x, &geom)));
         assert_ne!(
             baseline, reference,
             "{geom:?}: the safe kernel must differ from the oracle, or the Reference arm pins nothing"
