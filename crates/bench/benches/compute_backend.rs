@@ -265,8 +265,8 @@ fn bench_nested_step(h: &mut Harness, sink: &mut PerfSink) {
 
 /// A small CNN whose first-layer per-example weight-gradient GEMM
 /// (`(C_out, P·Q, C_in·R·S) = (16, 196, 72)`) routes through the
-/// blocked/packed kernel, so the patch-reuse and pack-cache machinery sits
-/// on the measured path.
+/// blocked/packed kernel, so the patch-reuse machinery sits on the
+/// measured path.
 fn conv_step_net(rng: &mut DivaRng) -> Network {
     Network::new(vec![
         Layer::conv2d(8, 16, 3, 1, 1, 14, 14, rng),
@@ -346,7 +346,10 @@ fn naive_example_norm(x: &Tensor, gy: &Tensor, geom: &Conv2dGeom, i: usize) -> f
 /// per example, slice the batch, re-lower the example with `im2col` inside
 /// `conv2d_backward_weight`, and take norms. The fused side is the current
 /// layer path: strided GEMM windows over the patch buffer lowered in the
-/// forward, dead input gradient skipped.
+/// forward, dead input gradient skipped. Each iteration re-runs the pass on
+/// one forward cache, and, as in a training step, every per-example GEMM
+/// packs the patch panels it reads: no iteration reuses an earlier one's
+/// packing.
 fn bench_conv_first_backward(h: &mut Harness, sink: &mut PerfSink) {
     const B: usize = 32;
     let label = "conv_dpsgdr_first_backward_b32";

@@ -80,7 +80,7 @@ pub use error::AccountError;
 pub use event::{event_epsilon, Accountant, AccountantKind, DpEvent, RdpEventAccountant};
 pub use mechanism::GaussianMechanism;
 pub use optimizer::{
-    ClipMode, DpSgdConfig, DpTrainer, DpTrainerBuilder, PrivacySpent, StepReport, TrainingAlgorithm,
+    DpSgdConfig, DpTrainer, DpTrainerBuilder, PrivacySpent, StepReport, TrainingAlgorithm,
 };
 pub use pld::{Pld, PldAccountant, PldOptions};
 pub use query::{answer_epsilon_query, EpsilonAnswer, EpsilonQuery};

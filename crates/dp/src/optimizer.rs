@@ -1,8 +1,8 @@
 //! Training-step drivers for SGD, DP-SGD and DP-SGD(R) — a faithful
-//! implementation of the paper's Algorithm 1, plus two practitioner
-//! extensions: per-layer clipping (Opacus-style) and microbatch
-//! accumulation (large effective batches under DP-SGD's memory limits,
-//! the workaround the paper's Section III-A motivates).
+//! implementation of the paper's Algorithm 1, plus one practitioner
+//! extension: microbatch accumulation (large effective batches under
+//! DP-SGD's memory limits, the workaround the paper's Section III-A
+//! motivates).
 
 use diva_nn::{GradMode, Network, NetworkGrads};
 use diva_tensor::{softmax_cross_entropy, sq_norm, Backend, DivaRng, Tensor};
@@ -49,19 +49,6 @@ impl std::fmt::Display for TrainingAlgorithm {
     }
 }
 
-/// How per-example gradients are clipped.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum ClipMode {
-    /// One global bound `C` on the whole per-example gradient vector
-    /// (Algorithm 1 line 23).
-    #[default]
-    Flat,
-    /// Per-layer bounds `C_l = C/√L` with `Σ C_l² = C²` (same sensitivity,
-    /// different geometry; only expressible with materialized per-example
-    /// gradients, so it requires vanilla DP-SGD).
-    PerLayer,
-}
-
 /// Hyper-parameters for a [`DpTrainer`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DpSgdConfig {
@@ -99,9 +86,8 @@ impl Default for DpSgdConfig {
 pub struct StepReport {
     /// Mean cross-entropy loss over the mini-batch.
     pub mean_loss: f64,
-    /// Clipping statistics (`None` for plain SGD; for per-layer clipping,
-    /// norms are whole-gradient norms and `clipped_count` counts examples
-    /// clipped in *any* layer).
+    /// Clipping statistics: one global bound `C` on each example's whole
+    /// gradient (Algorithm 1 line 23); `None` for plain SGD.
     pub clip: Option<ClipSummary>,
     /// L2 norm of the final (averaged, noised) update direction.
     pub update_norm: f64,
@@ -123,13 +109,13 @@ pub struct PrivacySpent {
     pub delta: f64,
 }
 
-/// Builder for [`DpTrainer`]: hyper-parameters, clip mode and compute
-/// backend in one fluent chain.
+/// Builder for [`DpTrainer`]: hyper-parameters and compute backend in one
+/// fluent chain.
 ///
 /// # Example
 ///
 /// ```
-/// use diva_dp::{ClipMode, DpTrainer, TrainingAlgorithm};
+/// use diva_dp::{DpTrainer, TrainingAlgorithm};
 /// use diva_tensor::Backend;
 ///
 /// let trainer = DpTrainer::builder()
@@ -137,15 +123,14 @@ pub struct PrivacySpent {
 ///     .clip_norm(0.5)
 ///     .noise_multiplier(1.3)
 ///     .learning_rate(0.2)
-///     .clip_mode(ClipMode::PerLayer)
 ///     .backend(Backend::serial())
 ///     .build();
-/// assert_eq!(trainer.clip_mode(), ClipMode::PerLayer);
+/// assert_eq!(trainer.config().clip_norm, 0.5);
+/// assert_eq!(trainer.backend(), Backend::serial());
 /// ```
 #[derive(Clone, Debug)]
 pub struct DpTrainerBuilder {
     config: DpSgdConfig,
-    clip_mode: ClipMode,
     backend: Option<Backend>,
 }
 
@@ -180,12 +165,6 @@ impl DpTrainerBuilder {
         self
     }
 
-    /// Sets the clipping mode ([`ClipMode::Flat`] by default).
-    pub fn clip_mode(mut self, clip_mode: ClipMode) -> Self {
-        self.clip_mode = clip_mode;
-        self
-    }
-
     /// Selects the compute backend (thread count and GEMM kernel) every
     /// step runs under: installed on the calling thread around the step's
     /// gradient and noise work, it travels with every pool task the step
@@ -202,20 +181,13 @@ impl DpTrainerBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if [`ClipMode::PerLayer`] is combined with DP-SGD(R) (the
-    /// reweighted algorithm expresses clipping as a single per-example
-    /// loss scale, which cannot encode per-layer factors), or if the
-    /// configuration is private and `clip_norm` / `noise_multiplier` are
-    /// invalid.
+    /// Panics if the configuration is private and `clip_norm` /
+    /// `noise_multiplier` are invalid.
     pub fn build(self) -> DpTrainer {
         if let Some(backend) = self.backend {
             backend.prewarm();
         }
-        DpTrainer::assemble(
-            self.config,
-            self.clip_mode,
-            self.backend.unwrap_or_default(),
-        )
+        DpTrainer::assemble(self.config, self.backend.unwrap_or_default())
     }
 }
 
@@ -254,40 +226,33 @@ impl DpTrainerBuilder {
 #[derive(Clone, Debug)]
 pub struct DpTrainer {
     config: DpSgdConfig,
-    clip_mode: ClipMode,
     mechanism: GaussianMechanism,
     backend: Backend,
 }
 
 impl DpTrainer {
     /// Starts a [`DpTrainerBuilder`] with the default configuration
-    /// ([`DpSgdConfig::default`], flat clipping, auto backend).
+    /// ([`DpSgdConfig::default`], auto backend).
     pub fn builder() -> DpTrainerBuilder {
         DpTrainerBuilder {
             config: DpSgdConfig::default(),
-            clip_mode: ClipMode::Flat,
             backend: None,
         }
     }
 
-    /// Creates a trainer with flat (whole-gradient) clipping.
+    /// Creates a trainer on the auto backend.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is private and `clip_norm` or
     /// `noise_multiplier` are invalid.
     pub fn new(config: DpSgdConfig) -> Self {
-        Self::assemble(config, ClipMode::Flat, Backend::auto())
+        Self::assemble(config, Backend::auto())
     }
 
     /// The one construction path behind [`Self::new`] and
     /// [`DpTrainerBuilder::build`].
-    fn assemble(config: DpSgdConfig, clip_mode: ClipMode, backend: Backend) -> Self {
-        assert!(
-            !(clip_mode == ClipMode::PerLayer
-                && config.algorithm == TrainingAlgorithm::DpSgdReweighted),
-            "per-layer clipping requires materialized per-example gradients (vanilla DP-SGD)"
-        );
+    fn assemble(config: DpSgdConfig, backend: Backend) -> Self {
         let mechanism = if config.is_private() {
             GaussianMechanism::new(config.noise_multiplier, config.clip_norm)
         } else {
@@ -301,7 +266,6 @@ impl DpTrainer {
         // spawns workers lazily at its first parallel region.
         Self {
             config,
-            clip_mode,
             mechanism,
             backend,
         }
@@ -310,11 +274,6 @@ impl DpTrainer {
     /// The trainer's configuration.
     pub fn config(&self) -> &DpSgdConfig {
         &self.config
-    }
-
-    /// The clipping mode.
-    pub fn clip_mode(&self) -> ClipMode {
-        self.clip_mode
     }
 
     /// The compute backend steps execute under.
@@ -461,32 +420,9 @@ impl DpTrainer {
             TrainingAlgorithm::DpSgd => {
                 // Algorithm 1 lines 16–25: full per-example gradients.
                 let per_ex = net.backward(&caches, &loss.grad_logits, GradMode::PerExample);
-                match self.clip_mode {
-                    ClipMode::Flat => {
-                        let summary =
-                            clip_factors(&per_ex.per_example_sq_norms(), self.config.clip_norm);
-                        let reduced = per_ex.weighted_reduce(&summary.factors);
-                        (reduced, loss.mean_loss, Some(summary))
-                    }
-                    ClipMode::PerLayer => {
-                        let layer_norms = per_ex.per_layer_sq_norms();
-                        let n_param_layers =
-                            layer_norms.iter().filter(|l| !l.is_empty()).count().max(1);
-                        let c_l = self.config.clip_norm / (n_param_layers as f64).sqrt();
-                        let weights: Vec<Vec<f64>> = layer_norms
-                            .iter()
-                            .map(|norms| clip_factors(norms, c_l).factors)
-                            .collect();
-                        let reduced = per_ex.weighted_reduce_per_layer(&weights);
-                        // Report whole-gradient norms and any-layer clips.
-                        let mut summary =
-                            clip_factors(&per_ex.per_example_sq_norms(), self.config.clip_norm);
-                        summary.clipped_count = (0..b)
-                            .filter(|&i| weights.iter().any(|w| !w.is_empty() && w[i] < 1.0))
-                            .count();
-                        (reduced, loss.mean_loss, Some(summary))
-                    }
-                }
+                let summary = clip_factors(&per_ex.per_example_sq_norms(), self.config.clip_norm);
+                let reduced = per_ex.weighted_reduce(&summary.factors);
+                (reduced, loss.mean_loss, Some(summary))
             }
             TrainingAlgorithm::DpSgdReweighted => {
                 // Algorithm 1 lines 28–42: first pass derives norms only...
@@ -499,10 +435,9 @@ impl DpTrainer {
                 // DP-SGD(R)'s memory savings and fewer post-processing ops).
                 // Both passes run against the same `caches`, which is what
                 // makes the conv patch-reuse pay twice: the shared im2col
-                // buffer and its GEMM panels packed during the norm pass
-                // (diva_tensor::PatchBuffer) are reused verbatim by the
-                // reweighted pass, and neither pass derives the first
-                // layer's dead input gradient.
+                // buffer (diva_tensor::PatchBuffer) lowered in the forward
+                // is read verbatim by both passes, and neither pass derives
+                // the first layer's dead input gradient.
                 let g = net.backward_reweighted(&caches, &loss.grad_logits, &summary.factors);
                 (g, loss.mean_loss, Some(summary))
             }
@@ -766,38 +701,6 @@ mod tests {
         }
     }
 
-    /// Per-layer clipping bounds each layer's contribution and preserves
-    /// the overall sensitivity (Σ C_l² = C²).
-    #[test]
-    fn per_layer_clipping_bounds_each_layer() {
-        let mut rng = DivaRng::seed_from_u64(106);
-        let mut net = mlp(&mut rng);
-        let (x, labels) = batch(&mut rng, 4);
-        let c = 1e-2; // tiny bound: everything clips
-        let trainer = DpTrainer::builder()
-            .algorithm(TrainingAlgorithm::DpSgd)
-            .clip_norm(c)
-            .noise_multiplier(0.0)
-            .learning_rate(0.0) // no update: we inspect the report only
-            .clip_mode(ClipMode::PerLayer)
-            .build();
-        let report = trainer.step(&mut net, &x, &labels, &mut rng);
-        let clip = report.clip.expect("clipping expected");
-        assert_eq!(clip.clipped_count, 4);
-        // The final update (before lr) has norm at most C (since the sum of
-        // per-example gradients each bounded by C, divided by B).
-        assert!(report.update_norm <= c + 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "per-layer clipping requires")]
-    fn per_layer_clipping_rejects_reweighted() {
-        let _ = DpTrainer::builder()
-            .algorithm(TrainingAlgorithm::DpSgdReweighted)
-            .clip_mode(ClipMode::PerLayer)
-            .build();
-    }
-
     /// A whole step — backward, clip-reduce and the counter-based noise —
     /// leaves the same parameter bits at every width. The first network's
     /// dense layer has 16,448 parameters noised in parallel chunks. The
@@ -896,38 +799,6 @@ mod tests {
         let a = DpTrainer::new(DpSgdConfig::default());
         let b = DpTrainer::builder().build();
         assert_eq!(a.config(), b.config());
-        assert_eq!(a.clip_mode(), b.clip_mode());
         assert_eq!(a.backend(), b.backend());
-    }
-
-    /// With a generous bound, per-layer and flat clipping agree (nothing
-    /// clips in either mode).
-    #[test]
-    fn per_layer_equals_flat_when_nothing_clips() {
-        let mut rng = DivaRng::seed_from_u64(107);
-        let net0 = mlp(&mut rng);
-        let (x, labels) = batch(&mut rng, 4);
-        let cfg = DpSgdConfig {
-            algorithm: TrainingAlgorithm::DpSgd,
-            clip_norm: 1e6,
-            noise_multiplier: 0.0,
-            learning_rate: 0.3,
-        };
-        let mut net_a = net0.clone();
-        let mut net_b = net0.clone();
-        let mut r1 = DivaRng::seed_from_u64(1);
-        let mut r2 = DivaRng::seed_from_u64(1);
-        let flat = DpTrainer::builder().config(cfg).build();
-        let per_layer = DpTrainer::builder()
-            .config(cfg)
-            .clip_mode(ClipMode::PerLayer)
-            .build();
-        flat.step(&mut net_a, &x, &labels, &mut r1);
-        per_layer.step(&mut net_b, &x, &labels, &mut r2);
-        for (la, lb) in net_a.layers().iter().zip(net_b.layers()) {
-            for (pa, pb) in la.params().iter().zip(lb.params()) {
-                assert!(pa.max_abs_diff(pb) < 1e-6);
-            }
-        }
     }
 }

@@ -508,7 +508,7 @@ impl Pld {
         self.trim_zeros();
     }
 
-    /// Strips exactly-zero buckets from both ends (a no-cost tightening).
+    /// Trims exactly-zero buckets from both ends (a no-cost tightening).
     fn trim_zeros(&mut self) {
         let hi = self.pmf.iter().rposition(|&p| p > 0.0).map_or(1, |i| i + 1);
         self.pmf.truncate(hi.max(1));

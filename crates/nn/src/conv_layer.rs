@@ -11,9 +11,10 @@
 //! [`PatchBuffer`], and every weight-gradient GEMM — per-batch,
 //! per-example, and norm-only — executes as a strided row-window over that
 //! buffer. DP-SGD(R)'s two backward passes share the same forward cache,
-//! so the patch buffer (and its packed GEMM panels) is lowered/packed once
-//! and reused by both passes. The per-example results are bit-identical to
-//! the naive per-example `im2col` path (`tests/conv_fused_parity.rs`).
+//! so the patch buffer is lowered once and read by both passes; each GEMM
+//! packs the panels it reads as it runs. The per-example results are
+//! bit-identical to the naive per-example `im2col` path
+//! (`tests/conv_fused_parity.rs`).
 //!
 //! Activations and gradients stay NCHW: the GEMMs read and write them in
 //! place, one example per pool task (see `diva_tensor`'s `conv` module),

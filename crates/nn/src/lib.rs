@@ -31,9 +31,8 @@
 //! results are bit-identical regardless). Convolution layers lower their
 //! batch with
 //! `im2col` exactly once per forward (`diva_tensor::PatchBuffer`) and
-//! reuse both the patch buffer and its packed GEMM panels across DP-SGD(R)'s
-//! two backward passes. See `ARCHITECTURE.md` at the workspace root for
-//! the full layer map.
+//! reuse the patch buffer across DP-SGD(R)'s two backward passes. See
+//! `ARCHITECTURE.md` at the workspace root for the full layer map.
 //!
 //! # Example
 //!

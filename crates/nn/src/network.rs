@@ -107,9 +107,8 @@ impl Network {
     ///
     /// Because this pass runs against the *same* `caches` as the preceding
     /// `NormOnly` pass, every convolution layer reuses the patch buffer
-    /// lowered in the forward and its weight-gradient panels packed during
-    /// the first pass (see `diva_tensor::PatchBuffer`): no `im2col` and no
-    /// re-packing of the patches happens here.
+    /// lowered in the forward (see `diva_tensor::PatchBuffer`): no `im2col`
+    /// happens here.
     ///
     /// # Panics
     ///
@@ -173,10 +172,18 @@ impl NetworkGrads {
     /// across layers.
     pub fn per_example_sq_norms(&self) -> Vec<f64> {
         let mut layers = self
-            .per_layer_sq_norms()
-            .into_iter()
+            .layers
+            .iter()
+            .map(|g| match g {
+                ParamGrads::None => &[],
+                ParamGrads::PerExample(per_ex) => per_ex.sq_norms(),
+                ParamGrads::SqNorms(n) => n.as_slice(),
+                ParamGrads::PerBatch(_) => {
+                    panic!("per-example norms requested from per-batch gradients")
+                }
+            })
             .filter(|norms| !norms.is_empty());
-        let mut total = layers.next().unwrap_or_default();
+        let mut total = layers.next().map(<[f64]>::to_vec).unwrap_or_default();
         for norms in layers {
             assert_eq!(
                 total.len(),
@@ -188,63 +195,6 @@ impl NetworkGrads {
             }
         }
         total
-    }
-
-    /// Per-layer, per-example squared gradient norms: `out[layer][example]`.
-    /// Layers without parameters produce empty vectors. Used by per-layer
-    /// clipping (an Opacus-style extension of Algorithm 1 where each layer
-    /// gets its own bound `C_l` with `Σ C_l² = C²`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any layer gradient is per-batch.
-    pub fn per_layer_sq_norms(&self) -> Vec<Vec<f64>> {
-        self.layers
-            .iter()
-            .map(|g| match g {
-                ParamGrads::None => Vec::new(),
-                ParamGrads::PerExample(per_ex) => per_ex.sq_norms().to_vec(),
-                ParamGrads::SqNorms(n) => n.clone(),
-                ParamGrads::PerBatch(_) => {
-                    panic!("per-layer norms requested from per-batch gradients")
-                }
-            })
-            .collect()
-    }
-
-    /// Like [`Self::weighted_reduce`], but with independent weights per
-    /// layer: `weights[layer][example]`. Entries for parameter-free layers
-    /// are ignored (may be empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatches or non-per-example gradients.
-    pub fn weighted_reduce_per_layer(&self, weights: &[Vec<f64>]) -> NetworkGrads {
-        assert_eq!(
-            weights.len(),
-            self.layers.len(),
-            "need one weight vector per layer"
-        );
-        let per_layer: Vec<&[f64]> = weights.iter().map(Vec::as_slice).collect();
-        self.reduce_with(&per_layer)
-    }
-
-    /// Shared clip-reduce core: each layer's arena reduces through
-    /// [`crate::PerExampleGrads::weighted_sum`] — column blocks across the
-    /// shared pool, examples accumulated in order, so the result is
-    /// bit-identical whatever the thread count.
-    fn reduce_with(&self, weights: &[&[f64]]) -> NetworkGrads {
-        let layers = self
-            .layers
-            .iter()
-            .zip(weights)
-            .map(|(g, w)| match g {
-                ParamGrads::None => ParamGrads::None,
-                ParamGrads::PerExample(per_ex) => ParamGrads::PerBatch(per_ex.weighted_sum(w)),
-                other => panic!("weighted reduce requires per-example gradients, got {other:?}"),
-            })
-            .collect();
-        NetworkGrads { layers }
     }
 
     /// Elementwise sum of two gradient sets (used by microbatch
@@ -273,15 +223,28 @@ impl NetworkGrads {
     /// example `i` by `weights[i]` first (weights of all-ones gives the
     /// plain sum). This is Algorithm 1 lines 23–24 without the noise: one
     /// `K = B` pass over each layer's arena — no clipped per-example copies
-    /// are materialized — parallelized across column blocks.
+    /// are materialized. Each arena reduces through
+    /// [`crate::PerExampleGrads::weighted_sum`]: column blocks across the
+    /// shared pool, examples accumulated in order, so the result is
+    /// bit-identical whatever the thread count.
     ///
     /// # Panics
     ///
     /// Panics if the gradients are not per-example or `weights` has the
     /// wrong length.
     pub fn weighted_reduce(&self, weights: &[f64]) -> NetworkGrads {
-        let per_layer: Vec<&[f64]> = self.layers.iter().map(|_| weights).collect();
-        self.reduce_with(&per_layer)
+        let layers = self
+            .layers
+            .iter()
+            .map(|g| match g {
+                ParamGrads::None => ParamGrads::None,
+                ParamGrads::PerExample(per_ex) => {
+                    ParamGrads::PerBatch(per_ex.weighted_sum(weights))
+                }
+                other => panic!("weighted reduce requires per-example gradients, got {other:?}"),
+            })
+            .collect();
+        NetworkGrads { layers }
     }
 
     /// Flattens per-batch gradients into one contiguous vector (layer order,

@@ -1,8 +1,7 @@
 //! Parity contract for the fused/parallel clip-reduce pipeline: the
-//! parallel `weighted_reduce`, the per-layer variant, and the fused
-//! `backward_reweighted` of DP-SGD(R) must agree with straightforward
-//! serial accumulation across the batch sizes DP-SGD cares about
-//! (1, 2, 33) and across worker counts.
+//! parallel `weighted_reduce` and the fused `backward_reweighted` of
+//! DP-SGD(R) must agree with straightforward serial accumulation across
+//! the batch sizes DP-SGD cares about (1, 2, 33) and across worker counts.
 
 use diva_nn::{GradMode, Layer, Network, NetworkGrads, ParamGrads};
 use diva_tensor::{softmax_cross_entropy, Backend, DivaRng, Tensor};
@@ -84,25 +83,6 @@ fn weighted_reduce_is_bitwise_stable_across_thread_counts() {
                 assert_eq!(x, y, "b={b} {} diverged at {i}", backend.label());
             }
         }
-    }
-}
-
-/// Per-layer weighting agrees with the flat path when every layer uses the
-/// same weights.
-#[test]
-fn per_layer_reduce_matches_flat_reduce_for_uniform_weights() {
-    let mut rng = DivaRng::seed_from_u64(22);
-    let net = cnn(&mut rng);
-    for &b in &[1usize, 2, 33] {
-        let (caches, grad_loss) = forward_loss(&net, b, &mut rng);
-        let per_ex = net.backward(&caches, &grad_loss, GradMode::PerExample);
-        let weights: Vec<f64> = (0..b).map(|i| 0.25 + (i as f64) * 0.01).collect();
-        let per_layer: Vec<Vec<f64>> = per_ex.layers.iter().map(|_| weights.clone()).collect();
-        let flat = per_ex.weighted_reduce(&weights).flatten_per_batch();
-        let layered = per_ex
-            .weighted_reduce_per_layer(&per_layer)
-            .flatten_per_batch();
-        assert_eq!(flat, layered, "b={b}");
     }
 }
 

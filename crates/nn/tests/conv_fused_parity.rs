@@ -1,7 +1,7 @@
 //! Fused-vs-naive parity for the patch-reuse convolution backward.
 //!
 //! The fused path (shared batch `im2col` + strided per-example GEMM
-//! windows + packed-B reuse) must be **bit-identical** — not
+//! windows) must be **bit-identical** — not
 //! epsilon-close — to the naive per-example `im2col` path it replaced, for
 //! every gradient mode, across odd spatial shapes, stride/padding combos,
 //! the DP-SGD batch sizes 1/2/33, and any worker-thread count. Bit
@@ -148,12 +148,12 @@ fn fused_per_example_grads_are_bit_identical_to_naive_path() {
     }
 }
 
-/// The packed-B panels cached during the first (norm-only) pass must serve
-/// the per-batch GEMM of the reweighted second pass without changing its
-/// result: running PerBatch on a *fresh* cache (no pack reuse) and on a
-/// cache pre-warmed by a NormOnly pass must agree bit-for-bit.
+/// DP-SGD(R)'s second backward runs on the forward cache its first pass
+/// already read: a PerBatch pass on a cache that a NormOnly pass has run
+/// on and one on a *fresh* cache must agree bit-for-bit, weight, bias and
+/// data gradients alike.
 #[test]
-fn pack_reuse_across_passes_is_bit_invisible() {
+fn second_backward_on_shared_cache_matches_fresh_cache() {
     let mut rng = DivaRng::seed_from_u64(0xb0b);
     for geom in parity_geoms() {
         let batch = 9;
@@ -168,7 +168,7 @@ fn pack_reuse_across_passes_is_bit_invisible() {
         let (_, cold_cache) = layer.forward(&x);
         let gy = Tensor::uniform(y.shape().dims(), -1.0, 1.0, &mut rng);
 
-        // Warm the pack caches with a first pass (as DP-SGD(R) does).
+        // A first pass on the shared cache, as DP-SGD(R) runs.
         let _ = layer.backward(&warm_cache, &gy, GradMode::NormOnly);
         let warm = layer.backward(&warm_cache, &gy, GradMode::PerBatch);
         let cold = layer.backward(&cold_cache, &gy, GradMode::PerBatch);
@@ -176,12 +176,16 @@ fn pack_reuse_across_passes_is_bit_invisible() {
             panic!("expected per-batch gradients");
         };
         for (wa, ca) in a.iter().zip(b) {
-            assert_eq!(wa.data(), ca.data(), "pack reuse changed results: {geom:?}");
+            assert_eq!(
+                wa.data(),
+                ca.data(),
+                "a second backward on the shared cache changed results: {geom:?}"
+            );
         }
         assert_eq!(
             warm.grad_input.unwrap().data(),
             cold.grad_input.unwrap().data(),
-            "cached filter pack changed the data gradient: {geom:?}"
+            "a second backward on the shared cache changed the data gradient: {geom:?}"
         );
     }
 }

@@ -44,6 +44,17 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
+/// [`bits`] with every NaN as one NaN: where two NaNs meet in a sum, which
+/// one comes out depends on the operand order the compiler picks for the
+/// add or FMA, so only the positions of the NaNs are comparable.
+fn bits_nan_as_one(t: &Tensor) -> Vec<u32> {
+    let nan = f32::NAN.to_bits();
+    t.data()
+        .iter()
+        .map(|v| if v.is_nan() { nan } else { v.to_bits() })
+        .collect()
+}
+
 /// A uniform tensor with every 7th element −0.0 and, if `nan`, every 11th
 /// NaN and every 13th −∞.
 fn salted(dims: &[usize], nan: bool, rng: &mut DivaRng) -> Tensor {
@@ -60,6 +71,24 @@ fn salted(dims: &[usize], nan: bool, rng: &mut DivaRng) -> Tensor {
     t
 }
 
+/// A uniform tensor with one NaN and one −∞ in every `gap` elements, and
+/// every other 7th element −0.0. Sparse enough that the sums of a
+/// convolution's data gradient come out NaN at some elements and finite
+/// or infinite at others.
+fn sparsely_salted(dims: &[usize], gap: usize, rng: &mut DivaRng) -> Tensor {
+    let mut t = Tensor::uniform(dims, -1.0, 1.0, rng);
+    for (i, v) in t.data_mut().iter_mut().enumerate() {
+        if i % gap == gap / 2 {
+            *v = f32::NAN;
+        } else if i % gap == gap / 3 {
+            *v = f32::NEG_INFINITY;
+        } else if i % 7 == 3 {
+            *v = -0.0;
+        }
+    }
+    t
+}
+
 /// Asserts `kernel()` is bitwise `oracle` at every width.
 fn assert_split_matches(what: &str, oracle: &Tensor, kernel: impl Fn() -> Tensor) {
     assert_split_matches_on(Kernel::Safe, what, oracle, kernel);
@@ -67,14 +96,26 @@ fn assert_split_matches(what: &str, oracle: &Tensor, kernel: impl Fn() -> Tensor
 
 /// Asserts `kernel()` is bitwise `oracle` at every width on GEMM `arm`.
 fn assert_split_matches_on(arm: Kernel, what: &str, oracle: &Tensor, kernel: impl Fn() -> Tensor) {
-    let want = bits(oracle);
+    assert_split_matches_as(bits, arm, what, oracle, kernel);
+}
+
+/// Asserts `kernel()` equals `oracle` under `key` at every width on GEMM
+/// `arm`.
+fn assert_split_matches_as(
+    key: fn(&Tensor) -> Vec<u32>,
+    arm: Kernel,
+    what: &str,
+    oracle: &Tensor,
+    kernel: impl Fn() -> Tensor,
+) {
+    let want = key(oracle);
     for threads in THREADS {
         let got = Backend::with_threads(threads)
             .with_kernel(arm)
             .install(&kernel);
         assert_eq!(got.shape(), oracle.shape(), "{what}: shape");
         assert!(
-            bits(&got) == want,
+            key(&got) == want,
             "{what}: {arm:?} threads={threads} diverged"
         );
     }
@@ -414,10 +455,16 @@ fn conv_layer_bias_paths_match_serial_loops() {
 /// the reference route its zero skip on the gradient. Gradients and
 /// weights are salted with −0.0, and in a second round the gradients with
 /// NaN and −∞ as well, so a zero skip on the wrong operand shows (−∞ times
-/// a −0.0 weight is NaN, unless skipped).
+/// a −0.0 weight is NaN, unless skipped). A third round, on tensors of its
+/// own generator, salts weights *and* gradients with NaN and −∞ — one of
+/// each per weight tensor, sparse in the gradient, so NaN and non-NaN
+/// elements both come out — and compares with every NaN as one
+/// ([`bits_nan_as_one`]): it pins which elements come out NaN, not a NaN's
+/// sign.
 #[test]
 fn conv_data_gradient_matches_serial_loops() {
     let mut rng = DivaRng::seed_from_u64(0xd9ad);
+    let mut nan_rng = DivaRng::seed_from_u64(0x7fc0);
     for geom in geoms() {
         let (p, q) = geom.out_hw();
         for batch in BATCHES {
@@ -450,6 +497,27 @@ fn conv_data_gradient_matches_serial_loops() {
                         },
                     );
                 }
+            }
+            let weight = sparsely_salted(
+                &[geom.cout, geom.cin, geom.k, geom.k],
+                geom.weight_len(),
+                &mut nan_rng,
+            );
+            *layer.params_mut()[0] = weight.clone();
+            let gy = sparsely_salted(&[batch, geom.cout, p, q], 199, &mut nan_rng);
+            for arm in [Kernel::Safe, Kernel::Reference] {
+                assert_split_matches_as(
+                    bits_nan_as_one,
+                    arm,
+                    &format!("data grad {geom:?} b={batch} NaN weights"),
+                    &conv_data_grad_serial(&gy, &weight, &geom, arm),
+                    || {
+                        layer
+                            .backward(&cache, &gy, GradMode::PerBatch)
+                            .grad_input
+                            .expect("the input gradient was asked for")
+                    },
+                );
             }
         }
     }

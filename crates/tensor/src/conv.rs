@@ -12,10 +12,9 @@
 //! * [`PatchBuffer`] is the reuse-aware path DiVa's dataflow motivates:
 //!   `im2col` runs **once per batch**, and every subsequent GEMM — the
 //!   forward, the per-batch weight gradient, and all `B` per-example
-//!   weight gradients of DP-SGD — executes as a strided panel over that one
-//!   buffer, with the packed-B panels cached across DP-SGD(R)'s two
-//!   backward passes. [`conv2d`] and [`conv2d_backward_data`] are the
-//!   stateless entry points to the same per-example GEMMs.
+//!   weight gradients of DP-SGD — reads that one buffer in place, example
+//!   by example. [`conv2d`] and [`conv2d_backward_data`] are the stateless
+//!   entry points to the same per-example GEMMs.
 //! * [`conv2d_backward_weight`], [`nchw_to_rows`] and [`col2im`] are the
 //!   naive whole-batch lowering — a rows-layout gradient, one big GEMM, a
 //!   patch matrix folded back — kept as the baselines and test oracles the
@@ -33,8 +32,11 @@
 //!   contiguously (on the reference route, the `(P·Q, C_in·R·S)` product
 //!   `G(Y)_iᵀ × W`);
 //! * weight gradients: `G(Y)_i`'s `(C_out, P·Q)` NCHW slice is the A
-//!   operand as it stands. The per-batch GEMM takes it one packed K panel
-//!   at a time, since the patch panels split at example boundaries.
+//!   operand as it stands, and example `i`'s patch rows the B operand. The
+//!   per-batch GEMM hands the blocked driver each example's K panels in
+//!   turn, so every panel lies within one example, and the driver packs
+//!   each B panel as it reaches it: no packed copy of the patch buffer is
+//!   kept.
 //!
 //! Every element comes out with the bits of the whole-batch GEMM. The route
 //! (blocked kernel or the scalar reference loop's arithmetic, see
@@ -57,8 +59,7 @@
 //! call), instead of bounds-checking every element.
 
 use crate::gemm::{
-    gemm_packed_window, gemm_reference, gemm_serial, with_scratch, MatRef, PackCache, PackedB,
-    Route,
+    gemm_panels, gemm_reference, gemm_serial, panels, with_scratch, MatRef, Panel, Route,
 };
 use crate::matmul::matmul_tn;
 use crate::parallel;
@@ -412,18 +413,16 @@ pub fn conv2d_backward_weight(input: &Tensor, grad_out: &Tensor, geom: &Conv2dGe
 
 /// The reuse-aware convolution lowering: `im2col` computed **once** per
 /// batch, shared by the forward GEMM and every backward weight-gradient
-/// GEMM, with the packed-B panels of the weight-gradient GEMMs cached for
-/// reuse across DP-SGD(R)'s two backward passes.
+/// GEMM of both of DP-SGD(R)'s backward passes.
 ///
 /// Rows `i·P·Q .. (i+1)·P·Q` of the buffer are example `i`'s receptive
 /// fields, so a per-example weight gradient is a GEMM over a contiguous
 /// row-window of the shared buffer — no per-example `im2col`, no
 /// per-example copy. The weight-gradient GEMM is formulated as
 /// `G(W) = G(Y) × patches` (A = each example's `(C_out, P·Q)` NCHW slice
-/// of the output gradient, B = the patch buffer), which makes the packed
-/// operand the *invariant* one: packed once, it serves all `B` per-example
-/// GEMMs of the `NormOnly`/`PerExample` pass *and* the per-batch GEMM of
-/// the reweighted second pass.
+/// of the output gradient, B = the example's patch rows); the blocked
+/// kernel packs each B panel as it reaches it, so the buffer is the only
+/// copy of the patches.
 ///
 /// Numerics: for every **per-example** window the GEMM routing, the
 /// K-panel boundaries and the per-element accumulation order match the
@@ -431,7 +430,7 @@ pub fn conv2d_backward_weight(input: &Tensor, grad_out: &Tensor, geom: &Conv2dGe
 /// commutative under IEEE-754 even through FMA), so per-example gradients
 /// and norms are bit-identical to the per-example `im2col` path — the
 /// contract `tests/conv_fused_parity.rs` pins in the `diva-nn` crate. The
-/// **per-batch** window is the exception: its packed panels split at every
+/// **per-batch** window is the exception: its panels split at every
 /// example boundary while the naive batch GEMM splits only at multiples of
 /// the K panel length, so [`PatchBuffer::backward_weight_batch`] matches
 /// the naive batch path to reassociation tolerance (~1e-7 relative), not
@@ -441,7 +440,6 @@ pub struct PatchBuffer {
     patches: Tensor,
     geom: Conv2dGeom,
     n: usize,
-    pack: PackCache,
 }
 
 impl PatchBuffer {
@@ -456,7 +454,6 @@ impl PatchBuffer {
             patches: im2col(input, geom),
             geom: *geom,
             n,
-            pack: PackCache::default(),
         }
     }
 
@@ -561,9 +558,8 @@ impl PatchBuffer {
 
     /// The per-batch weight gradient `(C_out, C_in, R, S)` from the shared
     /// buffer and the `(N, C_out, P, Q)` output gradient: the
-    /// `(C_out, B·P·Q, C_in·R·S)` GEMM of the reweighted second pass,
-    /// reusing the packed patch panels if a per-example pass already paid
-    /// for them.
+    /// `(C_out, B·P·Q, C_in·R·S)` GEMM of the reweighted second pass, one
+    /// K panel of one example at a time.
     ///
     /// # Panics
     ///
@@ -591,8 +587,8 @@ impl PatchBuffer {
 
     /// Shared weight-gradient core over the examples `ex`:
     /// `G(W)[co][d] = Σ_i Σ_s gy_i[co][s] · patches_i[s][d]`, each example's
-    /// NCHW gradient slice the A operand and the patch buffer the (packed,
-    /// cached) B operand, written over `gw`.
+    /// NCHW gradient slice the A operand and its patch rows the B operand,
+    /// written over `gw`.
     fn weight_grad_window(&self, grad_out: &Tensor, ex: Range<usize>, gw: &mut [f32]) {
         assert_eq!(
             grad_batch(grad_out, &self.geom),
@@ -607,29 +603,19 @@ impl PatchBuffer {
         );
         let pq = self.rows_per_example();
         let gy = |i: usize| MatRef::row_major(&grad_out.data()[i * cout * pq..][..cout * pq], pq);
+        let patches = |i: usize| MatRef::row_major(&self.patches.data()[i * pq * patch..], patch);
         // Both kernels accumulate into their output.
         gw.fill(0.0);
         if Route::of(cout, ex.len() * pq, patch) == Route::Blocked {
-            let total = self.n * pq;
-            let pb = self.pack.get_or_pack(total, patch, || {
-                PackedB::pack_segmented(
-                    MatRef::row_major(self.patches.data(), patch),
-                    total,
-                    patch,
-                    pq,
-                )
-            });
-            // The panels split at example boundaries: each reads the slice
-            // of the example it lies in.
-            let a = |k0: usize| gy(k0 / pq).cols_from(k0 % pq);
-            gemm_packed_window(cout, a, pb, ex.start * pq, ex.end * pq, gw);
+            // Each example's own K panels: they break at every example
+            // boundary, then every `KC`, and each reads its example's slice.
+            let per_example: Vec<Panel> = ex.flat_map(|i| panels(pq, gy(i), patches(i))).collect();
+            gemm_panels(cout, patch, &per_example, gw);
         } else {
             // One example at a time: every element still takes its terms
             // in ascending row order.
             for i in ex {
-                let b =
-                    MatRef::row_major(&self.patches.data()[i * pq * patch..][..pq * patch], patch);
-                gemm_reference(cout, pq, patch, gy(i), b, gw);
+                gemm_reference(cout, pq, patch, gy(i), patches(i), gw);
             }
         }
     }

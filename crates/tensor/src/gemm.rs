@@ -4,20 +4,19 @@
 //!
 //! Structure (classic BLIS-style three-level blocking, all safe Rust):
 //!
-//! * The K dimension is split into panels of `KC`. For each panel the whole
-//!   B slab is packed once into `NR`-wide column strips (k-major within a
-//!   strip), shared read-only by all workers.
-//! * The M dimension is split across workers of the shared pool
-//!   ([`crate::parallel`]); each worker owns a contiguous row-block of C, so
-//!   no synchronization is needed on the output. A skinny GEMM whose M
-//!   gives only one worker (M a batch size or a channel count) splits its
-//!   columns instead once it is large enough: each worker takes an
-//!   `NR`-aligned block of columns, packs (or slices, for pre-packed B)
-//!   only that block's strips, and runs every K panel in order, so every
-//!   element keeps its exact FMA sequence at any thread count. Against
-//!   pre-packed B, a skinny GEMM whose N fits one strip (a first
-//!   convolution's weight gradient) splits M into `MR`-aligned row blocks
-//!   instead, each again running every panel in order.
+//! * One driver, [`gemm_panels`], runs every blocked GEMM over a list of K
+//!   panels ([`Panel`]: A and B viewed from the panel's first K index).
+//!   [`gemm`] splits K at every multiple of `KC`; the convolution weight
+//!   gradient breaks it at every example boundary first.
+//! * The driver splits C over the shared pool ([`crate::parallel`]) in one
+//!   decision ([`Split::of`]): a tall M in row blocks; a skinny M (a batch
+//!   size or a channel count) large enough to split in `NR`-aligned column
+//!   blocks, or in `MR`-aligned row blocks when N fits one strip (a first
+//!   convolution's weight gradient); anything smaller on the calling
+//!   thread. Every block runs the one worker body, [`gemm_block`]: for each
+//!   panel in order it packs its own B columns into `NR`-wide strips
+//!   (k-major within a strip) and runs the panel over its rows, so every
+//!   element keeps its exact FMA sequence at any thread count.
 //! * Within a worker, M is blocked by `MC`; each `MC × KC` block of A is
 //!   packed into `MR`-tall row strips, then an `MR × NR` register-tile
 //!   micro-kernel walks the packed panels. The micro-kernel is safe Rust:
@@ -35,10 +34,10 @@
 //! differently at the 1e-7-relative level. Kernel-parity tests in
 //! `tests/kernel_parity.rs` pin this contract.
 
-use crate::buffer::Buffer;
 use crate::parallel::{self, Backend};
 use std::cell::RefCell;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 use std::thread::LocalKey;
 
 /// The GEMM arm a [`Backend`] runs.
@@ -121,7 +120,7 @@ thread_local! {
     static PACK_A_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Per-thread packed-B scratch; same rationale as [`PACK_A_SCRATCH`].
     static PACK_B_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread copy of a column block of C ([`gemm_col_split`]); kept
+    /// Per-thread copy of a column block of C ([`gemm_panels`]); kept
     /// out of the recycled buffer pool, whose bounded idle set holds a
     /// training step's large tensors.
     static C_BLOCK_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
@@ -162,11 +161,12 @@ pub(crate) fn with_scratch<R>(
 const ROWS_PER_WORKER_MIN: usize = 48;
 
 /// Fewest multiply-adds for which a GEMM whose M gives a single worker
-/// splits its columns instead ([`col_blocks`]). The benchmark CNN's
-/// full-batch skinny GEMMs clear it (fc1's 32×1568×256 forward is 12.8M,
-/// conv2's 32×6272×144 weight gradient 28.9M); the per-example GEMMs inside
-/// DP-SGD's batch fan-out stay under it and keep their single task (a
-/// per-example conv2 weight gradient, 32×196×144, is 0.9M).
+/// splits its columns, or its rows into `MR`-aligned blocks
+/// ([`Split::of`]). The benchmark CNN's full-batch skinny GEMMs clear it
+/// (fc1's 32×1568×256 forward is 12.8M, conv2's 32×6272×144 weight
+/// gradient 28.9M); the per-example GEMMs inside DP-SGD's batch fan-out
+/// stay under it and keep their single task (a per-example conv2 weight
+/// gradient, 32×196×144, is 0.9M).
 const COL_SPLIT_THRESHOLD: usize = 1 << 21;
 
 /// C rows per pool chunk of the tiny-K path ([`gemm_tiny_k`]).
@@ -230,7 +230,7 @@ impl<'a> MatRef<'a> {
     }
 
     /// The view of columns `col0..` of this operand.
-    pub(crate) fn cols_from(self, col0: usize) -> Self {
+    fn cols_from(self, col0: usize) -> Self {
         Self {
             data: &self.data[col0 * self.cs..],
             ..self
@@ -265,43 +265,43 @@ pub(crate) fn gemm_reference(m: usize, k: usize, n: usize, a: MatRef, b: MatRef,
     }
 }
 
-/// Packs the `kb × n` slab of B starting at row `kc` into `NR`-wide strips:
+/// Packs B's first `kb × n` slab into `NR`-wide strips:
 /// `packed[strip][kk][jr]` with the tail strip zero-padded to `NR`.
 ///
 /// Row-major B (`cs == 1`, every GEMM flavour except `nt`/`tt`) takes a
 /// `copy_from_slice` fast path: each strip row is one contiguous 64-byte
 /// copy instead of `NR` strided element reads. Same elements, same slots —
 /// packing layout is not part of the numeric contract.
-fn pack_b(b: MatRef, kc: usize, kb: usize, n: usize, packed: &mut [f32]) {
+fn pack_b(b: MatRef, kb: usize, n: usize, packed: &mut [f32]) {
     debug_assert_eq!(packed.len(), n.div_ceil(NR) * kb * NR);
     for (strip, panel) in packed.chunks_mut(kb * NR).enumerate() {
         let j0 = strip * NR;
         let jw = NR.min(n - j0);
         if b.cs == 1 {
             for (kk, row) in panel.chunks_mut(NR).enumerate() {
-                let src = &b.data[(kc + kk) * b.rs + j0..(kc + kk) * b.rs + j0 + jw];
+                let src = &b.data[kk * b.rs + j0..kk * b.rs + j0 + jw];
                 row[..jw].copy_from_slice(src);
                 row[jw..].fill(0.0);
             }
         } else {
             for (kk, row) in panel.chunks_mut(NR).enumerate() {
                 for (jr, slot) in row.iter_mut().enumerate() {
-                    *slot = if jr < jw { b.at(kc + kk, j0 + jr) } else { 0.0 };
+                    *slot = if jr < jw { b.at(kk, j0 + jr) } else { 0.0 };
                 }
             }
         }
     }
 }
 
-/// Packs the `mb × kb` block of A at `(i0, kc)` into `MR`-tall strips:
-/// `packed[strip][kk][ir]` with the tail strip zero-padded to `MR`.
+/// Packs rows `i0..i0 + mb` of A's first `kb` columns into `MR`-tall
+/// strips: `packed[strip][kk][ir]` with the tail strip zero-padded to `MR`.
 ///
 /// Two fast paths mirror [`pack_b`]'s: row-major A (`cs == 1`, the
 /// forward/`nt` flavours) walks each source row contiguously and scatters
 /// into the L1-resident strip; column-major A (`rs == 1`, the `tn`
 /// weight-gradient flavour) copies each strip column with one contiguous
 /// `copy_from_slice`. Same elements, same slots either way.
-fn pack_a(a: MatRef, i0: usize, mb: usize, kc: usize, kb: usize, packed: &mut [f32]) {
+fn pack_a(a: MatRef, i0: usize, mb: usize, kb: usize, packed: &mut [f32]) {
     debug_assert!(packed.len() >= mb.div_ceil(MR) * kb * MR);
     for (strip, panel) in packed.chunks_mut(kb * MR).take(mb.div_ceil(MR)).enumerate() {
         let r0 = strip * MR;
@@ -311,25 +311,21 @@ fn pack_a(a: MatRef, i0: usize, mb: usize, kc: usize, kb: usize, packed: &mut [f
                 panel.fill(0.0);
             }
             for ir in 0..rh {
-                let src = &a.data[(i0 + r0 + ir) * a.rs + kc..(i0 + r0 + ir) * a.rs + kc + kb];
+                let src = &a.data[(i0 + r0 + ir) * a.rs..(i0 + r0 + ir) * a.rs + kb];
                 for (kk, &v) in src.iter().enumerate() {
                     panel[kk * MR + ir] = v;
                 }
             }
         } else if a.rs == 1 {
             for (kk, col) in panel.chunks_mut(MR).enumerate() {
-                let base = (kc + kk) * a.cs + i0 + r0;
+                let base = kk * a.cs + i0 + r0;
                 col[..rh].copy_from_slice(&a.data[base..base + rh]);
                 col[rh..].fill(0.0);
             }
         } else {
             for (kk, col) in panel.chunks_mut(MR).enumerate() {
                 for (ir, slot) in col.iter_mut().enumerate() {
-                    *slot = if ir < rh {
-                        a.at(i0 + r0 + ir, kc + kk)
-                    } else {
-                        0.0
-                    };
+                    *slot = if ir < rh { a.at(i0 + r0 + ir, kk) } else { 0.0 };
                 }
             }
         }
@@ -378,13 +374,12 @@ fn microkernel(kb: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]
     }
 }
 
-/// Computes one worker's row-range of C against the shared packed B panel.
-#[allow(clippy::too_many_arguments)] // a flat hot-path signature
+/// Computes rows `row0..row0 + rows` of one `kb`-deep panel of C against
+/// its packed B strips, `out_rows += A × B`.
 fn gemm_rows(
     a: MatRef,
     row0: usize,
     rows: usize,
-    kc: usize,
     kb: usize,
     n: usize,
     packed_b: &[f32],
@@ -405,7 +400,7 @@ fn gemm_rows(
         let mut i0 = 0;
         while i0 < rows {
             let mb = MC.min(rows - i0);
-            pack_a(a, row0 + i0, mb, kc, kb, packed_a);
+            pack_a(a, row0 + i0, mb, kb, packed_a);
             let mut gb = 0;
             while gb < n_strips {
                 let g_count = gw.min(n_strips - gb);
@@ -440,10 +435,9 @@ fn gemm_rows(
 /// The arithmetic a GEMM of this shape runs under the calling thread's
 /// [`Backend`] — the decision [`gemm`] makes internally.
 ///
-/// Exposed so callers that pre-pack B through a [`PackCache`], or that run
-/// one GEMM per example of a batch, replicate the same routing and
-/// therefore stay bit-identical with the unpacked entry points for every
-/// shape.
+/// Exposed so callers that run one GEMM per example of a batch, or that
+/// hand [`gemm_panels`] their own K panels, replicate the same routing and
+/// therefore stay bit-identical with the whole-batch GEMM for every shape.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Route {
     /// The scalar reference loop on the operands as given: under
@@ -455,7 +449,7 @@ pub(crate) enum Route {
     /// patches) are short outer-product accumulations, where the packing
     /// passes cost more than they save.
     TinyK,
-    /// The blocked, packed kernel.
+    /// The blocked, packed kernel ([`gemm_panels`]).
     Blocked,
 }
 
@@ -472,12 +466,11 @@ impl Route {
     }
 }
 
-/// Blocked, packed, M-parallel (or, for a skinny M, column-split) GEMM:
-/// `out += A × B` where `A` is logically
-/// `(m, k)` and `B` is `(k, n)` under their respective stride views, and
-/// `out` is row-major `(m, n)`.
+/// `out += A × B` where `A` is logically `(m, k)` and `B` is `(k, n)` under
+/// their respective stride views, and `out` is row-major `(m, n)`.
 ///
-/// Falls back to the scalar reference below [`BLOCKED_THRESHOLD`]
+/// Takes the blocked kernel ([`gemm_panels`] over K panels of `KC`), but
+/// falls back to the scalar reference below [`BLOCKED_THRESHOLD`]
 /// multiply-adds or under [`Kernel::Reference`], and to its row-parallel
 /// form ([`gemm_tiny_k`]) for larger `k < 16` GEMMs.
 pub(crate) fn gemm(m: usize, k: usize, n: usize, a: MatRef, b: MatRef, out: &mut [f32]) {
@@ -486,48 +479,10 @@ pub(crate) fn gemm(m: usize, k: usize, n: usize, a: MatRef, b: MatRef, out: &mut
         return;
     }
     match Route::of(m, k, n) {
-        Route::Reference => return gemm_reference(m, k, n, a, b, out),
-        Route::TinyK => return gemm_tiny_k(k, n, a, b, out),
-        Route::Blocked => {}
+        Route::Reference => gemm_reference(m, k, n, a, b, out),
+        Route::TinyK => gemm_tiny_k(k, n, a, b, out),
+        Route::Blocked => gemm_panels(m, n, &panels(k, a, b), out),
     }
-    let blocks = col_blocks(m, k, n);
-    if blocks > 1 {
-        let panels: Vec<Panel> = (0..k)
-            .step_by(KC)
-            .map(|kc| Panel {
-                a: a.cols_from(kc),
-                at: kc,
-                kb: KC.min(k - kc),
-            })
-            .collect();
-        gemm_col_split(m, n, &panels, Strips::Pack(b), blocks, out);
-        return;
-    }
-    let threads = parallel::effective_threads().min(m.div_ceil(ROWS_PER_WORKER_MIN));
-    if threads <= 1 {
-        gemm_serial(m, k, n, a, b, out);
-        return;
-    }
-    let rows_per_worker = m.div_ceil(threads);
-    with_scratch(
-        &PACK_B_SCRATCH,
-        n.div_ceil(NR) * KC.min(k) * NR,
-        |packed_b| {
-            let mut kc = 0;
-            while kc < k {
-                let kb = KC.min(k - kc);
-                let packed_len = n.div_ceil(NR) * kb * NR;
-                pack_b(b, kc, kb, n, &mut packed_b[..packed_len]);
-                let packed = &packed_b[..packed_len];
-                parallel::par_chunks_mut(out, rows_per_worker * n, |widx, out_rows| {
-                    let row0 = widx * rows_per_worker;
-                    let rows = out_rows.len() / n;
-                    gemm_rows(a, row0, rows, kc, kb, n, packed, out_rows);
-                });
-                kc += kb;
-            }
-        },
-    );
 }
 
 /// [`gemm`]'s blocked route on the calling thread alone: the same K
@@ -538,95 +493,129 @@ pub(crate) fn gemm(m: usize, k: usize, n: usize, a: MatRef, b: MatRef, out: &mut
 /// [`Route::Blocked`].
 pub(crate) fn gemm_serial(m: usize, k: usize, n: usize, a: MatRef, b: MatRef, out: &mut [f32]) {
     debug_assert_eq!(out.len(), m * n);
-    with_scratch(
-        &PACK_B_SCRATCH,
-        n.div_ceil(NR) * KC.min(k) * NR,
-        |packed_b| {
-            for kc in (0..k).step_by(KC) {
-                let kb = KC.min(k - kc);
-                let packed = &mut packed_b[..n.div_ceil(NR) * kb * NR];
-                pack_b(b, kc, kb, n, packed);
-                gemm_rows(a, 0, m, kc, kb, n, packed, out);
-            }
-        },
-    );
+    gemm_block(&panels(k, a, b), 0..m, 0..n, out);
 }
 
-/// How many column blocks a blocked GEMM of this shape splits into: the
-/// backend's width, capped at N's `NR` strips, when the M split would give
-/// a single worker and the GEMM reaches [`COL_SPLIT_THRESHOLD`]; else 1.
-fn col_blocks(m: usize, k: usize, n: usize) -> usize {
-    let threads = parallel::effective_threads();
-    if threads < 2 || m > ROWS_PER_WORKER_MIN || m * k * n < COL_SPLIT_THRESHOLD {
-        return 1;
-    }
-    threads.min(n.div_ceil(NR))
-}
-
-/// One K panel of a split GEMM.
+/// One K panel of a blocked GEMM.
 #[derive(Clone, Copy)]
-struct Panel<'a> {
+pub(crate) struct Panel<'a> {
     /// A from the panel's first K column on.
     a: MatRef<'a>,
-    /// The panel's first row of B ([`Strips::Pack`]), or its offset in the
-    /// packed data ([`Strips::Packed`], [`PackedB`]).
-    at: usize,
+    /// B from the panel's first K row on.
+    b: MatRef<'a>,
     /// The panel's length along K.
     kb: usize,
 }
 
-/// Where a column block of [`gemm_col_split`] finds its packed B strips.
-#[derive(Clone, Copy)]
-enum Strips<'a> {
-    /// Packs its own strips from B, panel by panel; B's K axis is A's.
-    Pack(MatRef<'a>),
-    /// Slices them out of panels packed in advance ([`PackedB`] data).
-    Packed(&'a [f32]),
+/// The panels of a `k`-deep product of `a` and `b`, split at every
+/// multiple of `KC`: [`gemm`]'s own split. Concatenating the panels of
+/// several products (one per example of a batch, say) gives their sum with
+/// each product's panels, and therefore each element's FMA sequence,
+/// unchanged.
+pub(crate) fn panels<'a>(k: usize, a: MatRef<'a>, b: MatRef<'a>) -> Vec<Panel<'a>> {
+    (0..k)
+        .step_by(KC)
+        .map(|kc| Panel {
+            a: a.cols_from(kc),
+            b: b.rows_from(kc),
+            kb: KC.min(k - kc),
+        })
+        .collect()
 }
 
-/// `out += A × B` split into `blocks` `NR`-aligned column blocks, one pool
-/// task each. A block takes only its own B strips and runs every panel in
-/// order through [`gemm_rows`], so each element of C sees the same tiles,
-/// added in the same order, as under the unsplit GEMM. Its columns of C go
-/// through thread-local scratch (M is small by construction): copied in,
-/// accumulated, copied back, with `out` locked for each copy.
-fn gemm_col_split(m: usize, n: usize, panels: &[Panel], b: Strips, blocks: usize, out: &mut [f32]) {
-    let n_strips = n.div_ceil(NR);
-    let max_kb = panels.iter().map(|p| p.kb).max().unwrap_or(0);
-    let out = Mutex::new(out);
-    // Blocks own disjoint columns, and a task panicking mid-copy fails the
-    // whole region, so a poisoned lock guards nothing anyone reads.
-    let lock = || out.lock().unwrap_or_else(PoisonError::into_inner);
-    parallel::par_map(blocks, |blk| {
-        let (s0, s1) = (blk * n_strips / blocks, (blk + 1) * n_strips / blocks);
-        let (j0, j1) = (s0 * NR, (s1 * NR).min(n));
-        let nb = j1 - j0;
-        with_scratch(&C_BLOCK_SCRATCH, m * nb, |c| {
-            for (crow, row) in c.chunks_exact_mut(nb).zip(lock().chunks_exact(n)) {
-                crow.copy_from_slice(&row[j0..j1]);
-            }
-            match b {
-                Strips::Pack(b) => {
-                    let b = b.cols_from(j0);
-                    with_scratch(&PACK_B_SCRATCH, (s1 - s0) * max_kb * NR, |scratch| {
-                        for p in panels {
-                            let strips = &mut scratch[..(s1 - s0) * p.kb * NR];
-                            pack_b(b, p.at, p.kb, nb, strips);
-                            gemm_rows(p.a, 0, m, 0, p.kb, nb, strips, c);
-                        }
-                    });
-                }
-                Strips::Packed(data) => {
-                    for p in panels {
-                        let strips = &data[p.at + s0 * p.kb * NR..p.at + s1 * p.kb * NR];
-                        gemm_rows(p.a, 0, m, 0, p.kb, nb, strips, c);
+/// How [`gemm_panels`] splits C over the pool.
+enum Split {
+    /// All of C on the calling thread.
+    Serial,
+    /// Row blocks of this many rows, one pool task each.
+    Rows(usize),
+    /// This many `NR`-aligned column blocks, one pool task each.
+    Cols(usize),
+}
+
+impl Split {
+    /// The split of an `(m, k, n)` GEMM at the backend's width: a tall M
+    /// in row blocks of at least [`ROWS_PER_WORKER_MIN`] rows. A skinny M
+    /// (a batch size or a channel count) past [`COL_SPLIT_THRESHOLD`]
+    /// multiply-adds splits its `NR` strips of N into column blocks, or,
+    /// when N fits one strip, its rows into `MR`-aligned blocks. Anything
+    /// smaller stays on the calling thread.
+    fn of(m: usize, k: usize, n: usize) -> Self {
+        let threads = parallel::effective_threads();
+        let rows = if m > ROWS_PER_WORKER_MIN {
+            m.div_ceil(threads.min(m.div_ceil(ROWS_PER_WORKER_MIN)))
+        } else if threads < 2 || m * k * n < COL_SPLIT_THRESHOLD {
+            m
+        } else if n > NR {
+            return Split::Cols(threads.min(n.div_ceil(NR)));
+        } else {
+            m.div_ceil(threads.min(m.div_ceil(MR))).next_multiple_of(MR)
+        };
+        if rows >= m {
+            Split::Serial
+        } else {
+            Split::Rows(rows)
+        }
+    }
+}
+
+/// The blocked GEMM driver: `out += Σ_p A_p × B_p` over `panels` in order,
+/// where `out` is row-major `(m, n)`. Splits C once ([`Split::of`]) and runs
+/// every block through [`gemm_block`], so each element of C sees the same
+/// tiles, added in the same order, at every thread count. Routing is the
+/// caller's: call it on [`Route::Blocked`].
+///
+/// A column block's columns of C go through thread-local scratch (M is
+/// small by construction): copied in, accumulated, copied back, with `out`
+/// locked for each copy.
+pub(crate) fn gemm_panels(m: usize, n: usize, panels: &[Panel], out: &mut [f32]) {
+    assert_eq!(out.len(), m * n, "output buffer shape mismatch");
+    let k = panels.iter().map(|p| p.kb).sum();
+    match Split::of(m, k, n) {
+        Split::Serial => gemm_block(panels, 0..m, 0..n, out),
+        Split::Rows(rows) => parallel::par_chunks_mut(out, rows * n, |blk, c| {
+            let r0 = blk * rows;
+            gemm_block(panels, r0..r0 + c.len() / n, 0..n, c);
+        }),
+        Split::Cols(blocks) => {
+            let n_strips = n.div_ceil(NR);
+            let out = Mutex::new(out);
+            // Blocks own disjoint columns, and a task panicking mid-copy
+            // fails the whole region, so a poisoned lock guards nothing
+            // anyone reads.
+            let lock = || out.lock().unwrap_or_else(PoisonError::into_inner);
+            parallel::par_map(blocks, |blk| {
+                let (s0, s1) = (blk * n_strips / blocks, (blk + 1) * n_strips / blocks);
+                let (j0, j1) = (s0 * NR, (s1 * NR).min(n));
+                let nb = j1 - j0;
+                with_scratch(&C_BLOCK_SCRATCH, m * nb, |c| {
+                    for (crow, row) in c.chunks_exact_mut(nb).zip(lock().chunks_exact(n)) {
+                        crow.copy_from_slice(&row[j0..j1]);
                     }
-                }
-            }
-            for (row, crow) in lock().chunks_exact_mut(n).zip(c.chunks_exact(nb)) {
-                row[j0..j1].copy_from_slice(crow);
-            }
-        });
+                    gemm_block(panels, 0..m, j0..j1, c);
+                    for (row, crow) in lock().chunks_exact_mut(n).zip(c.chunks_exact(nb)) {
+                        row[j0..j1].copy_from_slice(crow);
+                    }
+                });
+            });
+        }
+    }
+}
+
+/// The one worker body of [`gemm_panels`]: `c += A[rows, :] × B[:, cols]`
+/// over `panels` in order, `c` row-major `(rows.len(), cols.len())`. For
+/// each panel it packs the block's B strips into [`PACK_B_SCRATCH`] right
+/// before [`gemm_rows`] reads them.
+fn gemm_block(panels: &[Panel], rows: Range<usize>, cols: Range<usize>, c: &mut [f32]) {
+    let nb = cols.len();
+    let strips_len = nb.div_ceil(NR) * NR;
+    let max_kb = panels.iter().map(|p| p.kb).max().unwrap_or(0);
+    with_scratch(&PACK_B_SCRATCH, strips_len * max_kb, |scratch| {
+        for p in panels {
+            let strips = &mut scratch[..strips_len * p.kb];
+            pack_b(p.b.cols_from(cols.start), p.kb, nb, strips);
+            gemm_rows(p.a, rows.start, rows.len(), p.kb, nb, strips, c);
+        }
     });
 }
 
@@ -643,185 +632,6 @@ fn gemm_tiny_k(k: usize, n: usize, a: MatRef, b: MatRef, out: &mut [f32]) {
         let a = a.rows_from(blk * TINY_K_ROWS);
         gemm_reference(rows.len() / n, k, n, a, b, rows);
     });
-}
-
-/// A B operand packed once into `NR`-wide strips for a caller-chosen panel
-/// decomposition of K, so repeated GEMMs against the same B (or against
-/// K-windows of it) skip the packing pass entirely.
-///
-/// The panel boundaries are part of the packed layout *and* of the numeric
-/// contract: the blocked kernel accumulates `out += A × B` one panel at a
-/// time, so two GEMMs agree bit-for-bit only when their panel decompositions
-/// agree. [`PackedB::pack_segmented`] splits each `segment`-row slab of B at
-/// multiples of `KC`, which reproduces [`gemm`]'s own split for any window
-/// that is a whole number of segments — the property the fused convolution
-/// backward relies on (per-example windows of the shared patch buffer).
-#[derive(Clone, Debug)]
-pub(crate) struct PackedB {
-    k: usize,
-    n: usize,
-    /// Per panel: (global K offset, panel length, offset into `data`).
-    panels: Vec<(usize, usize, usize)>,
-    data: Buffer,
-}
-
-impl PackedB {
-    /// Packs all of B (`k × n` under the stride view) into strips, splitting
-    /// K first at multiples of `segment` and then at multiples of `KC`
-    /// within each segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segment` is zero or does not divide `k`.
-    pub(crate) fn pack_segmented(b: MatRef, k: usize, n: usize, segment: usize) -> Self {
-        assert!(
-            segment > 0 && k.is_multiple_of(segment),
-            "segment {segment} must divide K {k}"
-        );
-        let strip_row = n.div_ceil(NR) * NR;
-        let mut panels = Vec::new();
-        // `pack_b` writes every slot of its panel, zero padding included.
-        let mut data = Buffer::for_overwrite(k * strip_row);
-        let mut seg0 = 0;
-        while seg0 < k {
-            let mut kc = 0;
-            while kc < segment {
-                let kb = KC.min(segment - kc);
-                let offset = (seg0 + kc) * strip_row;
-                pack_b(
-                    b,
-                    seg0 + kc,
-                    kb,
-                    n,
-                    &mut data[offset..offset + kb * strip_row],
-                );
-                panels.push((seg0 + kc, kb, offset));
-                kc += kb;
-            }
-            seg0 += segment;
-        }
-        Self { k, n, panels, data }
-    }
-}
-
-/// A lazily-initialized, shareable cache of a packed B operand.
-///
-/// DP-SGD(R) runs two backward passes over the same forward state. A
-/// convolution's weight-gradient GEMMs all read one B operand, the shared
-/// `im2col` patch buffer of a [`crate::PatchBuffer`]: every per-example
-/// GEMM of the first pass and the per-batch GEMM of the second. That
-/// operand is packed exactly once through this handle and its panels are
-/// reused thereafter. The handle lives inside the `PatchBuffer`, which
-/// never mutates its patches after lowering, so the pack cannot go stale.
-///
-/// Thread-safe: concurrent first users (the per-example fan-out of the
-/// `NormOnly` pass) race on a `OnceLock`; one packs, the rest block briefly
-/// and share the result.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct PackCache {
-    slot: OnceLock<PackedB>,
-}
-
-impl PackCache {
-    /// Returns the packed operand, packing it on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache was initialized with a different shape.
-    pub(crate) fn get_or_pack(
-        &self,
-        k: usize,
-        n: usize,
-        pack: impl FnOnce() -> PackedB,
-    ) -> &PackedB {
-        let pb = self.slot.get_or_init(pack);
-        assert_eq!(
-            (pb.k, pb.n),
-            (k, n),
-            "PackCache reused across operands of different shapes"
-        );
-        pb
-    }
-}
-
-/// Blocked GEMM against pre-packed B panels covering the global B-row
-/// window `lo..hi`: `out += A × B[lo..hi, :]`, where `out` is row-major
-/// `(m, pb.n)` and `a(k0)` is the A operand from the column that multiplies
-/// B's row `k0` on. Taking A per panel lets it come in pieces — one per
-/// example of a batch, say — as long as no packed panel straddles two.
-///
-/// The window must start and end on packed panel boundaries (any whole
-/// number of segments of [`PackedB::pack_segmented`] qualifies). Routing is
-/// the caller's job: call this on [`Route::Blocked`] and fall back to
-/// [`gemm_reference`] on the raw operands otherwise.
-///
-/// Split over the pool as [`gemm`] splits: M-parallel for a tall M,
-/// column blocks for a skinny one. A skinny GEMM whose N fits one `NR`
-/// strip, so that neither split yields a second worker, takes `MR`-aligned
-/// row blocks instead once it reaches [`COL_SPLIT_THRESHOLD`]. Every worker
-/// runs all panels in order over its rows, so each element keeps its FMA
-/// sequence at any thread count.
-pub(crate) fn gemm_packed_window<'a>(
-    m: usize,
-    a: impl Fn(usize) -> MatRef<'a>,
-    pb: &PackedB,
-    lo: usize,
-    hi: usize,
-    out: &mut [f32],
-) {
-    let n = pb.n;
-    assert_eq!(out.len(), m * n, "output buffer shape mismatch");
-    assert!(
-        lo <= hi && hi <= pb.k,
-        "window {lo}..{hi} outside K {}",
-        pb.k
-    );
-    let mut panels: Vec<Panel> = Vec::new();
-    let mut covered = lo;
-    for &(k0, kb, offset) in &pb.panels {
-        if k0 + kb <= lo || k0 >= hi {
-            continue;
-        }
-        assert!(
-            k0 == covered && k0 + kb <= hi,
-            "window {lo}..{hi} does not align with packed panel boundaries"
-        );
-        covered = k0 + kb;
-        panels.push(Panel {
-            a: a(k0),
-            at: offset,
-            kb,
-        });
-    }
-    assert_eq!(covered, hi, "packed panels do not cover window {lo}..{hi}");
-    let k = hi - lo;
-    let blocks = col_blocks(m, k, n);
-    if blocks > 1 {
-        gemm_col_split(m, n, &panels, Strips::Packed(&pb.data), blocks, out);
-        return;
-    }
-    let threads = parallel::effective_threads();
-    let rows_per_worker = if m > ROWS_PER_WORKER_MIN {
-        m.div_ceil(threads.min(m.div_ceil(ROWS_PER_WORKER_MIN)))
-    } else if m * k * n >= COL_SPLIT_THRESHOLD {
-        m.div_ceil(threads.min(m.div_ceil(MR))).next_multiple_of(MR)
-    } else {
-        m
-    };
-    let n_strips = n.div_ceil(NR);
-    let run = |row0: usize, rows: usize, out_rows: &mut [f32]| {
-        for p in &panels {
-            let strips = &pb.data[p.at..p.at + n_strips * p.kb * NR];
-            gemm_rows(p.a, row0, rows, 0, p.kb, n, strips, out_rows);
-        }
-    };
-    if rows_per_worker >= m {
-        run(0, m, out);
-    } else {
-        parallel::par_chunks_mut(out, rows_per_worker * n, |widx, out_rows| {
-            run(widx * rows_per_worker, out_rows.len() / n, out_rows);
-        });
-    }
 }
 
 #[cfg(test)]
@@ -855,95 +665,60 @@ mod tests {
         ] {
             let a = dense(m, k, &mut rng);
             let b = dense(k, n, &mut rng);
-            let mut fast = vec![0.0f32; m * n];
-            let mut slow = vec![0.0f32; m * n];
-            // Call the blocked path directly (below threshold the public
-            // entry would route to the reference anyway).
             let av = MatRef::row_major(&a, k);
             let bv = MatRef::row_major(&b, n);
+            let mut slow = vec![0.0f32; m * n];
             gemm_reference(m, k, n, av, bv, &mut slow);
-            let threads = parallel::effective_threads().min(m.div_ceil(ROWS_PER_WORKER_MIN));
-            let rows_per_worker = m.div_ceil(threads.max(1));
-            let mut packed_b = vec![0.0f32; n.div_ceil(NR) * KC * NR];
-            let mut kc = 0;
-            while kc < k {
-                let kb = KC.min(k - kc);
-                let plen = n.div_ceil(NR) * kb * NR;
-                pack_b(bv, kc, kb, n, &mut packed_b[..plen]);
-                parallel::par_chunks_mut(&mut fast, rows_per_worker * n, |widx, rows| {
-                    gemm_rows(
-                        av,
-                        widx * rows_per_worker,
-                        rows.len() / n,
-                        kc,
-                        kb,
-                        n,
-                        &packed_b[..plen],
-                        rows,
-                    );
-                });
-                kc += kb;
+            // Drive the blocked path directly (below threshold the public
+            // entry would route to the reference anyway).
+            for threads in [1, 3] {
+                let mut fast = vec![0.0f32; m * n];
+                Backend::with_threads(threads)
+                    .install(|| gemm_panels(m, n, &panels(k, av, bv), &mut fast));
+                assert!(
+                    max_diff(&fast, &slow) < 1e-4,
+                    "mismatch at ({m},{k},{n}) threads={threads}: {}",
+                    max_diff(&fast, &slow)
+                );
             }
-            assert!(
-                max_diff(&fast, &slow) < 1e-4,
-                "mismatch at ({m},{k},{n}): {}",
-                max_diff(&fast, &slow)
-            );
         }
     }
 
-    /// A packed-window GEMM over a whole-K window must equal the unpacked
-    /// blocked path bit-for-bit (same panel boundaries, same kernels), and
-    /// per-segment windows must equal GEMMs on the corresponding B slabs.
+    /// Panels concatenated over segments of K (one per example of a batch,
+    /// each with its own A) give each segment's slab GEMM, accumulated in
+    /// segment order, bit for bit: a segment longer than `KC` keeps its own
+    /// panel split, and no panel straddles two segments. The row split at
+    /// width 3 and the column split of a skinny M must not move a bit
+    /// either.
     #[test]
-    fn packed_windows_match_unpacked_gemm() {
+    fn segmented_panels_match_slab_gemms() {
         let mut rng = DivaRng::seed_from_u64(99);
-        let (seg, n_seg, n) = (130usize, 3usize, 47usize);
-        let k = seg * n_seg;
-        let m = 65;
-        let a = dense(m, k, &mut rng);
-        let b = dense(k, n, &mut rng);
-        let av = MatRef::row_major(&a, k);
+        let (seg, n_seg, n) = (KC + 9, 3usize, 47usize);
+        let b = dense(seg * n_seg, n, &mut rng);
         let bv = MatRef::row_major(&b, n);
-        let pb = PackedB::pack_segmented(bv, k, n, seg);
-
-        // Whole window: segment boundaries force extra panel splits, which
-        // reassociates relative to the single-panel reference, so this is a
-        // tolerance comparison.
-        let mut packed_out = vec![0.0f32; m * n];
-        gemm_packed_window(m, |k0| av.cols_from(k0), &pb, 0, k, &mut packed_out);
-        let mut slow = vec![0.0f32; m * n];
-        gemm_reference(m, k, n, av, bv, &mut slow);
-        assert!(max_diff(&packed_out, &slow) < 1e-4);
-
-        // Per-segment windows: must match a GEMM on the sliced operands
-        // exactly, because the panel boundaries agree (seg < KC → one
-        // panel either way).
-        for s in 0..n_seg {
-            let (lo, hi) = (s * seg, (s + 1) * seg);
-            let a_win = dense(m, seg, &mut rng);
-            let awv = MatRef::row_major(&a_win, seg);
-            let mut win_out = vec![0.0f32; m * n];
-            gemm_packed_window(m, |k0| awv.cols_from(k0 - lo), &pb, lo, hi, &mut win_out);
-            let b_slab = &b[lo * n..hi * n];
-            let mut direct = vec![0.0f32; m * n];
-            // Unpacked blocked path on the same slab.
-            let bsv = MatRef::row_major(b_slab, n);
-            let mut packed_b = vec![0.0f32; n.div_ceil(NR) * seg * NR];
-            pack_b(bsv, 0, seg, n, &mut packed_b);
-            gemm_rows(awv, 0, m, 0, seg, n, &packed_b, &mut direct);
-            assert_eq!(win_out, direct, "segment {s} diverged from slab GEMM");
+        for m in [65usize, 6] {
+            let a: Vec<Vec<f32>> = (0..n_seg).map(|_| dense(m, seg, &mut rng)).collect();
+            let slab = |s: usize| (MatRef::row_major(&a[s], seg), bv.rows_from(s * seg));
+            let mut want = vec![0.0f32; m * n];
+            for s in 0..n_seg {
+                let (av, sv) = slab(s);
+                gemm_serial(m, seg, n, av, sv, &mut want);
+            }
+            let segmented: Vec<Panel> = (0..n_seg)
+                .flat_map(|s| {
+                    let (av, sv) = slab(s);
+                    panels(seg, av, sv)
+                })
+                .collect();
+            for threads in [1, 3] {
+                let mut got = vec![0.0f32; m * n];
+                Backend::with_threads(threads).install(|| gemm_panels(m, n, &segmented, &mut got));
+                assert_eq!(
+                    got, want,
+                    "m={m} threads={threads}: diverged from slab GEMMs"
+                );
+            }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "reused across operands of different shapes")]
-    fn pack_cache_rejects_shape_change() {
-        let b = vec![0.0f32; 6];
-        let bv = MatRef::row_major(&b, 3);
-        let cache = PackCache::default();
-        let _ = cache.get_or_pack(2, 3, || PackedB::pack_segmented(bv, 2, 3, 2));
-        let _ = cache.get_or_pack(3, 2, || PackedB::pack_segmented(bv, 3, 2, 3));
     }
 
     /// On-host cost-split diagnostic (ignored): times the bare micro-kernel
@@ -961,9 +736,9 @@ mod tests {
         let kb = D;
         let n_strips = D.div_ceil(NR);
         let mut packed_b = vec![0.0f32; n_strips * kb * NR];
-        pack_b(bv, 0, kb, D, &mut packed_b);
+        pack_b(bv, kb, D, &mut packed_b);
         let mut packed_a = vec![0.0f32; D.div_ceil(MR) * MR * kb];
-        pack_a(av, 0, D, 0, kb, &mut packed_a);
+        pack_a(av, 0, D, kb, &mut packed_a);
         let reps = 40;
 
         // Bare kernel sweep over all tiles, panels streamed as in gemm_rows.
@@ -1005,8 +780,8 @@ mod tests {
         // Packing passes alone.
         let t0 = std::time::Instant::now();
         for _ in 0..reps {
-            pack_b(bv, 0, kb, D, &mut packed_b);
-            pack_a(av, 0, D, 0, kb, &mut packed_a);
+            pack_b(bv, kb, D, &mut packed_b);
+            pack_a(av, 0, D, kb, &mut packed_a);
         }
         let pack_ms = t0.elapsed().as_secs_f64() / f64::from(reps) * 1e3;
 
@@ -1015,7 +790,7 @@ mod tests {
         let t0 = std::time::Instant::now();
         for _ in 0..reps {
             out.fill(0.0);
-            crate::parallel::Backend::serial().install(|| gemm(D, D, D, av, bv, &mut out));
+            Backend::serial().install(|| gemm(D, D, D, av, bv, &mut out));
         }
         let gemm_ms = t0.elapsed().as_secs_f64() / f64::from(reps) * 1e3;
         println!(
@@ -1032,7 +807,7 @@ mod tests {
         let b = dense(k, n, &mut rng);
         let bv = MatRef::row_major(&b, n);
         let mut packed = vec![f32::NAN; n.div_ceil(NR) * k * NR];
-        pack_b(bv, 0, k, n, &mut packed);
+        pack_b(bv, k, n, &mut packed);
         // Tail strip: entries beyond column n must be exactly zero.
         let tail = &packed[k * NR..];
         for kk in 0..k {

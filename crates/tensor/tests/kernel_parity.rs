@@ -363,16 +363,16 @@ fn skinny_gemm_thread_matrix_is_bit_identical() {
     }
 }
 
-/// The per-batch convolution weight gradient runs a skinny GEMM over the
-/// cached, pre-packed patch panels, reading the NCHW gradient one example
-/// per panel; its column split slices those panels, and a one-strip
-/// `C_in·R·S` too long for one worker splits its rows instead. It must be
+/// The per-batch convolution weight gradient runs a skinny GEMM over each
+/// example's K panels of the patch buffer, reading the NCHW gradient one
+/// example per panel; it splits its columns, or, when `C_in·R·S` fits one
+/// strip and is too long for one worker, its rows. It must be
 /// bitwise its 1-thread result at widths 1–4, from a one-strip `C_in·R·S`
 /// up to several strips with a ragged tail. Under `Kernel::Reference` it
 /// must be bitwise the scalar GEMM of the gradient rows' transpose with the
 /// `im2col` patches at widths 1 and 4, which the safe kernel is not.
 #[test]
-fn packed_window_weight_gradient_thread_matrix_is_bit_identical() {
+fn batch_weight_gradient_thread_matrix_is_bit_identical() {
     use diva_tensor::{im2col, nchw_to_rows, Backend, Kernel, PatchBuffer};
     let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let mut rng = DivaRng::seed_from_u64(8);

@@ -11,7 +11,8 @@
 //! * DP-SGD(R)'s fused reweighted backward (norms-only pass + reweighted
 //!   per-batch pass) matches the two-pass reference that materializes
 //!   per-example gradients and reduces them — on CNNs, so the shared patch
-//!   buffer and packed-B reuse sit on the tested path.
+//!   buffer and the per-example K panels of the weight-gradient GEMM sit
+//!   on the tested path.
 //! * The counter-based Gaussian noise of the mechanism is standard normal:
 //!   moments, a Kolmogorov–Smirnov test against Φ, and the 3σ tail mass.
 
