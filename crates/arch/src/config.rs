@@ -1,4 +1,4 @@
-//! Accelerator configuration (paper Table II) with a validating builder.
+//! Accelerator configuration (paper Table II) and its validation.
 
 use std::fmt;
 
@@ -110,13 +110,6 @@ impl AcceleratorConfig {
         }
     }
 
-    /// Starts a builder pre-populated with [`Self::tpu_v3_like`] defaults.
-    pub fn builder(dataflow: Dataflow) -> AcceleratorConfigBuilder {
-        AcceleratorConfigBuilder {
-            config: Self::tpu_v3_like(dataflow),
-        }
-    }
-
     /// Peak MAC throughput in MACs per second.
     pub fn peak_macs_per_sec(&self) -> f64 {
         self.pe.macs() as f64 * self.freq_hz
@@ -165,67 +158,6 @@ impl AcceleratorConfig {
             return Err(ConfigError::PpuRequiresOutputStationary(self.dataflow));
         }
         Ok(())
-    }
-}
-
-/// Builder for [`AcceleratorConfig`] (non-consuming, per Rust API
-/// guidelines C-BUILDER).
-#[derive(Clone, Debug)]
-pub struct AcceleratorConfigBuilder {
-    config: AcceleratorConfig,
-}
-
-impl AcceleratorConfigBuilder {
-    /// Sets the PE array geometry.
-    pub fn pe_array(&mut self, rows: u64, cols: u64) -> &mut Self {
-        self.config.pe = PeArray::new(rows, cols);
-        self
-    }
-
-    /// Sets the core clock in Hz.
-    pub fn frequency_hz(&mut self, freq: f64) -> &mut Self {
-        self.config.freq_hz = freq;
-        self
-    }
-
-    /// Sets the on-chip SRAM capacity in bytes.
-    pub fn sram_bytes(&mut self, bytes: u64) -> &mut Self {
-        self.config.sram_bytes = bytes;
-        self
-    }
-
-    /// Sets the off-chip memory configuration.
-    pub fn memory(&mut self, memory: MemoryConfig) -> &mut Self {
-        self.config.memory = memory;
-        self
-    }
-
-    /// Sets the drain rate `R` (rows per cycle).
-    pub fn drain_rows_per_cycle(&mut self, rows: u64) -> &mut Self {
-        self.config.drain_rows_per_cycle = rows;
-        self
-    }
-
-    /// Attaches or detaches the PPU.
-    pub fn ppu(&mut self, enabled: bool) -> &mut Self {
-        self.config.has_ppu = enabled;
-        self
-    }
-
-    /// Enables or disables drain/compute overlap (shadow accumulators).
-    pub fn drain_overlap(&mut self, enabled: bool) -> &mut Self {
-        self.config.drain_overlap = enabled;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if the configuration is inconsistent.
-    pub fn build(&self) -> Result<AcceleratorConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config.clone())
     }
 }
 
@@ -357,19 +289,23 @@ mod tests {
 
     #[test]
     fn builder_rejects_bad_drain_rate() {
-        let err = AcceleratorConfig::builder(Dataflow::OuterProduct)
-            .drain_rows_per_cycle(4096)
-            .build()
-            .unwrap_err();
+        let err = AcceleratorConfig {
+            drain_rows_per_cycle: 4096,
+            ..AcceleratorConfig::tpu_v3_like(Dataflow::OuterProduct)
+        }
+        .validate()
+        .unwrap_err();
         assert_eq!(err, ConfigError::InvalidDrainRate(4096));
     }
 
     #[test]
     fn builder_rejects_ppu_on_ws() {
-        let err = AcceleratorConfig::builder(Dataflow::WeightStationary)
-            .ppu(true)
-            .build()
-            .unwrap_err();
+        let err = AcceleratorConfig {
+            has_ppu: true,
+            ..AcceleratorConfig::tpu_v3_like(Dataflow::WeightStationary)
+        }
+        .validate()
+        .unwrap_err();
         assert!(matches!(err, ConfigError::PpuRequiresOutputStationary(_)));
     }
 

@@ -26,7 +26,7 @@ mod ops;
 pub mod params;
 
 pub use bandwidth::{sram_bandwidth, SramBandwidth};
-pub use config::{AcceleratorConfig, AcceleratorConfigBuilder, ConfigError, MemoryConfig, PeArray};
+pub use config::{AcceleratorConfig, ConfigError, MemoryConfig, PeArray};
 pub use gemm::{DataType, GemmShape};
 pub use ops::{Dataflow, Phase, TrainingOp, TrainingOpKind, VectorOpKind};
 pub use params::{ParamSpec, ParamValue};

@@ -1,15 +1,14 @@
 //! Frontier renderers: text table, JSON document and CSV.
 //!
-//! The JSON document follows the workspace's flat-object conventions
-//! (`diva-scenario/v1` style: hand-rolled emitter, `Display`-formatted
-//! floats that round-trip bit-exactly, strings through the shared
-//! escaper) under its own `diva-explore/v1` schema tag. Because every
-//! value in an [`ExploreResult`] is deterministic, the rendered bytes are
-//! the artifact the thread-count and kill/resume identity tests `cmp`.
+//! The JSON document is a flat document of [`crate::perf`] (floats in
+//! their shortest round-trip form, the `u64` seed exact) under its own
+//! `diva-explore/v1` schema tag. Because every value in an
+//! [`ExploreResult`] is deterministic, the rendered bytes are the artifact
+//! the thread-count and kill/resume identity tests `cmp`.
 
 use std::fmt::Write as _;
 
-use crate::perf::json_string;
+use crate::perf::{JsonDocument, JsonObject};
 
 use super::{ExploreResult, Objective};
 
@@ -36,46 +35,31 @@ pub fn render_json(result: &ExploreResult) -> String {
         .collect::<Vec<_>>()
         .join(",");
 
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"name\": \"explore\",");
-    let _ = writeln!(out, "  \"schema\": \"diva-explore/v1\",");
-    let _ = writeln!(out, "  \"base\": {},", json_string(cfg.space.base.label()));
-    let _ = writeln!(out, "  \"strategy\": {},", json_string(cfg.strategy.slug()));
-    let _ = writeln!(out, "  \"seed\": {},", cfg.seed);
-    let _ = writeln!(out, "  \"budget\": {},", cfg.budget);
-    let _ = writeln!(out, "  \"objectives\": {},", json_string(&objectives));
-    let _ = writeln!(out, "  \"workloads\": {},", json_string(&workloads));
-    let _ = writeln!(out, "  \"knobs\": {},", json_string(&knobs));
     // Run-variant counters (journal reuse, memo hits) are deliberately
     // absent: a resumed search must render byte-identically to a fresh
     // one. They live in the text summary and in `ExploreResult::stats`.
-    let _ = writeln!(out, "  \"evaluated\": {},", result.evaluated.len());
-    let _ = writeln!(out, "  \"generated\": {},", result.stats.generated);
-    let _ = writeln!(out, "  \"invalid\": {},", result.stats.invalid);
-    let _ = writeln!(out, "  \"frontier_size\": {},", result.frontier.len());
-    let _ = writeln!(out, "  \"complete\": {},", result.complete);
-    out.push_str("  \"frontier\": [\n");
-    let points = result.frontier.points();
-    for (i, p) in points.iter().enumerate() {
-        out.push_str("    {");
-        let _ = write!(out, "\"name\": \"point\", \"rank\": {}", i + 1);
-        let _ = write!(out, ", \"spec\": {}", json_string(&p.spec));
-        let _ = write!(out, ", \"config\": {}", json_string(&p.config_key));
-        for (k, v) in &p.metrics {
-            if v.is_finite() {
-                let _ = write!(out, ", {}: {v}", json_string(k));
-            } else {
-                let _ = write!(out, ", {}: null", json_string(k));
-            }
-        }
-        out.push('}');
-        if i + 1 < points.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let head = JsonObject::named("explore")
+        .string("schema", "diva-explore/v1")
+        .string("base", cfg.space.base.label())
+        .string("strategy", cfg.strategy.slug())
+        .integer("seed", cfg.seed)
+        .integer("budget", cfg.budget as u64)
+        .string("objectives", &objectives)
+        .string("workloads", &workloads)
+        .string("knobs", &knobs)
+        .integer("evaluated", result.evaluated.len() as u64)
+        .integer("generated", result.stats.generated)
+        .integer("invalid", result.stats.invalid)
+        .integer("frontier_size", result.frontier.len() as u64)
+        .boolean("complete", result.complete);
+    let points = result.frontier.points().iter().enumerate().map(|(i, p)| {
+        JsonObject::named("point")
+            .integer("rank", i as u64 + 1)
+            .string("spec", &p.spec)
+            .string("config", &p.config_key)
+            .numbers(&p.metrics)
+    });
+    JsonDocument::new(head).array("frontier", points).finish()
 }
 
 /// Renders the frontier as CSV: `rank,spec` plus the canonical metric
@@ -256,6 +240,65 @@ mod tests {
         assert!(json.contains("\"latency_s\": 0.5"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn seeded_search_document_bytes_are_pinned() {
+        use super::super::{Knob, Strategy, Workload};
+        let mut cfg = ExploreConfig::new(super::super::SearchSpace::default_space());
+        cfg.space.knobs = vec![
+            Knob::parse("pe.rows=64|128").unwrap(),
+            Knob::parse("drain_rows=4|8").unwrap(),
+        ];
+        cfg.workloads = vec![Workload::parse("squeezenet@4").unwrap()];
+        cfg.strategy = Strategy::Random;
+        // Above 2^53: an f64 round trip would print 9007199254740996.
+        cfg.seed = (1 << 53) + 5;
+        cfg.budget = 2;
+        cfg.batch_size = 2;
+        let result = super::super::explore(&cfg).expect("search runs");
+        let config = |drain: u32| {
+            format!(
+                "pe.rows=64,pe.cols=128,freq_mhz=940,sram_mib=16,mem.bandwidth_gbps=450,\
+                 mem.channels=16,mem.latency_cycles=100,dataflow=diva,rhs_fill_rows=8,\
+                 drain_rows={drain},ppu=true,drain_overlap=false"
+            )
+        };
+        let expected = format!(
+            concat!(
+                "{{\n",
+                "  \"name\": \"explore\",\n",
+                "  \"schema\": \"diva-explore/v1\",\n",
+                "  \"base\": \"DiVa\",\n",
+                "  \"strategy\": \"random\",\n",
+                "  \"seed\": 9007199254740997,\n",
+                "  \"budget\": 2,\n",
+                "  \"objectives\": \"latency_s,energy_j,area_mm2\",\n",
+                "  \"workloads\": \"squeezenet@4\",\n",
+                "  \"knobs\": \"pe.rows=64|128;drain_rows=4|8\",\n",
+                "  \"evaluated\": 2,\n",
+                "  \"generated\": 2,\n",
+                "  \"invalid\": 0,\n",
+                "  \"frontier_size\": 2,\n",
+                "  \"complete\": true,\n",
+                "  \"frontier\": [\n",
+                "    {{\"name\": \"point\", \"rank\": 1, \"spec\": \"DiVa:pe.rows=64,drain_rows=8\", ",
+                "\"config\": \"{}\", \"latency_s\": 0.00018050425531914894, ",
+                "\"energy_j\": 0.014726448974808511, \"area_mm2\": 44.022, ",
+                "\"seconds_squeezenet\": 0.00018050425531914894, ",
+                "\"energy_j_squeezenet\": 0.014726448974808511}},\n",
+                "    {{\"name\": \"point\", \"rank\": 2, \"spec\": \"DiVa:pe.rows=64,drain_rows=4\", ",
+                "\"config\": \"{}\", \"latency_s\": 0.00018897978723404256, ",
+                "\"energy_j\": 0.015014198707659574, \"area_mm2\": 42.522, ",
+                "\"seconds_squeezenet\": 0.00018897978723404256, ",
+                "\"energy_j_squeezenet\": 0.015014198707659574}}\n",
+                "  ]\n",
+                "}}\n"
+            ),
+            config(8),
+            config(4)
+        );
+        assert_eq!(render_json(&result), expected);
     }
 
     #[test]

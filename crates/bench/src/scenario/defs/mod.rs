@@ -1,5 +1,5 @@
-//! The registered scenario definitions — one [`Experiment`] builder per
-//! paper figure, table and ablation, grouped by artifact family.
+//! The registered scenario definitions — one [`Experiment`](super::Experiment)
+//! builder per paper figure, table and ablation, grouped by artifact family.
 //!
 //! These are pure *declarations*: each builder wires axes, a per-cell
 //! closure over the simulation/energy/memory substrate, derived-metric

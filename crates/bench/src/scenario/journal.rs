@@ -20,7 +20,6 @@
 //! flags is refused rather than silently mixed.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -29,7 +28,7 @@ use std::sync::Mutex;
 use super::error::{FailKind, ScenarioError};
 use super::Cell;
 use crate::faults::fnv1a64;
-use crate::perf::{json_string, parse_record, PerfRecord};
+use crate::perf::{parse_flat_json_object, JsonObject, PerfRecord};
 
 /// The journal file's schema tag.
 pub const JOURNAL_SCHEMA: &str = "diva-journal/v1";
@@ -145,8 +144,7 @@ impl Journal {
             .open(&path)
             .map_err(io_err)?;
         if existing.trim().is_empty() {
-            let header = header_line(spec);
-            file.write_all(header.as_bytes()).map_err(io_err)?;
+            file.write_all(&header_line(spec)).map_err(io_err)?;
             file.flush().map_err(io_err)?;
         }
         Ok((
@@ -166,43 +164,29 @@ impl Journal {
 
     /// Appends a completed cell's raw state and flushes.
     pub fn append_ok(&self, key: &str, cell: &Cell) {
-        let mut line = String::new();
-        let _ = write!(
-            line,
-            "{{\"name\": \"cell\", \"key\": {}, \"status\": \"ok\"",
-            json_string(key)
-        );
+        let mut line = JsonObject::named("cell")
+            .string("key", key)
+            .string("status", "ok");
         for (k, v) in &cell.notes {
-            let _ = write!(
-                line,
-                ", {}: {}",
-                json_string(&format!("{NOTE_PREFIX}{k}")),
-                { json_string(v) }
-            );
+            line = line.string(&format!("{NOTE_PREFIX}{k}"), v);
         }
-        for (k, v) in &cell.metrics {
-            let _ = write!(line, ", {}: {v}", json_string(k));
-        }
-        line.push_str("}\n");
-        self.append_line(&line);
+        self.append_line(&line.numbers(&cell.metrics).line());
     }
 
     /// Appends a terminal cell failure and flushes.
     pub fn append_failure(&self, key: &str, kind: FailKind, error: &str, attempts: u32) {
-        let line = format!(
-            "{{\"name\": \"cell\", \"key\": {}, \"status\": {}, \"error\": {}, \"attempts\": {}}}\n",
-            json_string(key),
-            json_string(kind.slug()),
-            json_string(error),
-            json_string(&attempts.to_string()),
-        );
-        self.append_line(&line);
+        let line = JsonObject::named("cell")
+            .string("key", key)
+            .string("status", kind.slug())
+            .string("error", error)
+            .string("attempts", &attempts.to_string());
+        self.append_line(&line.line());
     }
 
-    fn append_line(&self, line: &str) {
+    fn append_line(&self, line: &[u8]) {
         let mut file = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         let result = file
-            .write_all(line.as_bytes())
+            .write_all(line)
             .and_then(|()| file.flush())
             .map_err(|e| e.to_string());
         if let Err(msg) = result {
@@ -223,14 +207,13 @@ impl Journal {
     }
 }
 
-fn header_line(spec: &JournalSpec) -> String {
-    format!(
-        "{{\"name\": \"journal\", \"schema\": {}, \"scenario\": {}, \"fingerprint\": {}, \"overrides\": {}}}\n",
-        json_string(JOURNAL_SCHEMA),
-        json_string(&spec.scenario),
-        json_string(&spec.fingerprint),
-        json_string(&spec.overrides),
-    )
+fn header_line(spec: &JournalSpec) -> Vec<u8> {
+    JsonObject::named("journal")
+        .string("schema", JOURNAL_SCHEMA)
+        .string("scenario", &spec.scenario)
+        .string("fingerprint", &spec.fingerprint)
+        .string("overrides", &spec.overrides)
+        .line()
 }
 
 /// Parses the body of a journal file (header + cell records), enforcing
@@ -246,7 +229,8 @@ fn load_entries(
         .map(str::trim)
         .filter(|l| !l.is_empty())
         .collect();
-    let header = parse_line(lines[0]).map_err(|e| journal_err(format!("malformed header: {e}")))?;
+    let header = parse_flat_json_object(lines[0])
+        .map_err(|e| journal_err(format!("malformed header: {e}")))?;
     if header.name != "journal" || header.tag_value("schema") != Some(JOURNAL_SCHEMA) {
         return Err(journal_err(format!(
             "not a {JOURNAL_SCHEMA} journal header: {:?}",
@@ -269,7 +253,7 @@ fn load_entries(
     }
     let mut entries = HashMap::new();
     for (i, line) in lines.iter().enumerate().skip(1) {
-        let record = match parse_line(line) {
+        let record = match parse_flat_json_object(line) {
             Ok(r) => r,
             // A torn final line is the kill point — recover by re-running
             // that cell. Torn *interior* lines mean real corruption.
@@ -333,28 +317,12 @@ fn valid_prefix_len(text: &str) -> usize {
     let mut end = 0;
     while let Some(nl) = text[end..].find('\n') {
         let line = text[end..end + nl].trim();
-        if !line.is_empty() && parse_line(line).is_err() {
+        if !line.is_empty() && parse_flat_json_object(line).is_err() {
             break;
         }
         end += nl + 1;
     }
     end
-}
-
-/// Parses one journal line as a flat record, rejecting non-finite metric
-/// values (they cannot be journaled faithfully and mark torn writes).
-fn parse_line(line: &str) -> Result<PerfRecord, String> {
-    let body = line
-        .strip_prefix('{')
-        .and_then(|l| l.strip_suffix('}'))
-        .ok_or_else(|| "not a JSON object".to_string())?;
-    let record = parse_record(body)?;
-    for (k, v) in &record.metrics {
-        if !v.is_finite() {
-            return Err(format!("non-finite value for {k:?}"));
-        }
-    }
-    Ok(record)
 }
 
 fn cell_from_record(record: &PerfRecord) -> Cell {
@@ -423,6 +391,67 @@ mod tests {
                 kind: FailKind::Panicked,
                 error: "boom".to_string(),
                 attempts: 2,
+            }
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_line_bytes_are_pinned() {
+        let dir = tempdir("bytes");
+        let spec = JournalSpec {
+            overrides: "sram_mib=8".to_string(),
+            ..spec()
+        };
+        {
+            let (journal, _) = Journal::open(&dir, &spec).expect("fresh open");
+            journal.append_ok("model=m0|point=p0", &sample_cell());
+            journal.append_failure(
+                "model=m1|point=p0",
+                FailKind::Panicked,
+                "bad config: InvalidValue { param: \"x\" }\n\u{1b}",
+                2,
+            );
+        }
+        let text = std::fs::read_to_string(Journal::path_for(&dir, &spec.scenario)).expect("read");
+        let header = format!(
+            "{{\"name\": \"journal\", \"schema\": \"diva-journal/v1\", \"scenario\": \"toy\", \
+             \"fingerprint\": \"{}\", \"overrides\": \"sram_mib=8\"}}\n",
+            spec.fingerprint
+        );
+        let cells = concat!(
+            "{\"name\": \"cell\", \"key\": \"model=m0|point=p0\", \"status\": \"ok\", ",
+            "\"n:policy\": \"B=8\", \"v\": 0.3333333333333333, \"latency_ms\": 12.5}\n",
+            "{\"name\": \"cell\", \"key\": \"model=m1|point=p0\", \"status\": \"panicked\", ",
+            "\"error\": \"bad config: InvalidValue { param: \\\"x\\\" }\\n\\u001b\", ",
+            "\"attempts\": \"2\"}\n",
+        );
+        assert_eq!(text, header + cells);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn control_characters_in_notes_and_errors_resume_exactly() {
+        let dir = tempdir("control");
+        let spec = spec();
+        let cell = Cell {
+            metrics: vec![("v".to_string(), 2.0)],
+            notes: vec![("policy".to_string(), "a\u{1}b\u{7}c\u{1b}d } {".to_string())],
+        };
+        let error = "InvalidValue { param: \"x\" }\u{0}\u{1f}";
+        {
+            let (journal, _) = Journal::open(&dir, &spec).expect("fresh open");
+            journal.append_ok("ok", &cell);
+            journal.append_failure("failed", FailKind::Panicked, error, 1);
+        }
+        let (_journal, cached) = Journal::open(&dir, &spec).expect("re-open");
+        assert_eq!(cached["ok"], JournalOutcome::Ok(cell));
+        assert_eq!(
+            cached["failed"],
+            JournalOutcome::Failed {
+                kind: FailKind::Panicked,
+                error: error.to_string(),
+                attempts: 1,
             }
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,9 +1,8 @@
 //! The `diva-scenario/v1` JSON schema: serialization of a
 //! [`ScenarioResult`] and a matching parser.
 //!
-//! The document is deliberately **flat**, following the
-//! `diva-bench-perf/v1` conventions of [`crate::perf`] (no serde in the
-//! approved dependency set):
+//! The document is a flat document of [`crate::perf`], which writes and
+//! reads it:
 //!
 //! ```json
 //! {
@@ -27,9 +26,9 @@
 //! ```
 //!
 //! Every array element is a flat object of string and numeric values, so
-//! [`crate::perf::parse_perf_json`]'s record scanner applies verbatim to
-//! the `records` array; axis value lists are `|`-joined into one string.
-//! Non-finite metrics serialize as `null` and are dropped on parse.
+//! [`crate::perf::parse_perf_json`] reads the `records` array as perf
+//! records; axis value lists are `|`-joined into one string. Non-finite
+//! metrics serialize as `null` and are dropped on parse.
 //!
 //! Failure records (`--keep-going`): a failed cell serializes with
 //! `"status"`, `"error"` and `"attempts"` string tags and **no metrics**;
@@ -38,127 +37,63 @@
 //! one from before the fault-tolerance layer, which is what makes the
 //! `--resume` byte-identity guarantee testable against fresh runs.
 
-use std::fmt::Write as _;
-
 use super::runner::{RowStatus, ScenarioResult, Summary};
-use crate::perf::{self, PerfRecord};
+use crate::perf::{self, JsonDocument, JsonObject, PerfRecord};
 
 /// The schema identifier emitted by [`to_json`].
 pub const SCHEMA: &str = "diva-scenario/v1";
 
 /// Serializes a result to the `diva-scenario/v1` document.
 pub fn to_json(result: &ScenarioResult) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": {},", perf::json_string(SCHEMA));
-    let _ = writeln!(out, "  \"scenario\": {},", perf::json_string(&result.name));
-    let _ = writeln!(out, "  \"title\": {},", perf::json_string(&result.title));
-    let _ = writeln!(
-        out,
-        "  \"derived\": {},",
-        perf::json_string(&result.derived_metrics.join("|"))
-    );
-    let _ = writeln!(
-        out,
-        "  \"overrides\": {},",
-        perf::json_string(&join_pins(&result.overrides))
-    );
+    let mut head = JsonObject::new()
+        .string("schema", SCHEMA)
+        .string("scenario", &result.name)
+        .string("title", &result.title)
+        .string("derived", &result.derived_metrics.join("|"))
+        .string("overrides", &join_pins(&result.overrides));
     if !result.failures.is_empty() {
-        let _ = writeln!(out, "  \"failed\": {},", result.failures.len());
+        head = head.integer("failed", result.failures.len() as u64);
     }
-    out.push_str("  \"axes\": [\n");
-    for (i, axis) in result.axes.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": {}, \"values\": {}}}",
-            perf::json_string(&axis.name),
-            perf::json_string(&axis.labels.join("|"))
-        );
-        out.push_str(if i + 1 < result.axes.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ],\n  \"reductions\": [\n");
-    for (i, s) in result.summaries.iter().enumerate() {
-        out.push_str("    {");
-        let _ = write!(out, "\"name\": {}", perf::json_string(&s.label));
-        let _ = write!(out, ", \"metric\": {}", perf::json_string(&s.metric));
-        let _ = write!(out, ", \"kind\": {}", perf::json_string(s.kind.slug()));
-        let _ = write!(
-            out,
-            ", \"group\": {}",
-            perf::json_string(&join_pins(&s.group))
-        );
+    let axes = result
+        .axes
+        .iter()
+        .map(|axis| JsonObject::named(&axis.name).string("values", &axis.labels.join("|")));
+    let reductions = result.summaries.iter().map(|s| {
+        let mut object = JsonObject::named(&s.label)
+            .string("metric", &s.metric)
+            .string("kind", s.kind.slug())
+            .string("group", &join_pins(&s.group));
         if let Some(paper) = s.paper {
-            let _ = write!(out, ", \"paper\": {}", perf::json_string(paper));
+            object = object.string("paper", paper);
         }
-        if s.value.is_finite() {
-            let _ = write!(out, ", \"value\": {}", s.value);
-        } else {
-            out.push_str(", \"value\": null");
-        }
-        let _ = write!(out, ", \"count\": {}", s.count);
+        object = object
+            .number("value", s.value)
+            .integer("count", s.count as u64);
         if s.skipped > 0 {
-            let _ = write!(out, ", \"skipped\": {}", s.skipped);
+            object = object.integer("skipped", s.skipped as u64);
         }
-        out.push('}');
-        out.push_str(if i + 1 < result.summaries.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ],\n  \"records\": [\n");
-    for (i, row) in result.rows.iter().enumerate() {
-        out.push_str("    {");
-        let _ = write!(out, "\"name\": {}", perf::json_string(&result.name));
-        for (axis, label) in &row.coords {
-            let _ = write!(
-                out,
-                ", {}: {}",
-                perf::json_string(axis),
-                perf::json_string(label)
-            );
-        }
+        object
+    });
+    let records = result.rows.iter().map(|row| {
+        let mut object = JsonObject::named(&result.name).strings(&row.coords);
         if let RowStatus::Failed {
             kind,
             error,
             attempts,
         } = &row.status
         {
-            let _ = write!(out, ", \"status\": {}", perf::json_string(kind.slug()));
-            let _ = write!(out, ", \"error\": {}", perf::json_string(error));
-            let _ = write!(
-                out,
-                ", \"attempts\": {}",
-                perf::json_string(&attempts.to_string())
-            );
+            object = object
+                .string("status", kind.slug())
+                .string("error", error)
+                .string("attempts", &attempts.to_string());
         }
-        for (key, value) in &row.notes {
-            let _ = write!(
-                out,
-                ", {}: {}",
-                perf::json_string(key),
-                perf::json_string(value)
-            );
-        }
-        for (key, value) in &row.metrics {
-            if value.is_finite() {
-                let _ = write!(out, ", {}: {}", perf::json_string(key), value);
-            } else {
-                let _ = write!(out, ", {}: null", perf::json_string(key));
-            }
-        }
-        out.push('}');
-        out.push_str(if i + 1 < result.rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
+        object.strings(&row.notes).numbers(&row.metrics)
+    });
+    JsonDocument::new(head)
+        .array("axes", axes)
+        .array("reductions", reductions)
+        .array("records", records)
+        .finish()
 }
 
 /// A parsed `diva-scenario/v1` document.
@@ -194,14 +129,16 @@ pub struct ParsedScenario {
 /// Returns a description of the first malformed construct, including a
 /// schema mismatch.
 pub fn parse_scenario_json(text: &str) -> Result<ParsedScenario, String> {
-    let schema = top_level_string(text, "schema")?;
+    let mut doc = perf::parse_flat_document(text)?;
+    let schema = doc.string("schema")?;
     if schema != SCHEMA {
         return Err(format!("unexpected schema {schema:?} (want {SCHEMA:?})"));
     }
-    let scenario = top_level_string(text, "scenario")?;
-    let title = top_level_string(text, "title")?;
+    let scenario = doc.string("scenario")?;
+    let title = doc.string("title")?;
     // Optional (documents from before the design-space layer lack it).
-    let derived: Vec<String> = top_level_string(text, "derived")
+    let derived: Vec<String> = doc
+        .string("derived")
         .map(|s| {
             s.split('|')
                 .filter(|p| !p.is_empty())
@@ -210,24 +147,20 @@ pub fn parse_scenario_json(text: &str) -> Result<ParsedScenario, String> {
         })
         .unwrap_or_default();
     // Optional like "derived": absent in pre-design-space documents.
-    let overrides = top_level_string(text, "overrides").unwrap_or_default();
-    let axes: Vec<(String, Vec<String>)> = flat_objects(text, "axes")?
+    let overrides = doc.string("overrides").unwrap_or_default();
+    let axes: Vec<(String, Vec<String>)> = doc
+        .take_array("axes")?
         .into_iter()
         .map(|r| {
-            let name = r
-                .tag_value("name")
-                .map(str::to_string)
-                // The scanner maps the "name" key onto PerfRecord::name.
-                .unwrap_or_else(|| r.name.clone());
             let values = r
                 .tag_value("values")
                 .map(|v| v.split('|').map(str::to_string).collect())
                 .unwrap_or_default();
-            (name, values)
+            (r.name, values)
         })
         .collect();
-    let reductions = flat_objects(text, "reductions")?;
-    let records = flat_objects(text, "records")?;
+    let reductions = doc.take_array("reductions")?;
+    let records = doc.take_array("records")?;
     // Duplicate cell coordinates are corruption (e.g. a concatenated or
     // double-written document), not something later consumers should
     // silently last-write-win on.
@@ -271,66 +204,6 @@ fn join_pins(pins: &[(String, String)]) -> String {
 /// binary's self-check).
 pub fn summary_group(summary: &Summary) -> String {
     join_pins(&summary.group)
-}
-
-/// Extracts the first top-level `"key": "value"` string.
-fn top_level_string(text: &str, key: &str) -> Result<String, String> {
-    let pat = format!("\"{key}\"");
-    let at = text
-        .find(&pat)
-        .ok_or_else(|| format!("missing {key:?} key"))?;
-    let rest = text[at + pat.len()..]
-        .trim_start()
-        .strip_prefix(':')
-        .ok_or_else(|| format!("expected ':' after {key:?}"))?
-        .trim_start();
-    let (value, _) = perf::parse_json_string(rest)?;
-    Ok(value)
-}
-
-/// Parses the array under `key` as a sequence of flat objects.
-fn flat_objects(text: &str, key: &str) -> Result<Vec<PerfRecord>, String> {
-    let pat = format!("\"{key}\"");
-    let at = text
-        .find(&pat)
-        .ok_or_else(|| format!("missing {key:?} array"))?;
-    let open = text[at..]
-        .find('[')
-        .ok_or_else(|| format!("missing '[' after {key:?}"))?
-        + at;
-    let mut rest = text[open + 1..].trim_start();
-    let mut out = Vec::new();
-    loop {
-        if rest.starts_with(']') {
-            return Ok(out);
-        }
-        let obj_open = rest
-            .find('{')
-            .ok_or_else(|| format!("expected object or ']' in {key:?} array"))?;
-        // Arrays of *flat* objects only: the next '}' closes the object.
-        let obj_close = rest[obj_open..]
-            .find('}')
-            .ok_or_else(|| format!("unterminated object in {key:?} array"))?
-            + obj_open;
-        out.push(parse_flat(&rest[obj_open + 1..obj_close])?);
-        rest = rest[obj_close + 1..].trim_start();
-        rest = rest.strip_prefix(',').unwrap_or(rest).trim_start();
-    }
-}
-
-/// Parses one flat object body into a [`PerfRecord`], tolerating a missing
-/// `name` key (axis objects use `"name"` for the axis name, which the
-/// perf scanner maps onto [`PerfRecord::name`]).
-fn parse_flat(body: &str) -> Result<PerfRecord, String> {
-    // Reuse the perf record parser but relax its name requirement by
-    // injecting a placeholder when absent.
-    match perf::parse_record(body) {
-        Ok(r) => Ok(r),
-        Err(e) if e.contains("without a name") => {
-            perf::parse_record(&format!("\"name\": \"-\", {body}"))
-        }
-        Err(e) => Err(e),
-    }
 }
 
 #[cfg(test)]
@@ -469,6 +342,141 @@ mod tests {
         assert_eq!(failed.tag_value("error"), Some("index out of \"bounds\""));
         assert_eq!(failed.tag_value("attempts"), Some("2"));
         assert!(failed.metrics.is_empty());
+    }
+
+    /// `sample()` under `--keep-going`: a failed cell, a reduction that
+    /// skipped it and whose value is NaN, and a second reduction without
+    /// a paper reference.
+    fn keep_going_sample() -> ScenarioResult {
+        use super::super::error::{CellFailure, FailKind};
+        let mut result = sample();
+        let coords = vec![
+            ("model".to_string(), "ResNet-50".to_string()),
+            ("point".to_string(), "DiVa".to_string()),
+        ];
+        result.rows.push(ResultRow {
+            coords: coords.clone(),
+            metrics: Vec::new(),
+            notes: Vec::new(),
+            status: RowStatus::Failed {
+                kind: FailKind::Panicked,
+                error: "bad config: InvalidValue { param: \"x\" }\n\u{1}".into(),
+                attempts: 3,
+            },
+        });
+        result.failures.push(CellFailure {
+            coords,
+            kind: FailKind::Panicked,
+            error: "bad config".into(),
+            attempts: 3,
+            history: Vec::new(),
+        });
+        result.summaries[0].skipped = 1;
+        result.summaries[0].value = f64::NAN;
+        result.summaries.push(Summary {
+            label: "max seconds".into(),
+            metric: "seconds".into(),
+            kind: ReduceKind::Max,
+            group: Vec::new(),
+            value: 0.125,
+            count: 1,
+            skipped: 0,
+            paper: None,
+        });
+        result
+    }
+
+    #[test]
+    fn clean_document_bytes_are_pinned() {
+        assert_eq!(
+            to_json(&sample()),
+            concat!(
+                "{\n",
+                "  \"schema\": \"diva-scenario/v1\",\n",
+                "  \"scenario\": \"toy\",\n",
+                "  \"title\": \"Toy \\\"scenario\\\"\",\n",
+                "  \"derived\": \"speedup\",\n",
+                "  \"overrides\": \"sram_mib=8\",\n",
+                "  \"axes\": [\n",
+                "    {\"name\": \"model\", \"values\": \"VGG-16|ResNet-50\"},\n",
+                "    {\"name\": \"point\", \"values\": \"WS|DiVa\"}\n",
+                "  ],\n",
+                "  \"reductions\": [\n",
+                "    {\"name\": \"mean seconds\", \"metric\": \"seconds\", \"kind\": \"mean\", ",
+                "\"group\": \"point=DiVa\", \"paper\": \"0.1\", \"value\": 0.125, \"count\": 1}\n",
+                "  ],\n",
+                "  \"records\": [\n",
+                "    {\"name\": \"toy\", \"model\": \"VGG-16\", \"point\": \"WS\", ",
+                "\"bound\": \"memory\", \"seconds\": 0.125, \"bad\": null}\n",
+                "  ]\n",
+                "}\n"
+            )
+        );
+    }
+
+    #[test]
+    fn keep_going_document_bytes_are_pinned() {
+        assert_eq!(
+            to_json(&keep_going_sample()),
+            concat!(
+                "{\n",
+                "  \"schema\": \"diva-scenario/v1\",\n",
+                "  \"scenario\": \"toy\",\n",
+                "  \"title\": \"Toy \\\"scenario\\\"\",\n",
+                "  \"derived\": \"speedup\",\n",
+                "  \"overrides\": \"sram_mib=8\",\n",
+                "  \"failed\": 1,\n",
+                "  \"axes\": [\n",
+                "    {\"name\": \"model\", \"values\": \"VGG-16|ResNet-50\"},\n",
+                "    {\"name\": \"point\", \"values\": \"WS|DiVa\"}\n",
+                "  ],\n",
+                "  \"reductions\": [\n",
+                "    {\"name\": \"mean seconds\", \"metric\": \"seconds\", \"kind\": \"mean\", ",
+                "\"group\": \"point=DiVa\", \"paper\": \"0.1\", \"value\": null, \"count\": 1, ",
+                "\"skipped\": 1},\n",
+                "    {\"name\": \"max seconds\", \"metric\": \"seconds\", \"kind\": \"max\", ",
+                "\"group\": \"\", \"value\": 0.125, \"count\": 1}\n",
+                "  ],\n",
+                "  \"records\": [\n",
+                "    {\"name\": \"toy\", \"model\": \"VGG-16\", \"point\": \"WS\", ",
+                "\"bound\": \"memory\", \"seconds\": 0.125, \"bad\": null},\n",
+                "    {\"name\": \"toy\", \"model\": \"ResNet-50\", \"point\": \"DiVa\", ",
+                "\"status\": \"panicked\", ",
+                "\"error\": \"bad config: InvalidValue { param: \\\"x\\\" }\\n\\u0001\", ",
+                "\"attempts\": \"3\"}\n",
+                "  ]\n",
+                "}\n"
+            )
+        );
+        // Every cell failed: no reductions survive.
+        let mut all_failed = keep_going_sample();
+        all_failed.rows.remove(0);
+        all_failed.summaries.clear();
+        assert_eq!(
+            to_json(&all_failed),
+            concat!(
+                "{\n",
+                "  \"schema\": \"diva-scenario/v1\",\n",
+                "  \"scenario\": \"toy\",\n",
+                "  \"title\": \"Toy \\\"scenario\\\"\",\n",
+                "  \"derived\": \"speedup\",\n",
+                "  \"overrides\": \"sram_mib=8\",\n",
+                "  \"failed\": 1,\n",
+                "  \"axes\": [\n",
+                "    {\"name\": \"model\", \"values\": \"VGG-16|ResNet-50\"},\n",
+                "    {\"name\": \"point\", \"values\": \"WS|DiVa\"}\n",
+                "  ],\n",
+                "  \"reductions\": [\n",
+                "  ],\n",
+                "  \"records\": [\n",
+                "    {\"name\": \"toy\", \"model\": \"ResNet-50\", \"point\": \"DiVa\", ",
+                "\"status\": \"panicked\", ",
+                "\"error\": \"bad config: InvalidValue { param: \\\"x\\\" }\\n\\u0001\", ",
+                "\"attempts\": \"3\"}\n",
+                "  ]\n",
+                "}\n"
+            )
+        );
     }
 
     #[test]

@@ -305,6 +305,44 @@ fn malformed_documents_error_instead_of_panicking() {
     assert!(err.contains("model=m0|point=p0"), "{err}");
 }
 
+/// A failure message that Debug-prints a struct carries `{`, `}` and
+/// quotes inside a JSON string; the document must still parse, and the
+/// message must read back verbatim.
+#[test]
+fn braces_inside_failure_messages_parse_back() {
+    #[derive(Debug)]
+    #[allow(dead_code)] // read only through Debug
+    enum BadConfig {
+        InvalidValue { param: String, value: String },
+    }
+    let exp = Experiment::new(
+        "braces",
+        "braces in panic messages",
+        Arc::new(|ctx: &CellCtx| {
+            if ctx.label("point") == "p1" {
+                let err = BadConfig::InvalidValue {
+                    param: "x".to_string(),
+                    value: "y".to_string(),
+                };
+                panic!("bad config: {err:?}");
+            }
+            Cell::new().metric("v", 1.0)
+        }),
+    )
+    .axis(Axis::new(
+        "point",
+        (0..2).map(|i| AxisValue::label(format!("p{i}"))),
+    ));
+    let result = run_experiment(&exp, &RunOptions::default().keep_going()).expect("keep-going");
+    let doc = to_json(&result);
+    let message = "bad config: InvalidValue { param: \"x\", value: \"y\" }";
+    assert!(doc.contains(&message.replace('"', "\\\"")), "{doc}");
+    let parsed = parse_scenario_json(&doc).expect("braces inside strings parse");
+    assert_eq!(parsed.records.len(), 2);
+    assert_eq!(parsed.records[1].tag_value("error"), Some(message));
+    assert_eq!(parsed.records[0].metric_value("v"), Some(1.0));
+}
+
 /// Unknown scenarios surface the typed error with the available list.
 #[test]
 fn unknown_scenario_is_a_typed_error() {

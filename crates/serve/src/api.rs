@@ -1,10 +1,9 @@
 //! Typed request/response layer: flat-JSON request bodies in, canonical
 //! cache keys and deterministic JSON documents out.
 //!
-//! Request bodies follow the workspace's flat-JSON convention (one
-//! object, string and numeric values — the same shape
-//! [`diva_bench::perf::parse_flat_json_object`] scans), so `/run` bodies
-//! read like the `diva-report` command line they replace:
+//! Request bodies are flat JSON objects (string and numeric values), read
+//! by [`diva_bench::perf::parse_flat_json_object`], so `/run` bodies read
+//! like the `diva-report` command line they replace:
 //!
 //! ```json
 //! {"scenario": "fig13", "models": "mobilenet,squeezenet",
@@ -15,12 +14,15 @@
 //! [`scenario::run_with`] → [`json::to_json`] pipeline `diva-report
 //! --json` writes, so a served document is byte-identical to the CLI
 //! artifact for the same cell — the property the memo cache's perfect-hit
-//! semantics and the e2e suite both lean on.
+//! semantics and the e2e suite both lean on. The other replies
+//! (`diva-epsilon/v1`, `diva-compare/v1`, `diva-scenarios/v1` and the
+//! error body) are written by [`diva_bench::perf`]'s `JsonObject` and
+//! `JsonDocument`, like every other document of the workspace.
 
 use diva_bench::explore::{
     self as explore_engine, ExploreConfig, Knob, Objective, SearchSpace, Strategy, Workload,
 };
-use diva_bench::perf::{json_string, parse_flat_json_object};
+use diva_bench::perf::{parse_flat_json_object, JsonDocument, JsonObject, PerfRecord};
 use diva_bench::scenario::{
     self, compare::compare_docs, json, norm_label, RunOptions, ScenarioError,
 };
@@ -58,12 +60,10 @@ impl ApiError {
 
     /// The JSON error body.
     pub fn body(&self) -> Vec<u8> {
-        format!(
-            "{{\"error\": {}, \"message\": {}}}\n",
-            json_string(&self.kind),
-            json_string(&self.message)
-        )
-        .into_bytes()
+        JsonObject::new()
+            .string("error", &self.kind)
+            .string("message", &self.message)
+            .line()
     }
 
     /// Maps the scenario engine's taxonomy onto statuses: unknown
@@ -131,6 +131,14 @@ fn config_error(e: &diva_arch::ConfigError) -> ApiError {
     ApiError::new(400, "config", diva_core::spec::config_message(e))
 }
 
+/// Reads a request body: one flat JSON object.
+fn parse_body(body: &[u8]) -> Result<PerfRecord, ApiError> {
+    let text = std::str::from_utf8(body)
+        .map_err(|_| ApiError::bad_request("request body is not UTF-8"))?;
+    parse_flat_json_object(text)
+        .map_err(|e| ApiError::bad_request(format!("malformed JSON body: {e}")))
+}
+
 /// Formats a numeric body value the way its JSON literal reads (integers
 /// without a trailing `.0`).
 fn num_string(v: f64) -> String {
@@ -149,10 +157,7 @@ fn num_string(v: f64) -> String {
 /// assignments or unregistered parameter names (the same message the CLI
 /// prints); 404 for an unknown scenario.
 pub fn parse_run_request(body: &[u8]) -> Result<RunRequest, ApiError> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| ApiError::bad_request("request body is not UTF-8"))?;
-    let record = parse_flat_json_object(text)
-        .map_err(|e| ApiError::bad_request(format!("malformed JSON body: {e}")))?;
+    let record = parse_body(body)?;
 
     let mut scenario_name: Option<String> = None;
     let mut opts = RunOptions::default();
@@ -379,10 +384,7 @@ pub struct ExploreRequest {
 /// workload/preset names, unregistered knob parameters, or non-integer
 /// numeric fields.
 pub fn parse_explore_request(body: &[u8]) -> Result<ExploreRequest, ApiError> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| ApiError::bad_request("request body is not UTF-8"))?;
-    let record = parse_flat_json_object(text)
-        .map_err(|e| ApiError::bad_request(format!("malformed JSON body: {e}")))?;
+    let record = parse_body(body)?;
 
     let mut config = ExploreConfig::new(SearchSpace::default_space());
     let mut knobs: Vec<Knob> = Vec::new();
@@ -529,10 +531,7 @@ pub struct EpsilonRequest {
 /// 400 for malformed JSON, missing/invalid fields or unknown accountant
 /// names.
 pub fn parse_epsilon_request(body: &[u8]) -> Result<EpsilonRequest, ApiError> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| ApiError::bad_request("request body is not UTF-8"))?;
-    let record = parse_flat_json_object(text)
-        .map_err(|e| ApiError::bad_request(format!("malformed JSON body: {e}")))?;
+    let record = parse_body(body)?;
     let known_tags = ["accountant", "step_counts"];
     let known_metrics = ["q", "sigma", "steps", "delta"];
     for (key, _) in &record.tags {
@@ -627,31 +626,28 @@ pub fn execute_epsilon(req: &EpsilonRequest) -> Result<Vec<u8>, ApiError> {
         .map_err(|e| ApiError::from_account(&e))?;
         answers.push((kind, answer));
     }
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"diva-epsilon/v1\",");
-    let _ = writeln!(out, "  \"q\": {},", req.sampling_rate);
-    let _ = writeln!(out, "  \"sigma\": {},", req.noise_multiplier);
-    let _ = writeln!(out, "  \"steps\": {},", req.steps);
-    let _ = writeln!(out, "  \"delta\": {},", req.delta);
-    out.push_str("  \"records\": [\n");
-    let mut rows: Vec<String> = Vec::new();
+    let head = JsonObject::new()
+        .string("schema", "diva-epsilon/v1")
+        .number("q", req.sampling_rate)
+        .number("sigma", req.noise_multiplier)
+        .integer("steps", req.steps)
+        .number("delta", req.delta);
+    let mut records = Vec::new();
     for (kind, answer) in &answers {
-        rows.push(format!(
-            "    {{\"name\": \"epsilon\", \"accountant\": {}, \"epsilon\": {}}}",
-            json_string(kind.label()),
-            answer.epsilon
-        ));
-        for (count, eps) in &answer.curve {
-            rows.push(format!(
-                "    {{\"name\": \"epsilon_curve\", \"accountant\": {}, \"steps\": {count}, \
-                 \"epsilon\": {eps}}}",
-                json_string(kind.label()),
-            ));
+        let record = |name: &str| JsonObject::named(name).string("accountant", kind.label());
+        records.push(record("epsilon").number("epsilon", answer.epsilon));
+        for &(count, eps) in &answer.curve {
+            records.push(
+                record("epsilon_curve")
+                    .integer("steps", count)
+                    .number("epsilon", eps),
+            );
         }
     }
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    Ok(out.into_bytes())
+    Ok(JsonDocument::new(head)
+        .array("records", records)
+        .finish()
+        .into_bytes())
 }
 
 /// Parses and gates a `/compare` body: two `diva-scenario/v1` documents
@@ -672,15 +668,14 @@ pub fn execute_compare(body: &[u8], tolerance: f64) -> Result<(bool, Vec<u8>), A
     let report = compare_docs(doc_a, doc_b, tolerance)
         .map_err(|e| ApiError::new(400, "parse", format!("parse error: {e}")))?;
     let passed = report.passed();
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"diva-compare/v1\",");
-    let _ = writeln!(out, "  \"scenario\": {},", json_string(&report.scenario));
-    let _ = writeln!(out, "  \"passed\": {passed},");
-    let _ = writeln!(out, "  \"matched\": {},", report.matched);
-    let _ = writeln!(out, "  \"violations\": {},", report.violations().len());
-    let _ = writeln!(out, "  \"report\": {}", json_string(&report.render()));
-    out.push_str("}\n");
-    Ok((passed, out.into_bytes()))
+    let head = JsonObject::new()
+        .string("schema", "diva-compare/v1")
+        .string("scenario", &report.scenario)
+        .boolean("passed", passed)
+        .integer("matched", report.matched as u64)
+        .integer("violations", report.violations().len() as u64)
+        .string("report", &report.render());
+    Ok((passed, JsonDocument::new(head).finish().into_bytes()))
 }
 
 /// Renders the `/scenarios` document: every registry entry with its axis
@@ -688,39 +683,34 @@ pub fn execute_compare(body: &[u8], tolerance: f64) -> Result<(bool, Vec<u8>), A
 /// DiVa-preset default — one flat `records` array. The registry is
 /// static, so the server builds this once.
 pub fn scenarios_document() -> Vec<u8> {
-    let mut rows: Vec<String> = Vec::new();
-    for info in scenario::registry::REGISTRY {
-        let exp = (info.build)();
-        let axes: Vec<String> = exp
+    let scenarios = scenario::registry::REGISTRY.iter().map(|info| {
+        let axes: Vec<String> = (info.build)()
             .axes
             .iter()
             .map(|a| format!("{}({})", a.name, a.values.len()))
             .collect();
-        rows.push(format!(
-            "    {{\"name\": {}, \"kind\": \"scenario\", \"axes\": {}, \"summary\": {}}}",
-            json_string(info.name),
-            json_string(&axes.join(" x ")),
-            json_string(info.summary)
-        ));
-    }
+        JsonObject::named(info.name)
+            .string("kind", "scenario")
+            .string("axes", &axes.join(" x "))
+            .string("summary", info.summary)
+    });
     let default = diva_core::DesignPoint::Diva.config();
-    for p in diva_arch::params::PARAMS {
-        rows.push(format!(
-            "    {{\"name\": {}, \"kind\": \"param\", \"default\": {}, \"doc\": {}}}",
-            json_string(p.name),
-            json_string(&(p.get)(&default).format()),
-            json_string(p.doc)
-        ));
-    }
-    let mut out = String::from("{\n  \"schema\": \"diva-scenarios/v1\",\n  \"records\": [\n");
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out.into_bytes()
+    let params = diva_arch::params::PARAMS.iter().map(|p| {
+        JsonObject::named(p.name)
+            .string("kind", "param")
+            .string("default", &(p.get)(&default).format())
+            .string("doc", p.doc)
+    });
+    JsonDocument::new(JsonObject::new().string("schema", "diva-scenarios/v1"))
+        .array("records", scenarios.chain(params))
+        .finish()
+        .into_bytes()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diva_bench::perf::json_string;
 
     #[test]
     fn run_request_parses_filters_overrides_and_mode() {
@@ -948,6 +938,117 @@ mod tests {
         .unwrap();
         assert!((headline("pld") - direct).abs() < 1e-12);
         assert!(headline("pld") <= headline("rdp"), "PLD is tighter");
+    }
+
+    #[test]
+    fn error_body_bytes_are_pinned() {
+        let err = ApiError::new(400, "bad-request", "field \"q\" wants\ta number\n\u{7}");
+        assert_eq!(
+            err.body(),
+            b"{\"error\": \"bad-request\", \"message\": \"field \\\"q\\\" wants\\ta number\\n\\u0007\"}\n"
+        );
+    }
+
+    #[test]
+    fn epsilon_document_bytes_are_pinned() {
+        let req = parse_epsilon_request(
+            br#"{"accountant": "rdp,pld", "q": 0.02, "sigma": 1.5, "steps": 300,
+                 "delta": 0.000001, "step_counts": "100,300"}"#,
+        )
+        .unwrap();
+        let doc = String::from_utf8(execute_epsilon(&req).unwrap()).unwrap();
+        assert_eq!(
+            doc,
+            concat!(
+                "{\n",
+                "  \"schema\": \"diva-epsilon/v1\",\n",
+                "  \"q\": 0.02,\n",
+                "  \"sigma\": 1.5,\n",
+                "  \"steps\": 300,\n",
+                "  \"delta\": 0.000001,\n",
+                "  \"records\": [\n",
+                "    {\"name\": \"epsilon\", \"accountant\": \"rdp\", ",
+                "\"epsilon\": 1.6065344756898718},\n",
+                "    {\"name\": \"epsilon_curve\", \"accountant\": \"rdp\", \"steps\": 100, ",
+                "\"epsilon\": 1.142913523803914},\n",
+                "    {\"name\": \"epsilon_curve\", \"accountant\": \"rdp\", \"steps\": 300, ",
+                "\"epsilon\": 1.6065344756898718},\n",
+                "    {\"name\": \"epsilon\", \"accountant\": \"pld\", ",
+                "\"epsilon\": 1.2263946653842746},\n",
+                "    {\"name\": \"epsilon_curve\", \"accountant\": \"pld\", \"steps\": 100, ",
+                "\"epsilon\": 0.7385060422275408},\n",
+                "    {\"name\": \"epsilon_curve\", \"accountant\": \"pld\", \"steps\": 300, ",
+                "\"epsilon\": 1.2264344570147292}\n",
+                "  ]\n",
+                "}\n"
+            )
+        );
+    }
+
+    #[test]
+    fn compare_document_bytes_are_pinned() {
+        let doc = |v: &str| {
+            format!(
+                "{{\n  \"schema\": \"diva-scenario/v1\",\n  \"scenario\": \"toy\",\n  \
+                 \"title\": \"Toy\",\n  \"derived\": \"ratio\",\n  \"overrides\": \"\",\n  \
+                 \"axes\": [\n    {{\"name\": \"point\", \"values\": \"p0|p1\"}}\n  ],\n  \
+                 \"reductions\": [\n  ],\n  \"records\": [\n    \
+                 {{\"name\": \"toy\", \"point\": \"p0\", \"ratio\": 1}},\n    \
+                 {{\"name\": \"toy\", \"point\": \"p1\", \"ratio\": {v}}}\n  ]\n}}\n"
+            )
+        };
+        let body = format!("{}---\n{}", doc("2"), doc("3"));
+        let (passed, report) = execute_compare(body.as_bytes(), 0.05).unwrap();
+        assert!(!passed);
+        assert_eq!(
+            String::from_utf8(report).unwrap(),
+            concat!(
+                "{\n",
+                "  \"schema\": \"diva-compare/v1\",\n",
+                "  \"scenario\": \"toy\",\n",
+                "  \"passed\": false,\n",
+                "  \"matched\": 2,\n",
+                "  \"violations\": 1,\n",
+                "  \"report\": \"compare toy: 2 matched cells, tolerance 5.0% on [ratio]\\n",
+                "  [gated] ratio                            max drift   50.000% over 2 cells  ",
+                "(worst: point=p1)  <-- VIOLATION\\nFAIL: 1 gated metric(s) drifted more than ",
+                "5.0%\\n\"\n",
+                "}\n"
+            )
+        );
+    }
+
+    #[test]
+    fn scenarios_document_bytes_are_pinned() {
+        let mut rows: Vec<String> = Vec::new();
+        for info in scenario::registry::REGISTRY {
+            let exp = (info.build)();
+            let axes: Vec<String> = exp
+                .axes
+                .iter()
+                .map(|a| format!("{}({})", a.name, a.values.len()))
+                .collect();
+            rows.push(format!(
+                "    {{\"name\": {}, \"kind\": \"scenario\", \"axes\": {}, \"summary\": {}}}",
+                json_string(info.name),
+                json_string(&axes.join(" x ")),
+                json_string(info.summary)
+            ));
+        }
+        let default = diva_core::DesignPoint::Diva.config();
+        for p in diva_arch::params::PARAMS {
+            rows.push(format!(
+                "    {{\"name\": {}, \"kind\": \"param\", \"default\": {}, \"doc\": {}}}",
+                json_string(p.name),
+                json_string(&(p.get)(&default).format()),
+                json_string(p.doc)
+            ));
+        }
+        let expected = format!(
+            "{{\n  \"schema\": \"diva-scenarios/v1\",\n  \"records\": [\n{}\n  ]\n}}\n",
+            rows.join(",\n")
+        );
+        assert_eq!(String::from_utf8(scenarios_document()).unwrap(), expected);
     }
 
     #[test]

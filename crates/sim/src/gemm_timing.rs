@@ -405,7 +405,8 @@ mod tests {
     #[test]
     fn utilization_never_exceeds_one() {
         for df in Dataflow::ALL {
-            let c = AcceleratorConfig::builder(df).build().unwrap();
+            let c = AcceleratorConfig::tpu_v3_like(df);
+            c.validate().unwrap();
             for shape in [
                 GemmShape::new(128, 128, 128),
                 GemmShape::new(4096, 4096, 4096),

@@ -1,5 +1,5 @@
 //! Cache-blocked, register-tiled GEMM — the compute backend behind every
-//! transpose flavour of [`crate::matmul`] and, through `im2col` lowering,
+//! transpose flavour of [`crate::matmul()`] and, through `im2col` lowering,
 //! every convolution in the repo.
 //!
 //! Structure (classic BLIS-style three-level blocking, all safe Rust):

@@ -83,6 +83,43 @@ fn run_response_is_byte_identical_to_diva_report_json() {
     server.wait();
 }
 
+/// `/stats`'s counters move with every request and with the process-wide
+/// pools, so the pin masks each run of digits and keeps every other byte.
+#[test]
+fn stats_document_layout_is_pinned() {
+    let server = start();
+    let stats = client::get(server.addr(), "/stats").unwrap();
+    assert_eq!(stats.status, 200);
+    let mut masked = String::new();
+    for c in stats.text().chars() {
+        if !c.is_ascii_digit() {
+            masked.push(c);
+        } else if !masked.ends_with('N') {
+            masked.push('N');
+        }
+    }
+    assert_eq!(
+        masked,
+        concat!(
+            "{\n",
+            "  \"schema\": \"diva-stats/vN\",\n",
+            "  \"records\": [\n",
+            "    {\"name\": \"cache\", \"hits\": N, \"misses\": N, \"joined\": N, ",
+            "\"computed\": N, \"evictions\": N, \"entries\": N, \"bytes\": N},\n",
+            "    {\"name\": \"buffers\", \"reused\": N, \"allocated\": N, \"evicted\": N, ",
+            "\"idle_bytes\": N},\n",
+            "    {\"name\": \"jobs\", \"queued\": N, \"running\": N},\n",
+            "    {\"name\": \"pool\", \"workers\": N, \"idle\": N, \"steals\": N, ",
+            "\"inline_runs\": N, \"max_region_depth\": N},\n",
+            "    {\"name\": \"errors\", \"internal\": N}\n",
+            "  ]\n",
+            "}\n"
+        )
+    );
+    server.shutdown();
+    server.wait();
+}
+
 #[test]
 fn run_with_keep_going_and_overrides_matches_cli_pipeline() {
     let server = start();
