@@ -38,9 +38,12 @@ fn naive_example_grads(x: &Tensor, gy: &Tensor, geom: &Conv2dGeom, i: usize) -> 
 }
 
 /// Geometries with odd channel counts, non-square inputs, stride and
-/// padding variety; the last is large enough to route the per-example GEMM
-/// through the blocked/packed kernel (`C_out·P·Q·C_in·R·S ≥ 48³`, `P·Q ≥
-/// 16`), so both the reference and the packed code paths are pinned.
+/// padding variety; the last two are large enough to route the per-example
+/// GEMM through the blocked/packed kernel (`C_out·P·Q·C_in·R·S ≥ 48³`,
+/// `P·Q ≥ 16`), so both the reference and the packed code paths are
+/// pinned. The last is the benchmark CNN's first layer: its forward takes
+/// the tiny-K route (`C_in·R·S = 9`), and its weight gradient is one `NR`
+/// strip wide.
 fn parity_geoms() -> Vec<Conv2dGeom> {
     vec![
         Conv2dGeom::new(3, 5, 3, 1, 1, 9, 7),
@@ -48,6 +51,7 @@ fn parity_geoms() -> Vec<Conv2dGeom> {
         Conv2dGeom::new(5, 3, 1, 1, 0, 6, 6),
         Conv2dGeom::new(2, 6, 3, 2, 2, 7, 5),
         Conv2dGeom::new(8, 24, 3, 1, 1, 12, 12),
+        Conv2dGeom::new(1, 16, 3, 1, 1, 28, 28),
     ]
 }
 

@@ -24,8 +24,10 @@ const BATCHES: [usize; 3] = [1, 5, 33];
 /// reference loop. The sixth takes the blocked kernel at batch 33 only:
 /// there the whole batch's forward and data-gradient GEMMs pass `48³`
 /// multiply-adds while each example's stays under it, so the route must
-/// come from the batch. The last two take the blocked kernel at every
-/// batch.
+/// come from the batch. The next two take the blocked kernel at every
+/// batch. The last, the benchmark CNN's first layer, runs its forward on
+/// the tiny-K route (`C_in·R·S = 9`) at every batch, and its weight
+/// gradient is one `NR` strip wide.
 fn geoms() -> Vec<Conv2dGeom> {
     vec![
         Conv2dGeom::new(3, 5, 3, 2, 1, 9, 7),
@@ -37,6 +39,8 @@ fn geoms() -> Vec<Conv2dGeom> {
         // The benchmark CNN's conv2.
         Conv2dGeom::new(16, 32, 3, 1, 1, 14, 14),
         Conv2dGeom::new(16, 24, 3, 2, 1, 15, 13),
+        // The benchmark CNN's conv1.
+        Conv2dGeom::new(1, 16, 3, 1, 1, 28, 28),
     ]
 }
 
@@ -444,6 +448,28 @@ fn conv_layer_bias_paths_match_serial_loops() {
                 let grads = layer.backward(&cache, &gy, GradMode::PerBatch).grads;
                 grads.expect_per_batch()[1].clone()
             });
+            // One NaN and one −∞ in the weights, +0.0 and −0.0 in the input
+            // besides the padding: the blocked route multiplies every zero
+            // patch value out (0 × ∞ is NaN), the scalar routes skip it, so
+            // a zero skip on the wrong operand, or a padding slot read from
+            // the input, shows. Every NaN compares as one.
+            let weight = sparsely_salted(
+                &[geom.cout, geom.cin, geom.k, geom.k],
+                geom.weight_len(),
+                &mut rng,
+            );
+            *layer.params_mut()[0] = weight.clone();
+            let mut x = x;
+            for v in x.data_mut().iter_mut().skip(2).step_by(9) {
+                *v = 0.0;
+            }
+            assert_split_matches_as(
+                bits_nan_as_one,
+                Kernel::Safe,
+                &format!("conv forward {tag} NaN weights"),
+                &conv_forward_serial(&x, &weight, &bias, &geom),
+                || layer.forward(&x).0,
+            );
         }
     }
 }
