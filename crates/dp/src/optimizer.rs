@@ -326,21 +326,21 @@ impl DpTrainer {
         rng: &mut DivaRng,
     ) -> StepReport {
         let b = x.shape().dim(0);
-        let (mut grads, loss, clip) = self.backend.install(|| {
+        self.backend.install(|| {
             let (mut grads, loss, clip) = self.clipped_sum(net, x, labels);
             self.add_noise(&mut grads, rng);
-            (grads, loss, clip)
-        });
-        // Average over the mini-batch: Algorithm 1 line 24 / 41 multiplies
-        // the (noised) sum by 1/B; for SGD this is the usual mean gradient.
-        scale_grads(&mut grads, 1.0 / b as f32);
-        let update_norm = grad_norm(&grads);
-        net.apply_update(&grads, self.config.learning_rate);
-        StepReport {
-            mean_loss: loss,
-            clip,
-            update_norm,
-        }
+            // Average over the mini-batch: Algorithm 1 line 24 / 41
+            // multiplies the (noised) sum by 1/B; for SGD this is the usual
+            // mean gradient.
+            scale_grads(&mut grads, 1.0 / b as f32);
+            let update_norm = grad_norm(&grads);
+            net.apply_update(&grads, self.config.learning_rate);
+            StepReport {
+                mean_loss: loss,
+                clip,
+                update_norm,
+            }
+        })
     }
 
     /// Runs one *logical* training step over several microbatches
@@ -379,10 +379,13 @@ impl DpTrainer {
             clip_acc = merge_clip(clip_acc, clip);
         }
         let mut grads = acc.expect("at least one microbatch");
-        self.backend.install(|| self.add_noise(&mut grads, rng));
-        scale_grads(&mut grads, 1.0 / total_examples as f32);
-        let update_norm = grad_norm(&grads);
-        net.apply_update(&grads, self.config.learning_rate);
+        let update_norm = self.backend.install(|| {
+            self.add_noise(&mut grads, rng);
+            scale_grads(&mut grads, 1.0 / total_examples as f32);
+            let update_norm = grad_norm(&grads);
+            net.apply_update(&grads, self.config.learning_rate);
+            update_norm
+        });
         StepReport {
             mean_loss: loss_weighted / total_examples as f64,
             clip: clip_acc,
@@ -433,10 +436,9 @@ impl DpTrainer {
                 // second per-batch pass yields the clipped, reduced gradient
                 // in one shot (clipping fused into backprop — the key to
                 // DP-SGD(R)'s memory savings and fewer post-processing ops).
-                // Both passes run against the same `caches`, which is what
-                // makes the conv patch-reuse pay twice: the shared im2col
-                // buffer (diva_tensor::PatchBuffer) lowered in the forward
-                // is read verbatim by both passes, and neither pass derives
+                // Both passes run against the same `caches`: each conv
+                // layer's input (diva_tensor::ConvInput), kept in the
+                // forward, is read by both passes, and neither pass derives
                 // the first layer's dead input gradient.
                 let g = net.backward_reweighted(&caches, &loss.grad_logits, &summary.factors);
                 (g, loss.mean_loss, Some(summary))
@@ -455,6 +457,8 @@ fn scale_grads(grads: &mut NetworkGrads, s: f32) {
     }
 }
 
+/// The L2 norm of the averaged update, for [`StepReport::update_norm`]:
+/// one serial `sq_norm` per tensor, which only this report reads.
 fn grad_norm(grads: &NetworkGrads) -> f64 {
     let mut sum = 0.0;
     for layer in &grads.layers {

@@ -6,24 +6,24 @@
 //! is a `(C_in·R·S, P·Q, C_out)` GEMM per example — the small-K shape that
 //! underutilizes systolic arrays.
 //!
-//! This layer runs the **fused patch-reuse** backward: the forward pass
-//! lowers the batch with `im2col` exactly once into a shared
-//! [`PatchBuffer`], and every weight-gradient GEMM — per-batch,
-//! per-example, and norm-only — executes as a strided row-window over that
-//! buffer. DP-SGD(R)'s two backward passes share the same forward cache,
-//! so the patch buffer is lowered once and read by both passes; each GEMM
-//! packs the panels it reads as it runs. The per-example results are
-//! bit-identical to the naive per-example `im2col` path
-//! (`tests/conv_fused_parity.rs`).
+//! This layer runs the **implicit-lowering** backward: the forward keeps
+//! the layer's NCHW input in a [`ConvInput`], and every GEMM — the
+//! forward, and the per-batch, per-example and norm-only weight gradients
+//! — forms the lowered patch operand from that input while it packs it.
+//! No patch matrix is stored: DP-SGD(R)'s two backward passes share the
+//! same forward cache, which holds the input (the size of one activation),
+//! not its 9×-expanded `im2col`. The per-example results are bit-identical
+//! to the naive per-example `im2col` path (`tests/conv_fused_parity.rs`).
 //!
 //! Activations and gradients stay NCHW: the GEMMs read and write them in
 //! place, one example per pool task (see `diva_tensor`'s `conv` module),
-//! so no pass transposes its gradient to rows. The bias is added inside
-//! the forward's per-example reorder, and its per-batch gradient is split
-//! over the shared pool by channel; both are bitwise the serial loops at
-//! any thread count.
+//! so no pass transposes its gradient to rows and the forward writes its
+//! output without a reorder. The bias is added to each example's output
+//! after its GEMM, and its per-batch gradient is split over the shared
+//! pool by channel; both are bitwise the serial loops at any thread
+//! count.
 
-use diva_tensor::{conv2d_backward_data, parallel, Conv2dGeom, DivaRng, PatchBuffer, Tensor};
+use diva_tensor::{conv2d_backward_data, parallel, Conv2dGeom, ConvInput, DivaRng, Tensor};
 
 use crate::layer::{BackwardOutput, GradMode, ParamGrads};
 use crate::per_example::{self, PerExampleGrads};
@@ -36,12 +36,11 @@ pub struct Conv2dLayer {
     geom: Conv2dGeom,
 }
 
-/// Forward cache for [`Conv2dLayer`]: the batch lowered to the shared patch
-/// buffer (computed once in the forward, reused by every backward pass that
-/// shares this cache).
+/// Forward cache for [`Conv2dLayer`]: the layer's input batch, read by
+/// every backward pass that shares this cache.
 #[derive(Clone, Debug)]
 pub struct Conv2dCache {
-    patches: PatchBuffer,
+    input: ConvInput,
 }
 
 impl Conv2dLayer {
@@ -79,9 +78,9 @@ impl Conv2dLayer {
     ///
     /// Panics if the input does not match the layer geometry.
     pub fn forward(&self, x: &Tensor) -> (Tensor, Conv2dCache) {
-        let patches = PatchBuffer::lower(x, &self.geom);
-        let y = patches.forward(&self.weight, self.bias.as_ref());
-        (y, Conv2dCache { patches })
+        let input = ConvInput::new(x.clone(), &self.geom);
+        let y = input.forward(&self.weight, self.bias.as_ref());
+        (y, Conv2dCache { input })
     }
 
     /// Backward pass with the input gradient always derived; see
@@ -100,8 +99,8 @@ impl Conv2dLayer {
     /// is dead work — a full `(B·P·Q, C_out, C_in·R·S)` GEMM plus its fold).
     ///
     /// The weight-gradient GEMMs read each example's NCHW slice of the
-    /// output gradient as it stands, against the shared patch buffer
-    /// lowered in the forward.
+    /// output gradient as it stands, against the input kept in the
+    /// forward, lowered as they pack it.
     pub fn backward_opt(
         &self,
         cache: &Conv2dCache,
@@ -112,12 +111,12 @@ impl Conv2dLayer {
         let b = grad_out.shape().dim(0);
         assert_eq!(
             b,
-            cache.patches.batch(),
+            cache.input.batch(),
             "gradient batch does not match the cached forward batch"
         );
         let grads = match mode {
             GradMode::PerBatch => {
-                let gw = cache.patches.backward_weight_batch(grad_out);
+                let gw = cache.input.backward_weight_batch(grad_out);
                 let mut out = vec![gw];
                 if self.bias.is_some() {
                     out.push(bias_grad(grad_out));
@@ -126,9 +125,9 @@ impl Conv2dLayer {
             }
             // Per-example derivation is independent across the batch
             // (Algorithm 1 lines 16–25): the `(C_in·R·S, P·Q, C_out)`
-            // per-example GEMMs fan out over the shared pool, each a strided
-            // row-window of the shared patch buffer written straight into
-            // the example's arena (or scratch) row.
+            // per-example GEMMs fan out over the shared pool, each packing
+            // its example's lowered input and writing straight into the
+            // example's arena (or scratch) row.
             GradMode::PerExample => {
                 ParamGrads::PerExample(PerExampleGrads::build(b, &self.params(), |i, row| {
                     self.write_example(cache, grad_out, i, row)
@@ -148,7 +147,7 @@ impl Conv2dLayer {
     /// Writes example `i`'s `[G(W), G(b)]` over a per-example row.
     fn write_example(&self, cache: &Conv2dCache, grad_out: &Tensor, i: usize, row: &mut [f32]) {
         let (weight, bias) = row.split_at_mut(self.geom.weight_len());
-        cache.patches.backward_weight_example(grad_out, i, weight);
+        cache.input.backward_weight_example(grad_out, i, weight);
         if self.bias.is_some() {
             let (p, q) = self.geom.out_hw();
             let len = self.geom.cout * p * q;

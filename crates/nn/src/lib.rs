@@ -28,10 +28,10 @@
 //! batch-parallel over the workspace-wide keep-alive pool
 //! (`diva_tensor::parallel`) — nested GEMMs inside a fan-out are
 //! scheduled hierarchically on the same pool (idle workers steal them;
-//! results are bit-identical regardless). Convolution layers lower their
-//! batch with
-//! `im2col` exactly once per forward (`diva_tensor::PatchBuffer`) and
-//! reuse the patch buffer across DP-SGD(R)'s two backward passes. See
+//! results are bit-identical regardless). Convolution layers keep their
+//! NCHW input from the forward (`diva_tensor::ConvInput`) and every GEMM
+//! forms the lowered patch operand while packing it, so no patch matrix
+//! is stored across DP-SGD(R)'s two backward passes. See
 //! `ARCHITECTURE.md` at the workspace root for the full layer map.
 //!
 //! # Example
@@ -80,9 +80,10 @@ pub use simple::{Flatten, Relu, Sigmoid, Tanh};
 /// Extracts example `i` from a batched tensor (first dimension = batch),
 /// returning a tensor with leading dimension 1.
 ///
-/// The fused convolution backward no longer slices per example (it windows
-/// the shared patch buffer instead); this survives as a public utility for
-/// the naive reference path in parity tests and benchmarks.
+/// The fused convolution backward does not slice per example (it packs
+/// each example's lowered input from the kept batch instead); this
+/// survives as a public utility for the naive reference path in parity
+/// tests and benchmarks.
 ///
 /// # Panics
 ///

@@ -106,9 +106,9 @@ impl Network {
     /// materialized — the memory saving that motivates DP-SGD(R).
     ///
     /// Because this pass runs against the *same* `caches` as the preceding
-    /// `NormOnly` pass, every convolution layer reuses the patch buffer
-    /// lowered in the forward (see `diva_tensor::PatchBuffer`): no `im2col`
-    /// happens here.
+    /// `NormOnly` pass, every convolution layer reads the input it kept in
+    /// the forward (see `diva_tensor::ConvInput`), lowering it as its
+    /// weight-gradient GEMM packs it.
     ///
     /// # Panics
     ///

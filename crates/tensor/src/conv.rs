@@ -9,54 +9,66 @@
 //!
 //! Two tiers of API live here:
 //!
-//! * [`PatchBuffer`] is the reuse-aware path DiVa's dataflow motivates:
-//!   `im2col` runs **once per batch**, and every subsequent GEMM — the
-//!   forward, the per-batch weight gradient, and all `B` per-example
-//!   weight gradients of DP-SGD — reads that one buffer in place, example
-//!   by example. [`conv2d`] and [`conv2d_backward_data`] are the stateless
-//!   entry points to the same per-example GEMMs.
-//! * [`conv2d_backward_weight`], [`nchw_to_rows`] and [`col2im`] are the
-//!   naive whole-batch lowering — a rows-layout gradient, one big GEMM, a
-//!   patch matrix folded back — kept as the baselines and test oracles the
-//!   fused path is pinned against.
+//! * [`ConvInput`] keeps a layer's NCHW input batch for the backward, and
+//!   every GEMM that reads its lowered form — the forward, the per-batch
+//!   weight gradient, and all `B` per-example weight gradients of DP-SGD —
+//!   forms that operand while packing it, example by example, as cuDNN's
+//!   implicit GEMM does: no patch matrix is stored. [`conv2d`] and
+//!   [`conv2d_backward_data`] are the stateless entry points to the same
+//!   per-example GEMMs.
+//! * [`im2col`], [`conv2d_backward_weight`], [`nchw_to_rows`] and
+//!   [`col2im`] are the naive whole-batch lowering — a patch matrix, a
+//!   rows-layout gradient, one big GEMM, a patch matrix folded back — kept
+//!   as the baselines and test oracles the fused path is pinned against.
 //!
 //! # NCHW in place, one example per task
 //!
 //! No convolution GEMM writes a whole-batch intermediate. Each runs one
-//! example per pool task, through a thread-local tile that stays in L2:
+//! example per pool task. Write `col_i` for example `i`'s lowered input in
+//! the `(C_in·R·S, P·Q)` orientation, the transpose of its `im2col` rows:
 //!
-//! * forward: `patches_i × Wᵀ` into a `(P·Q, C_out)` tile, which the same
-//!   task reorders into the example's NCHW image, adding the bias;
+//! * forward: `W × col_i`, straight into the example's NCHW output, whose
+//!   `(C_out, P·Q)` planes are the product's rows; the bias is added
+//!   afterwards;
 //! * data gradient: `Wᵀ × G(Y)_i` into a `(C_in·R·S, P·Q)` tile, which the
 //!   task folds into `G(X)_i` as [`col2im`] would, reading each tile row
 //!   contiguously (on the reference route, the `(P·Q, C_in·R·S)` product
 //!   `G(Y)_iᵀ × W`);
-//! * weight gradients: `G(Y)_i`'s `(C_out, P·Q)` NCHW slice is the A
-//!   operand as it stands, and example `i`'s patch rows the B operand. The
-//!   per-batch GEMM hands the blocked driver each example's K panels in
-//!   turn, so every panel lies within one example, and the driver packs
-//!   each B panel as it reaches it: no packed copy of the patch buffer is
-//!   kept.
+//! * weight gradients: `G(Y)_i × col_iᵀ`, with `G(Y)_i`'s `(C_out, P·Q)`
+//!   NCHW slice the A operand as it stands. The per-batch GEMM hands the
+//!   blocked driver each example's K panels in turn, so every panel lies
+//!   within one example.
+//!
+//! On the blocked route the lowered operand is never formed: the GEMM's
+//! B packing gathers each packed strip row from the example's input (a
+//! [`Lowered`] view): for `col_i` one patch column's run of output
+//! positions, for `col_iᵀ` one output position's patch columns, padding as
+//! explicit zeros. The two scalar routes form a per-example tile in
+//! thread-local scratch: the tiny-K forward (a first layer's
+//! `C_in·R·S < 16`) runs the reference loop's arithmetic over the long
+//! rows of `col_i`, and the reference route runs the scalar loop itself on
+//! the example's `im2col` rows.
 //!
 //! Every element comes out with the bits of the whole-batch GEMM. The route
 //! (blocked kernel or the scalar reference loop's arithmetic, see
 //! `gemm::Route`) is decided once, from the whole-batch shape, and
-//! replayed per example, so each element keeps its
-//! kernel, its K panels and its FMA sequence. The blocked data gradient
-//! computes the transpose of the batch product `G(Y) × W`; a fused
+//! replayed per example, so each element keeps its kernel, its K panels
+//! and its FMA sequence. The blocked forward and data gradient compute the
+//! transposes of the batch products `patches × Wᵀ` and `G(Y) × W`; a fused
 //! multiply-add rounds only its exact result, so it is commutative in its
-//! two factors and the transpose changes no bit. On the reference route
-//! the gradient stays the scalar loop's A operand, so the loop's zero skip
-//! tests the same values it always did.
+//! two factors and the transpose changes no bit. The scalar routes keep
+//! the reference loop's zero skip on the operand it always tested: the
+//! patch value in the forward and the weight gradients, the gradient in
+//! the data gradient.
 //!
-//! The data movement around the GEMMs — [`im2col`], the folds, the forward
-//! reorder and [`nchw_to_rows`] — runs on the shared pool, one task per
-//! example. Every output element is written by exactly one task, padding
-//! included, and a fold adds each element's contributions in the same
-//! order as a serial loop, starting from +0.0, so the results are bitwise
-//! the same at every thread count. The inner loops visit only the output
-//! positions each filter tap lands in bounds for (worked out once per
-//! call), instead of bounds-checking every element.
+//! The data movement around the GEMMs — [`im2col`], the folds and
+//! [`nchw_to_rows`] — runs on the shared pool, one task per example. Every
+//! output element is written by exactly one task, padding included, and a
+//! fold adds each element's contributions in the same order as a serial
+//! loop, starting from +0.0, so the results are bitwise the same at every
+//! thread count. The inner loops visit only the output positions each
+//! filter tap lands in bounds for (worked out once per geometry, see
+//! [`Lowering`]), instead of bounds-checking every element.
 
 use crate::gemm::{
     gemm_panels, gemm_reference, gemm_serial, panels, with_scratch, MatRef, Panel, Route,
@@ -68,15 +80,11 @@ use std::cell::RefCell;
 use std::ops::Range;
 
 thread_local! {
-    /// Per-thread GEMM tile of the per-example convolution tasks: one
-    /// example's forward output or patch gradient (113 KB for a 16→32
-    /// channel 3×3 convolution on 14×14), reused across calls.
+    /// Per-thread tile of the per-example convolution tasks: one example's
+    /// patch gradient, or on the scalar routes its lowered input (113 KB
+    /// for a 16→32 channel 3×3 convolution on 14×14), reused across calls.
     static TILE_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
-
-/// Per filter tap, the output rows and the output columns at which it
-/// lands inside the input ([`Conv2dGeom::taps_in_bounds`]).
-type Taps = (Vec<Range<usize>>, Vec<Range<usize>>);
 
 /// Geometry of a 2-D convolution: channel counts, filter size, stride,
 /// padding and the input spatial extent.
@@ -161,7 +169,7 @@ impl Conv2dGeom {
     /// For each filter tap `t < k`, the output rows and the output columns
     /// at which it lands inside the input (`o·stride + t − pad ∈ [0, len)`
     /// along each axis); possibly empty.
-    fn taps_in_bounds(&self) -> Taps {
+    fn taps_in_bounds(&self) -> (Vec<Range<usize>>, Vec<Range<usize>>) {
         let (p, q) = self.out_hw();
         let along = |len: usize, outputs: usize| -> Vec<Range<usize>> {
             (0..self.k)
@@ -179,8 +187,8 @@ impl Conv2dGeom {
     }
 }
 
-/// Output positions per block of the per-example `(C, P·Q)` ↔ `(P·Q, C)`
-/// transposes: both sides of a block stay L1-resident.
+/// Output positions per block of the per-example `(C, P·Q)` → `(P·Q, C)`
+/// transpose of [`nchw_to_rows`]: both sides of a block stay L1-resident.
 const BLOCK: usize = 64;
 
 /// Checks that `t` is an `(N, C_out, P, Q)` output gradient under `geom`
@@ -197,60 +205,11 @@ fn grad_batch(t: &Tensor, geom: &Conv2dGeom) -> usize {
     dims[0]
 }
 
-/// Folds one example's patch gradient into `image`, its `(C_in, H, W)`
-/// block, overwriting it: `src.at(s, col)` is patch column `col` of output
-/// position `s = pi·Q + qi`. `taps` is [`Conv2dGeom::taps_in_bounds`].
-///
-/// An input element takes its contributions in position order `(pi, qi)`,
-/// starting from +0.0, as in a serial loop over the patch rows: `pi` is
-/// the outer loop, a given `pi` reaches the element through one `ki` only,
-/// and among its taps `kj` falls as `qi` rises — so walking `kj` downwards
-/// keeps `qi` ascending.
-#[inline(always)]
-fn fold(geom: &Conv2dGeom, taps: &Taps, src: MatRef, image: &mut [f32]) {
-    let (p, q) = geom.out_hw();
-    let (h, w, k, stride, pad) = (geom.in_h, geom.in_w, geom.k, geom.stride, geom.pad);
-    let (in_rows, in_cols) = taps;
-    image.fill(0.0);
-    for pi in 0..p {
-        for (ci, plane) in image.chunks_exact_mut(h * w).enumerate() {
-            for ki in (0..k).filter(|&ki| in_rows[ki].contains(&pi)) {
-                let line = &mut plane[(pi * stride + ki - pad) * w..][..w];
-                for (kj, cols) in in_cols.iter().enumerate().rev() {
-                    let col = (ci * k + ki) * k + kj;
-                    match src.col_run(pi * q, col) {
-                        // Unit stride on both sides (a tile): one run.
-                        Some(run) if stride == 1 => {
-                            let first = cols.start + kj - pad;
-                            for (o, &v) in line[first..].iter_mut().zip(&run[cols.clone()]) {
-                                *o += v;
-                            }
-                        }
-                        _ => {
-                            for qi in cols.clone() {
-                                line[qi * stride + kj - pad] += src.at(pi * q + qi, col);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Unfolds an NCHW input batch into the patch matrix of shape
-/// `(N * P * Q, C_in * R * S)`.
-///
-/// Row `n*P*Q + p*Q + q` holds the receptive field of output position
-/// `(p, q)` for example `n`; out-of-bounds positions read as zero (padding).
-///
-/// # Panics
-///
-/// Panics if `input` is not rank 4 or its channel/spatial dims disagree with
-/// `geom`.
-pub fn im2col(input: &Tensor, geom: &Conv2dGeom) -> Tensor {
+/// Checks that `input` is an `(N, C_in, H, W)` batch under `geom` and
+/// returns `N`.
+fn input_batch(input: &Tensor, geom: &Conv2dGeom) -> usize {
     let dims = input.shape().dims();
-    assert_eq!(dims.len(), 4, "im2col expects NCHW, got {}", input.shape());
+    assert_eq!(dims.len(), 4, "expected NCHW input, got {}", input.shape());
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
     assert_eq!(
         c, geom.cin,
@@ -267,32 +226,379 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeom) -> Tensor {
         "width mismatch: input {w}, geom {}",
         geom.in_w
     );
+    n
+}
 
-    let (p, q) = geom.out_hw();
-    let patch = geom.patch_len();
-    let (k, stride, pad) = (geom.k, geom.stride, geom.pad);
-    let (in_rows, in_cols) = geom.taps_in_bounds();
-    let mut out = Tensor::for_overwrite(&[n * p * q, patch]);
-    let iv = input.data();
-    // One task per example. Each output row `pi` of it (Q patch rows) is
-    // zeroed, then every in-bounds tap `(ci, ki, kj)` copies its run of
-    // input columns down one patch column.
-    parallel::par_chunks_mut(out.data_mut(), (p * q * patch).max(1), |ni, rows| {
-        let image = &iv[ni * c * h * w..(ni + 1) * c * h * w];
-        for (pi, block) in rows.chunks_exact_mut(q * patch).enumerate() {
+/// Checks that `weight` has [`Conv2dGeom::weight_len`] elements.
+fn check_weight(weight: &Tensor, geom: &Conv2dGeom) {
+    assert_eq!(
+        weight.len(),
+        geom.weight_len(),
+        "weight has {} elements, geometry implies {}",
+        weight.len(),
+        geom.weight_len()
+    );
+}
+
+/// One patch column of a [`Lowering`]: a filter tap `(ci, ki, kj)`.
+#[derive(Clone, Debug)]
+struct Tap {
+    /// `(ci·H + ki)·W + kj`. At output position `(pi, qi)` the tap reads
+    /// input element `offset + (pi·W + qi)·stride − (pad·W + pad)`.
+    offset: usize,
+    /// The output rows at which the tap lands inside the input.
+    rows: Range<usize>,
+    /// The output columns at which the tap lands inside the input.
+    cols: Range<usize>,
+    /// Whether the tap ends its filter row (`kj = k − 1`): otherwise the
+    /// next patch column is `(ci, ki, kj + 1)`.
+    row_end: bool,
+}
+
+/// A convolution's lowering, worked out once per geometry: for every patch
+/// column, in [`im2col`]'s column order, where it reads in an example's
+/// `(C_in, H, W)` input and at which output positions it lands inside it.
+/// Every lowered value — a patch matrix entry — is an input element or a
+/// padding zero, and every routine here that forms or folds one reads
+/// these tables.
+#[derive(Clone, Debug)]
+struct Lowering {
+    geom: Conv2dGeom,
+    /// Output columns `Q`.
+    q: usize,
+    /// `pad·W + pad`, the padding's offset in [`Tap::offset`].
+    shift: usize,
+    taps: Vec<Tap>,
+}
+
+impl Lowering {
+    fn new(geom: &Conv2dGeom) -> Self {
+        let (in_rows, in_cols) = geom.taps_in_bounds();
+        let (k, h, w) = (geom.k, geom.in_h, geom.in_w);
+        let taps = (0..geom.cin * k * k)
+            .map(|col| {
+                let (ci, ki, kj) = (col / (k * k), col / k % k, col % k);
+                Tap {
+                    offset: (ci * h + ki) * w + kj,
+                    rows: in_rows[ki].clone(),
+                    cols: in_cols[kj].clone(),
+                    row_end: kj + 1 == k,
+                }
+            })
+            .collect();
+        Self {
+            geom: *geom,
+            q: geom.out_hw().1,
+            shift: geom.pad * (w + 1),
+            taps,
+        }
+    }
+
+    /// The input element tap `t` reads at output position `(pi, qi)`,
+    /// which must lie in the tap's rows and columns.
+    #[inline(always)]
+    fn index(&self, t: &Tap, pi: usize, qi: usize) -> usize {
+        (pi * self.geom.in_w + qi) * self.geom.stride + t.offset - self.shift
+    }
+
+    /// `image`'s `col_i`, `(C_in·R·S, P·Q)`, as a GEMM operand.
+    fn columns<'a>(&'a self, image: &'a [f32]) -> Lowered<'a> {
+        Lowered {
+            lowering: self,
+            image,
+            columns: true,
+            row0: 0,
+            col0: 0,
+        }
+    }
+
+    /// `image`'s `im2col` rows, `(P·Q, C_in·R·S)`, as a GEMM operand.
+    fn rows<'a>(&'a self, image: &'a [f32]) -> Lowered<'a> {
+        Lowered {
+            columns: false,
+            ..self.columns(image)
+        }
+    }
+
+    /// Writes tap `t`'s lowered values at the output positions from
+    /// `(pi, qi)` on, in position order, over `out`: the input element each
+    /// reads, or zero in the padding. Within one output row the reads are
+    /// a run of one input row, contiguous at stride 1.
+    fn tap_run(
+        &self,
+        t: &Tap,
+        image: &[f32],
+        (mut pi, mut qi): (usize, usize),
+        mut out: &mut [f32],
+    ) {
+        let stride = self.geom.stride;
+        while !out.is_empty() {
+            let len = (self.q - qi).min(out.len());
+            let (seg, rest) = std::mem::take(&mut out).split_at_mut(len);
+            if t.rows.contains(&pi) {
+                let lo = t.cols.start.clamp(qi, qi + len);
+                let hi = t.cols.end.clamp(lo, qi + len);
+                let (head, body) = seg.split_at_mut(lo - qi);
+                let (body, tail) = body.split_at_mut(hi - lo);
+                head.fill(0.0);
+                if lo < hi {
+                    let src = &image[self.index(t, pi, lo)..];
+                    if stride == 1 {
+                        body.copy_from_slice(&src[..body.len()]);
+                    } else {
+                        for (o, &v) in body.iter_mut().zip(src.iter().step_by(stride)) {
+                            *o = v;
+                        }
+                    }
+                }
+                tail.fill(0.0);
+            } else {
+                seg.fill(0.0);
+            }
+            out = rest;
+            pi += 1;
+            qi = 0;
+        }
+    }
+
+    /// Writes `image`'s `col_i`, `(C_in·R·S, P·Q)` row-major, over `cols`.
+    fn lower_columns(&self, image: &[f32], cols: &mut [f32]) {
+        let pq = cols.len() / self.taps.len().max(1);
+        for (row, t) in cols.chunks_exact_mut(pq.max(1)).zip(&self.taps) {
+            self.tap_run(t, image, (0, 0), row);
+        }
+    }
+
+    /// Writes `image`'s `im2col` rows, `(P·Q, C_in·R·S)` row-major, over
+    /// `rows`: each output row `pi` (Q patch rows) is zeroed, then every
+    /// tap landing on it copies its run of input columns down its patch
+    /// column.
+    fn lower_rows(&self, image: &[f32], rows: &mut [f32]) {
+        let patch = self.taps.len();
+        for (pi, block) in rows.chunks_exact_mut((self.q * patch).max(1)).enumerate() {
             block.fill(0.0);
-            for (ci, plane) in image.chunks_exact(h * w).enumerate() {
-                for ki in (0..k).filter(|&ki| in_rows[ki].contains(&pi)) {
-                    let line = &plane[(pi * stride + ki - pad) * w..][..w];
-                    for (kj, cols) in in_cols.iter().enumerate() {
-                        let col = (ci * k + ki) * k + kj;
-                        for qi in cols.clone() {
-                            block[qi * patch + col] = line[qi * stride + kj - pad];
+            for (col, t) in self.taps.iter().enumerate() {
+                if t.rows.contains(&pi) {
+                    for qi in t.cols.clone() {
+                        block[qi * patch + col] = image[self.index(t, pi, qi)];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Fills `strip`'s rows, `W` wide, with the `im2col` rows of output
+    /// positions `s0, s0 + 1, …` at the patch columns `taps`, zero past
+    /// them. At stride 1 the row of the next position along an output row
+    /// is mostly this row moved down one lane: tap `(ci, ki, kj)` reads,
+    /// one position on, the element tap `(ci, ki, kj + 1)` read, or both
+    /// fall in the padding. Only the lanes ending a filter row, and the
+    /// strip's last, are loaded again. A row that starts an output row is
+    /// a gather where every tap lands inside the input.
+    fn position_rows<const W: usize>(
+        &self,
+        image: &[f32],
+        taps: &[Tap],
+        s0: usize,
+        strip: &mut [f32],
+    ) {
+        let (w, stride, q) = (self.geom.in_w, self.geom.stride, self.q);
+        let jw = taps.len();
+        // Each tap's read relative to the position's `(pi·W + qi)·stride`,
+        // wrapping: the sum is the element's index wherever it is inside.
+        let mut rel = [0usize; W];
+        for (r, t) in rel.iter_mut().zip(taps) {
+            *r = t.offset.wrapping_sub(self.shift);
+        }
+        // The lanes a moved-down row loads again.
+        let mut fresh = [0usize; W];
+        let mut n_fresh = 0;
+        for (j, t) in taps.iter().enumerate() {
+            if t.row_end || j + 1 == jw {
+                fresh[n_fresh] = j;
+                n_fresh += 1;
+            }
+        }
+        let inside = |range: fn(&Tap) -> &Range<usize>| {
+            taps.iter()
+                .map(range)
+                .fold(0..usize::MAX, |a, b| a.start.max(b.start)..a.end.min(b.end))
+        };
+        let (rows, cols) = (inside(|t| &t.rows), inside(|t| &t.cols));
+        let last = image.len().saturating_sub(1);
+        let load = |j: usize, pi: usize, qi: usize, origin: usize| {
+            let t = &taps[j];
+            if t.rows.contains(&pi) && t.cols.contains(&qi) {
+                image[origin.wrapping_add(rel[j])]
+            } else {
+                0.0
+            }
+        };
+        let (mut pi, mut qi) = (s0 / q, s0 % q);
+        for kk in 0..strip.len() / W {
+            let (done, row) = strip.split_at_mut(kk * W);
+            let row = &mut row[..W];
+            let origin = (pi * w + qi) * stride;
+            let interior = rows.contains(&pi) && cols.contains(&qi);
+            if kk > 0 && qi > 0 && stride == 1 {
+                row[..W - 1].copy_from_slice(&done[done.len() - W + 1..]);
+                row[W - 1] = 0.0;
+                for &j in &fresh[..n_fresh] {
+                    row[j] = if interior {
+                        image[origin.wrapping_add(rel[j])]
+                    } else {
+                        load(j, pi, qi, origin)
+                    };
+                }
+            } else if interior {
+                // Every index is in bounds, so the clamp never binds; it
+                // only lets the gather go without bounds checks (lanes past
+                // `taps` read some element and are zeroed below).
+                for (v, &r) in row.iter_mut().zip(&rel) {
+                    *v = image[origin.wrapping_add(r).min(last)];
+                }
+                row[jw..].fill(0.0);
+            } else {
+                for (j, v) in row[..jw].iter_mut().enumerate() {
+                    *v = load(j, pi, qi, origin);
+                }
+                row[jw..].fill(0.0);
+            }
+            qi += 1;
+            if qi == q {
+                qi = 0;
+                pi += 1;
+            }
+        }
+    }
+
+    /// Folds one example's patch gradient into `image`, its `(C_in, H, W)`
+    /// block, overwriting it: `src.at(s, col)` is patch column `col` of
+    /// output position `s = pi·Q + qi`.
+    ///
+    /// Patch columns are walked last to first, each over its output
+    /// positions in order. An input element takes its contributions in
+    /// position order `(pi, qi)`, starting from +0.0, as in a serial loop
+    /// over the patch rows: they all come from one channel, a later `pi`
+    /// reaches the element through a smaller `ki`, and within one `pi` a
+    /// later `qi` through a smaller `kj`, so descending `(ki, kj)` is
+    /// ascending `(pi, qi)` at any stride.
+    fn fold(&self, src: MatRef, image: &mut [f32]) {
+        let (q, stride) = (self.q, self.geom.stride);
+        image.fill(0.0);
+        for (col, t) in self.taps.iter().enumerate().rev() {
+            if t.cols.is_empty() {
+                continue;
+            }
+            for pi in t.rows.clone() {
+                let first = self.index(t, pi, t.cols.start);
+                let positions = pi * q + t.cols.start..pi * q + t.cols.end;
+                match src.col_run(0, col) {
+                    // Rows unit-stride (a tile): a run of the tile row.
+                    Some(run) => {
+                        let run = &run[positions];
+                        if stride == 1 {
+                            for (o, &v) in image[first..][..run.len()].iter_mut().zip(run) {
+                                *o += v;
+                            }
+                        } else {
+                            for (o, &v) in image[first..].iter_mut().step_by(stride).zip(run) {
+                                *o += v;
+                            }
+                        }
+                    }
+                    None => {
+                        for (o, s) in image[first..].iter_mut().step_by(stride).zip(positions) {
+                            *o += src.at(s, col);
                         }
                     }
                 }
             }
         }
+    }
+}
+
+/// One example's convolution input viewed as a lowered GEMM operand that
+/// is never formed: `col_i`, `(C_in·R·S, P·Q)` with a row per patch
+/// column, or its transpose, the example's `im2col` rows. Only the blocked
+/// GEMM's B packing reads it, through [`Lowered::pack_strip`].
+#[derive(Clone, Copy)]
+pub(crate) struct Lowered<'a> {
+    lowering: &'a Lowering,
+    /// The example's `(C_in, H, W)` input.
+    image: &'a [f32],
+    /// `col_i` if set, else the `im2col` rows.
+    columns: bool,
+    /// The view's first row.
+    row0: usize,
+    /// The view's first column.
+    col0: usize,
+}
+
+impl Lowered<'_> {
+    /// The view of rows `row0..` of this operand.
+    pub(crate) fn rows_from(self, row0: usize) -> Self {
+        Self {
+            row0: self.row0 + row0,
+            ..self
+        }
+    }
+
+    /// The view of columns `col0..` of this operand.
+    pub(crate) fn cols_from(self, col0: usize) -> Self {
+        Self {
+            col0: self.col0 + col0,
+            ..self
+        }
+    }
+
+    /// Packs columns `j0..j0 + jw` of this operand's first `strip.len() /
+    /// W` rows into one `W`-wide strip, `strip[kk][jr]`, zero past `jw`:
+    /// the slots the formed matrix's row-major packing would fill, each
+    /// strip row written in turn. A `col_i` row is a run of one tap's
+    /// positions ([`Lowering::tap_run`]), an `im2col` row a gather of one
+    /// position's taps ([`Lowering::position_rows`]).
+    pub(crate) fn pack_strip<const W: usize>(&self, j0: usize, jw: usize, strip: &mut [f32]) {
+        let l = self.lowering;
+        if self.columns {
+            let s0 = self.col0 + j0;
+            let start = (s0 / l.q, s0 % l.q);
+            for (row, t) in strip.chunks_exact_mut(W).zip(&l.taps[self.row0..]) {
+                let (vals, zeros) = row.split_at_mut(jw);
+                l.tap_run(t, self.image, start, vals);
+                zeros.fill(0.0);
+            }
+        } else {
+            let taps = &l.taps[self.col0 + j0..][..jw];
+            l.position_rows::<W>(self.image, taps, self.row0, strip);
+        }
+    }
+}
+
+/// Unfolds an NCHW input batch into the patch matrix of shape
+/// `(N * P * Q, C_in * R * S)`.
+///
+/// Row `n*P*Q + p*Q + q` holds the receptive field of output position
+/// `(p, q)` for example `n`; out-of-bounds positions read as zero (padding).
+/// The fused convolutions never form it: it is the naive lowering behind
+/// [`conv2d_backward_weight`], and the oracle the fused paths are pinned
+/// against.
+///
+/// # Panics
+///
+/// Panics if `input` is not rank 4 or its channel/spatial dims disagree with
+/// `geom`.
+pub fn im2col(input: &Tensor, geom: &Conv2dGeom) -> Tensor {
+    let n = input_batch(input, geom);
+    let (p, q) = geom.out_hw();
+    let patch = geom.patch_len();
+    let image_len = geom.cin * geom.in_h * geom.in_w;
+    let lowering = Lowering::new(geom);
+    let mut out = Tensor::for_overwrite(&[n * p * q, patch]);
+    let iv = input.data();
+    // One task per example.
+    parallel::par_chunks_mut(out.data_mut(), (p * q * patch).max(1), |ni, rows| {
+        lowering.lower_rows(&iv[ni * image_len..][..image_len], rows);
     });
     out
 }
@@ -315,13 +621,13 @@ pub fn col2im(cols: &Tensor, geom: &Conv2dGeom, n: usize) -> Tensor {
     assert_eq!(cols_w, patch, "col2im patch length mismatch");
 
     let image_len = geom.cin * geom.in_h * geom.in_w;
-    let taps = geom.taps_in_bounds();
+    let lowering = Lowering::new(geom);
     let mut out = Tensor::for_overwrite(&[n, geom.cin, geom.in_h, geom.in_w]);
     let cv = cols.data();
     // One task per example image.
     parallel::par_chunks_mut(out.data_mut(), image_len.max(1), |ni, image| {
         let rows = &cv[ni * p * q * patch..(ni + 1) * p * q * patch];
-        fold(geom, &taps, MatRef::row_major(rows, patch), image);
+        lowering.fold(MatRef::row_major(rows, patch), image);
     });
     out
 }
@@ -329,14 +635,89 @@ pub fn col2im(cols: &Tensor, geom: &Conv2dGeom, n: usize) -> Tensor {
 /// Forward convolution: input `(N, C_in, H, W)`, weight `(C_out, C_in, R, S)`,
 /// output `(N, C_out, P, Q)`.
 ///
-/// Internally lowers to the forward GEMM of the paper's Figure 6:
-/// `(M, K, N) = (B·P·Q, C_in·R·S, C_out)`.
+/// The forward GEMM of the paper's Figure 6,
+/// `(M, K, N) = (B·P·Q, C_in·R·S, C_out)`, run as its transpose one
+/// example at a time (see the module docs and [`ConvInput::forward`]).
 ///
 /// # Panics
 ///
 /// Panics on any layout mismatch with `geom`.
 pub fn conv2d(input: &Tensor, weight: &Tensor, geom: &Conv2dGeom) -> Tensor {
-    PatchBuffer::lower(input, geom).forward(weight, None)
+    forward(input, &Lowering::new(geom), weight, None)
+}
+
+/// The forward convolution of an NCHW batch under `lowering`'s geometry.
+/// One pool task per example writes the example's `(C_out, P, Q)` output
+/// in place, on the whole-batch GEMM's route, then adds the bias: one
+/// rounding per element, as adding it to the finished output would.
+fn forward(input: &Tensor, lowering: &Lowering, weight: &Tensor, bias: Option<&Tensor>) -> Tensor {
+    let geom = &lowering.geom;
+    let n = input_batch(input, geom);
+    check_weight(weight, geom);
+    let (cout, patch) = (geom.cout, geom.patch_len());
+    if let Some(b) = bias {
+        assert_eq!(
+            b.len(),
+            cout,
+            "bias has {} elements, C_out is {cout}",
+            b.len()
+        );
+    }
+    let (p, q) = geom.out_hw();
+    let pq = p * q;
+    let image_len = geom.cin * geom.in_h * geom.in_w;
+    let (iv, wv) = (input.data(), weight.data());
+    let route = Route::of(n * pq, patch, cout);
+    let mut out = Tensor::for_overwrite(&[n, cout, p, q]);
+    parallel::par_chunks_mut(out.data_mut(), (cout * pq).max(1), |ni, y| {
+        let x = &iv[ni * image_len..][..image_len];
+        match route {
+            Route::Blocked => {
+                y.fill(0.0);
+                let w = MatRef::row_major(wv, patch);
+                gemm_serial(cout, patch, pq, w, lowering.columns(x), y);
+            }
+            // The reference loop's arithmetic over `col_i`'s long rows:
+            // each element takes its terms in ascending patch order,
+            // skipping a zero patch value.
+            Route::TinyK => with_scratch(&TILE_SCRATCH, patch * pq, |cols| {
+                lowering.lower_columns(x, cols);
+                for (plane, w_row) in y.chunks_exact_mut(pq).zip(wv.chunks_exact(patch)) {
+                    plane.fill(0.0);
+                    for (col, &wk) in cols.chunks_exact(pq).zip(w_row) {
+                        for (o, &v) in plane.iter_mut().zip(col) {
+                            *o = if v == 0.0 { *o } else { *o + v * wk };
+                        }
+                    }
+                }
+            }),
+            // The scalar loop on the example's `im2col` rows, into a
+            // `(P·Q, C_out)` product written out plane by plane.
+            Route::Reference => with_scratch(&TILE_SCRATCH, pq * (patch + cout), |tile| {
+                let (rows, prod) = tile.split_at_mut(pq * patch);
+                lowering.lower_rows(x, rows);
+                prod.fill(0.0);
+                let (a, w_t) = (
+                    MatRef::row_major(rows, patch),
+                    MatRef::transposed(wv, patch),
+                );
+                gemm_reference(pq, patch, cout, a, w_t, prod);
+                for (co, plane) in y.chunks_exact_mut(pq).enumerate() {
+                    for (o, row) in plane.iter_mut().zip(prod.chunks_exact(cout)) {
+                        *o = row[co];
+                    }
+                }
+            }),
+        }
+        if let Some(bias) = bias {
+            for (plane, &b) in y.chunks_exact_mut(pq).zip(bias.data()) {
+                for v in plane {
+                    *v += b;
+                }
+            }
+        }
+    });
+    out
 }
 
 /// Backpropagates a convolution to its input: given `G(Y)` of shape
@@ -354,19 +735,13 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, geom: &Conv2dGeom) -> Tensor {
 /// Panics on layout mismatch.
 pub fn conv2d_backward_data(grad_out: &Tensor, weight: &Tensor, geom: &Conv2dGeom) -> Tensor {
     let n = grad_batch(grad_out, geom);
-    assert_eq!(
-        weight.len(),
-        geom.weight_len(),
-        "weight has {} elements, geometry implies {}",
-        weight.len(),
-        geom.weight_len()
-    );
+    check_weight(weight, geom);
     let (p, q) = geom.out_hw();
     let (pq, cout, patch) = (p * q, geom.cout, geom.patch_len());
     // The whole-batch GEMM's route, replayed per example. Its B, the filter
     // matrix, is contiguous already, so the tiny-K route needs no copy.
     let blocked = Route::of(n * pq, cout, patch) == Route::Blocked;
-    let taps = geom.taps_in_bounds();
+    let lowering = Lowering::new(geom);
     let (gv, wv) = (grad_out.data(), weight.data());
     let mut out = Tensor::for_overwrite(&[n, geom.cin, geom.in_h, geom.in_w]);
     let image_len = geom.cin * geom.in_h * geom.in_w;
@@ -386,7 +761,7 @@ pub fn conv2d_backward_data(grad_out: &Tensor, weight: &Tensor, geom: &Conv2dGeo
                 gemm_reference(pq, cout, patch, gy_rows, MatRef::row_major(wv, patch), tile);
                 MatRef::row_major(tile, patch)
             };
-            fold(geom, &taps, src, image);
+            lowering.fold(src, image);
         });
     });
     out
@@ -411,18 +786,14 @@ pub fn conv2d_backward_weight(input: &Tensor, grad_out: &Tensor, geom: &Conv2dGe
         .reshape(&[geom.cout, geom.cin, geom.k, geom.k])
 }
 
-/// The reuse-aware convolution lowering: `im2col` computed **once** per
-/// batch, shared by the forward GEMM and every backward weight-gradient
-/// GEMM of both of DP-SGD(R)'s backward passes.
+/// A convolution layer's NCHW input batch, kept from the forward for every
+/// backward pass that shares the forward's cache — both of DP-SGD(R)'s.
 ///
-/// Rows `i·P·Q .. (i+1)·P·Q` of the buffer are example `i`'s receptive
-/// fields, so a per-example weight gradient is a GEMM over a contiguous
-/// row-window of the shared buffer — no per-example `im2col`, no
-/// per-example copy. The weight-gradient GEMM is formulated as
-/// `G(W) = G(Y) × patches` (A = each example's `(C_out, P·Q)` NCHW slice
-/// of the output gradient, B = the example's patch rows); the blocked
-/// kernel packs each B panel as it reaches it, so the buffer is the only
-/// copy of the patches.
+/// No patch matrix is kept: each weight-gradient GEMM forms example `i`'s
+/// lowered input while it packs it (see the module docs), with the
+/// gradient formulated as `G(W) = G(Y) × patches`: A = each example's
+/// `(C_out, P·Q)` NCHW slice of the output gradient, B = the example's
+/// `im2col` rows, never written out.
 ///
 /// Numerics: for every **per-example** window the GEMM routing, the
 /// K-panel boundaries and the per-element accumulation order match the
@@ -432,191 +803,122 @@ pub fn conv2d_backward_weight(input: &Tensor, grad_out: &Tensor, geom: &Conv2dGe
 /// contract `tests/conv_fused_parity.rs` pins in the `diva-nn` crate. The
 /// **per-batch** window is the exception: its panels split at every
 /// example boundary while the naive batch GEMM splits only at multiples of
-/// the K panel length, so [`PatchBuffer::backward_weight_batch`] matches
+/// the K panel length, so [`ConvInput::backward_weight_batch`] matches
 /// the naive batch path to reassociation tolerance (~1e-7 relative), not
 /// bit-for-bit.
 #[derive(Clone, Debug)]
-pub struct PatchBuffer {
-    patches: Tensor,
-    geom: Conv2dGeom,
-    n: usize,
+pub struct ConvInput {
+    input: Tensor,
+    lowering: Lowering,
 }
 
-impl PatchBuffer {
-    /// Lowers an NCHW batch with [`im2col`] once.
+impl ConvInput {
+    /// Keeps `input`, an NCHW batch, for the convolution `geom`.
     ///
     /// # Panics
     ///
     /// Panics if `input` does not match `geom` (see [`im2col`]).
-    pub fn lower(input: &Tensor, geom: &Conv2dGeom) -> Self {
-        let n = input.shape().dim(0);
+    pub fn new(input: Tensor, geom: &Conv2dGeom) -> Self {
+        input_batch(&input, geom);
         Self {
-            patches: im2col(input, geom),
-            geom: *geom,
-            n,
+            input,
+            lowering: Lowering::new(geom),
         }
     }
 
-    /// The underlying `(N·P·Q, C_in·R·S)` patch matrix.
-    pub fn patches(&self) -> &Tensor {
-        &self.patches
-    }
-
-    /// The batch size this buffer was lowered from.
+    /// The batch size of the kept input.
     pub fn batch(&self) -> usize {
-        self.n
+        self.input.shape().dim(0)
     }
 
-    /// The geometry this buffer was lowered under.
-    pub fn geom(&self) -> &Conv2dGeom {
-        &self.geom
+    /// Example `i`'s `(C_in, H, W)` input.
+    fn image(&self, i: usize) -> &[f32] {
+        let g = &self.lowering.geom;
+        let len = g.cin * g.in_h * g.in_w;
+        &self.input.data()[i * len..][..len]
     }
 
-    /// Patch rows per example, `P·Q`.
-    fn rows_per_example(&self) -> usize {
-        let (p, q) = self.geom.out_hw();
-        p * q
-    }
-
-    /// Forward convolution from the lowered patches: identical arithmetic
-    /// to [`conv2d`], minus the re-lowering. One pool task per example runs
-    /// `patches_i × Wᵀ` into a `(P·Q, C_out)` tile and reorders it into the
-    /// example's NCHW image. A `bias` of `(C_out,)` is added in the
-    /// reorder's write, one rounding per element, exactly as adding it to
-    /// the reordered output would.
+    /// Forward convolution of the kept input: identical arithmetic to
+    /// [`conv2d`]. One pool task per example runs `W × col_i` straight
+    /// into the example's NCHW output, then adds a `bias` of `(C_out,)`,
+    /// one rounding per element, exactly as adding it to the output would.
     ///
     /// # Panics
     ///
     /// Panics if `weight` or `bias` does not match the geometry.
     pub fn forward(&self, weight: &Tensor, bias: Option<&Tensor>) -> Tensor {
-        assert_eq!(
-            weight.len(),
-            self.geom.weight_len(),
-            "weight has {} elements, geometry implies {}",
-            weight.len(),
-            self.geom.weight_len()
-        );
-        let (cout, patch) = (self.geom.cout, self.geom.patch_len());
-        if let Some(b) = bias {
-            assert_eq!(
-                b.len(),
-                cout,
-                "bias has {} elements, C_out is {cout}",
-                b.len()
-            );
-        }
-        let pq = self.rows_per_example();
-        let wv = weight.data();
-        // The whole-batch GEMM's route, replayed per example. The tiny-K
-        // route reads B = Wᵀ from a contiguous copy, as `gemm` does.
-        let route = Route::of(self.n * pq, patch, cout);
-        let w_t = MatRef::transposed(wv, patch);
-        let copy;
-        let b = if route == Route::TinyK {
-            copy = w_t.to_row_major(patch, cout);
-            MatRef::row_major(&copy, cout)
-        } else {
-            w_t
-        };
-        let (p, q) = self.geom.out_hw();
-        let mut out = Tensor::for_overwrite(&[self.n, cout, p, q]);
-        let pv = self.patches.data();
-        parallel::par_chunks_mut(out.data_mut(), (cout * pq).max(1), |ni, image| {
-            let a = MatRef::row_major(&pv[ni * pq * patch..(ni + 1) * pq * patch], patch);
-            with_scratch(&TILE_SCRATCH, pq * cout, |tile| {
-                tile.fill(0.0);
-                if route == Route::Blocked {
-                    gemm_serial(pq, patch, cout, a, b, tile);
-                } else {
-                    gemm_reference(pq, patch, cout, a, b, tile);
-                }
-                // (P·Q, C_out) -> (C_out, P·Q), in blocks of positions.
-                for r0 in (0..pq).step_by(BLOCK) {
-                    let r1 = (r0 + BLOCK).min(pq);
-                    let rows = &tile[r0 * cout..r1 * cout];
-                    for (co, plane) in image.chunks_exact_mut(pq).enumerate() {
-                        let outs = plane[r0..r1].iter_mut().zip(rows.chunks_exact(cout));
-                        match bias {
-                            Some(bias) => {
-                                let bc = bias.data()[co];
-                                for (o, row) in outs {
-                                    *o = row[co] + bc;
-                                }
-                            }
-                            None => {
-                                for (o, row) in outs {
-                                    *o = row[co];
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        });
-        out
+        forward(&self.input, &self.lowering, weight, bias)
     }
 
-    /// The per-batch weight gradient `(C_out, C_in, R, S)` from the shared
-    /// buffer and the `(N, C_out, P, Q)` output gradient: the
+    /// The per-batch weight gradient `(C_out, C_in, R, S)` from the kept
+    /// input and the `(N, C_out, P, Q)` output gradient: the
     /// `(C_out, B·P·Q, C_in·R·S)` GEMM of the reweighted second pass, one
     /// K panel of one example at a time.
     ///
     /// # Panics
     ///
-    /// Panics if `grad_out` is not this buffer's `(N, C_out, P, Q)`.
+    /// Panics if `grad_out` is not this input's `(N, C_out, P, Q)`.
     pub fn backward_weight_batch(&self, grad_out: &Tensor) -> Tensor {
-        let mut gw = Tensor::zeros(&[self.geom.cout, self.geom.cin, self.geom.k, self.geom.k]);
-        self.weight_grad_window(grad_out, 0..self.n, gw.data_mut());
+        let g = &self.lowering.geom;
+        let mut gw = Tensor::zeros(&[g.cout, g.cin, g.k, g.k]);
+        self.weight_grad_window(grad_out, 0..self.batch(), gw.data_mut());
         gw
     }
 
     /// The weight gradient of example `i`, `(C_out, C_in, R, S)` row-major,
-    /// written over `out` as a strided GEMM panel of the shared buffer —
-    /// Algorithm 1's per-example `(C_in·R·S, P·Q, C_out)` derivation without
-    /// the per-example `im2col`. Every element of `out` is overwritten, so
-    /// it may be a recycled per-example gradient row.
+    /// written over `out` — Algorithm 1's per-example
+    /// `(C_in·R·S, P·Q, C_out)` derivation without the per-example
+    /// `im2col`. Every element of `out` is overwritten, so it may be a
+    /// recycled per-example gradient row.
     ///
     /// # Panics
     ///
-    /// Panics if `i >= batch`, `grad_out` is not this buffer's
+    /// Panics if `i >= batch`, `grad_out` is not this input's
     /// `(N, C_out, P, Q)`, or `out` is not [`Conv2dGeom::weight_len`] long.
     pub fn backward_weight_example(&self, grad_out: &Tensor, i: usize, out: &mut [f32]) {
-        assert!(i < self.n, "example {i} out of bounds for batch {}", self.n);
+        let n = self.batch();
+        assert!(i < n, "example {i} out of bounds for batch {n}");
         self.weight_grad_window(grad_out, i..i + 1, out);
     }
 
     /// Shared weight-gradient core over the examples `ex`:
     /// `G(W)[co][d] = Σ_i Σ_s gy_i[co][s] · patches_i[s][d]`, each example's
-    /// NCHW gradient slice the A operand and its patch rows the B operand,
-    /// written over `gw`.
+    /// NCHW gradient slice the A operand and its `im2col` rows the B
+    /// operand, written over `gw`.
     fn weight_grad_window(&self, grad_out: &Tensor, ex: Range<usize>, gw: &mut [f32]) {
+        let g = &self.lowering.geom;
         assert_eq!(
-            grad_batch(grad_out, &self.geom),
-            self.n,
+            grad_batch(grad_out, g),
+            self.batch(),
             "gradient batch mismatch"
         );
-        let (cout, patch) = (self.geom.cout, self.geom.patch_len());
+        let (cout, patch) = (g.cout, g.patch_len());
         assert_eq!(
             gw.len(),
-            self.geom.weight_len(),
+            g.weight_len(),
             "weight-gradient output length mismatch"
         );
-        let pq = self.rows_per_example();
+        let (p, q) = g.out_hw();
+        let pq = p * q;
         let gy = |i: usize| MatRef::row_major(&grad_out.data()[i * cout * pq..][..cout * pq], pq);
-        let patches = |i: usize| MatRef::row_major(&self.patches.data()[i * pq * patch..], patch);
         // Both kernels accumulate into their output.
         gw.fill(0.0);
         if Route::of(cout, ex.len() * pq, patch) == Route::Blocked {
             // Each example's own K panels: they break at every example
-            // boundary, then every `KC`, and each reads its example's slice.
-            let per_example: Vec<Panel> = ex.flat_map(|i| panels(pq, gy(i), patches(i))).collect();
+            // boundary, then every `KC`, and each packs its example's rows.
+            let per_example: Vec<Panel> = ex
+                .flat_map(|i| panels(pq, gy(i), self.lowering.rows(self.image(i))))
+                .collect();
             gemm_panels(cout, patch, &per_example, gw);
         } else {
-            // One example at a time: every element still takes its terms
-            // in ascending row order.
-            for i in ex {
-                gemm_reference(cout, pq, patch, gy(i), patches(i), gw);
-            }
+            // One example at a time, on its `im2col` rows: every element
+            // still takes its terms in ascending row order.
+            with_scratch(&TILE_SCRATCH, pq * patch, |rows| {
+                for i in ex {
+                    self.lowering.lower_rows(self.image(i), rows);
+                    gemm_reference(cout, pq, patch, gy(i), MatRef::row_major(rows, patch), gw);
+                }
+            });
         }
     }
 }

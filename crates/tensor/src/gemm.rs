@@ -26,7 +26,12 @@
 //!
 //! Packing absorbs transposition: both A and B are described by arbitrary
 //! (row, column) strides, so NT/TN/TT flavours cost the same as NN and the
-//! micro-kernel only ever sees contiguous data.
+//! micro-kernel only ever sees contiguous data. Packing also absorbs a
+//! convolution's lowering: a B operand may be one example's NCHW input
+//! viewed as its `im2col` patch rows or their transpose ([`Operand`]), and
+//! [`pack_b`] writes each lowered value, padding as an explicit zero, into
+//! the slot a packed copy of the formed matrix would give it. No patch
+//! matrix is ever formed for the blocked kernel.
 //!
 //! Numerics: within one K panel the per-element accumulation order is the
 //! same k-ascending order as the scalar reference; splitting K into panels
@@ -34,6 +39,7 @@
 //! differently at the 1e-7-relative level. Kernel-parity tests in
 //! `tests/kernel_parity.rs` pin this contract.
 
+use crate::conv::Lowered;
 use crate::parallel::{self, Backend};
 use std::cell::RefCell;
 use std::ops::Range;
@@ -238,6 +244,46 @@ impl<'a> MatRef<'a> {
     }
 }
 
+/// The B operand of a blocked GEMM: a strided matrix, or a convolution's
+/// lowered input, formed from the NCHW image only as [`pack_b`] copies it.
+#[derive(Clone, Copy)]
+pub(crate) enum Operand<'a> {
+    /// A matrix in memory.
+    Mat(MatRef<'a>),
+    /// One example's patch rows or their transpose (see [`Lowered`]).
+    Lowered(Lowered<'a>),
+}
+
+impl<'a> Operand<'a> {
+    /// The view of rows `row0..` of this operand.
+    fn rows_from(self, row0: usize) -> Self {
+        match self {
+            Self::Mat(m) => Self::Mat(m.rows_from(row0)),
+            Self::Lowered(l) => Self::Lowered(l.rows_from(row0)),
+        }
+    }
+
+    /// The view of columns `col0..` of this operand.
+    fn cols_from(self, col0: usize) -> Self {
+        match self {
+            Self::Mat(m) => Self::Mat(m.cols_from(col0)),
+            Self::Lowered(l) => Self::Lowered(l.cols_from(col0)),
+        }
+    }
+}
+
+impl<'a> From<MatRef<'a>> for Operand<'a> {
+    fn from(m: MatRef<'a>) -> Self {
+        Self::Mat(m)
+    }
+}
+
+impl<'a> From<Lowered<'a>> for Operand<'a> {
+    fn from(l: Lowered<'a>) -> Self {
+        Self::Lowered(l)
+    }
+}
+
 /// Scalar reference kernel, stride-general: `out += A × B` in i-k-j order.
 ///
 /// This is the seed implementation's loop nest, kept as the bit-level
@@ -270,25 +316,31 @@ pub(crate) fn gemm_reference(m: usize, k: usize, n: usize, a: MatRef, b: MatRef,
 ///
 /// Row-major B (`cs == 1`, every GEMM flavour except `nt`/`tt`) takes a
 /// `copy_from_slice` fast path: each strip row is one contiguous 64-byte
-/// copy instead of `NR` strided element reads. Same elements, same slots —
-/// packing layout is not part of the numeric contract.
-fn pack_b(b: MatRef, kb: usize, n: usize, packed: &mut [f32]) {
+/// copy instead of `NR` strided element reads. A lowered convolution input
+/// fills each strip row from the NCHW image ([`Lowered::pack_strip`]).
+/// Same elements, same slots — packing layout is not part of the numeric
+/// contract.
+fn pack_b(b: Operand, kb: usize, n: usize, packed: &mut [f32]) {
     debug_assert_eq!(packed.len(), n.div_ceil(NR) * kb * NR);
     for (strip, panel) in packed.chunks_mut(kb * NR).enumerate() {
         let j0 = strip * NR;
         let jw = NR.min(n - j0);
-        if b.cs == 1 {
-            for (kk, row) in panel.chunks_mut(NR).enumerate() {
-                let src = &b.data[kk * b.rs + j0..kk * b.rs + j0 + jw];
-                row[..jw].copy_from_slice(src);
-                row[jw..].fill(0.0);
-            }
-        } else {
-            for (kk, row) in panel.chunks_mut(NR).enumerate() {
-                for (jr, slot) in row.iter_mut().enumerate() {
-                    *slot = if jr < jw { b.at(kk, j0 + jr) } else { 0.0 };
+        match b {
+            Operand::Mat(b) if b.cs == 1 => {
+                for (kk, row) in panel.chunks_mut(NR).enumerate() {
+                    let src = &b.data[kk * b.rs + j0..kk * b.rs + j0 + jw];
+                    row[..jw].copy_from_slice(src);
+                    row[jw..].fill(0.0);
                 }
             }
+            Operand::Mat(b) => {
+                for (kk, row) in panel.chunks_mut(NR).enumerate() {
+                    for (jr, slot) in row.iter_mut().enumerate() {
+                        *slot = if jr < jw { b.at(kk, j0 + jr) } else { 0.0 };
+                    }
+                }
+            }
+            Operand::Lowered(l) => l.pack_strip::<NR>(j0, jw, panel),
         }
     }
 }
@@ -491,7 +543,14 @@ pub(crate) fn gemm(m: usize, k: usize, n: usize, a: MatRef, b: MatRef, out: &mut
 /// bits [`gemm`] would give each of those rows or columns. Routing is the
 /// caller's: call it where the whole GEMM the tasks replace takes
 /// [`Route::Blocked`].
-pub(crate) fn gemm_serial(m: usize, k: usize, n: usize, a: MatRef, b: MatRef, out: &mut [f32]) {
+pub(crate) fn gemm_serial<'a>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: MatRef<'a>,
+    b: impl Into<Operand<'a>>,
+    out: &mut [f32],
+) {
     debug_assert_eq!(out.len(), m * n);
     gemm_block(&panels(k, a, b), 0..m, 0..n, out);
 }
@@ -502,7 +561,7 @@ pub(crate) struct Panel<'a> {
     /// A from the panel's first K column on.
     a: MatRef<'a>,
     /// B from the panel's first K row on.
-    b: MatRef<'a>,
+    b: Operand<'a>,
     /// The panel's length along K.
     kb: usize,
 }
@@ -512,7 +571,8 @@ pub(crate) struct Panel<'a> {
 /// several products (one per example of a batch, say) gives their sum with
 /// each product's panels, and therefore each element's FMA sequence,
 /// unchanged.
-pub(crate) fn panels<'a>(k: usize, a: MatRef<'a>, b: MatRef<'a>) -> Vec<Panel<'a>> {
+pub(crate) fn panels<'a>(k: usize, a: MatRef<'a>, b: impl Into<Operand<'a>>) -> Vec<Panel<'a>> {
+    let b = b.into();
     (0..k)
         .step_by(KC)
         .map(|kc| Panel {
@@ -736,7 +796,7 @@ mod tests {
         let kb = D;
         let n_strips = D.div_ceil(NR);
         let mut packed_b = vec![0.0f32; n_strips * kb * NR];
-        pack_b(bv, kb, D, &mut packed_b);
+        pack_b(bv.into(), kb, D, &mut packed_b);
         let mut packed_a = vec![0.0f32; D.div_ceil(MR) * MR * kb];
         pack_a(av, 0, D, kb, &mut packed_a);
         let reps = 40;
@@ -780,7 +840,7 @@ mod tests {
         // Packing passes alone.
         let t0 = std::time::Instant::now();
         for _ in 0..reps {
-            pack_b(bv, kb, D, &mut packed_b);
+            pack_b(bv.into(), kb, D, &mut packed_b);
             pack_a(av, 0, D, kb, &mut packed_a);
         }
         let pack_ms = t0.elapsed().as_secs_f64() / f64::from(reps) * 1e3;
@@ -807,7 +867,7 @@ mod tests {
         let b = dense(k, n, &mut rng);
         let bv = MatRef::row_major(&b, n);
         let mut packed = vec![f32::NAN; n.div_ceil(NR) * k * NR];
-        pack_b(bv, k, n, &mut packed);
+        pack_b(bv.into(), k, n, &mut packed);
         // Tail strip: entries beyond column n must be exactly zero.
         let tail = &packed[k * NR..];
         for kk in 0..k {

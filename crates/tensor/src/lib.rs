@@ -29,9 +29,9 @@
 //! autovectorizer emits wide FMA code; the seed's scalar loop is retained
 //! as [`matmul_reference`] and [`Kernel::Reference`] for parity testing and
 //! benchmarking. The convolutions run their GEMMs on NCHW data in place,
-//! one example per pool task through an L2-resident tile, with the bits of
-//! the whole-batch lowering (see [`PatchBuffer`] and
-//! [`conv2d_backward_data`]).
+//! one example per pool task, packing the lowered input straight from the
+//! NCHW batch instead of storing a patch matrix, with the bits of the
+//! whole-batch lowering (see [`ConvInput`] and [`conv2d_backward_data`]).
 //!
 //! # Execution configuration
 //!
@@ -73,7 +73,7 @@ pub use bf16::{round_bf16, BF16_MAX_RELATIVE_ERROR};
 pub use buffer::{buffer_stats, Buffer, BufferStats};
 pub use conv::{
     col2im, conv2d, conv2d_backward_data, conv2d_backward_weight, im2col, nchw_to_rows, Conv2dGeom,
-    PatchBuffer,
+    ConvInput,
 };
 pub use gemm::{avx512_enabled, simd_available, simd_enabled, Kernel};
 pub use matmul::{

@@ -13,8 +13,10 @@ use crate::tensor::Tensor;
 /// branch-free FMA vector code.
 const LANES: usize = 16;
 
-/// Elements per pool task of the elementwise ReLU kernels (64 KiB).
-const ELEMENTWISE_BLOCK: usize = 16 * 1024;
+/// Elements per pool task of the elementwise kernels (64 KiB): ReLU and
+/// its backward, [`add_scaled`] and [`Tensor::scale`]. A tensor of one
+/// block or less runs on the calling thread.
+pub(crate) const ELEMENTWISE_BLOCK: usize = 16 * 1024;
 
 /// Applies ReLU elementwise, returning the output and the mask its
 /// backward needs: `true` where the output is non-positive (`y <= 0`,
@@ -67,7 +69,9 @@ pub fn relu_backward(grad_out: &Tensor, mask: &[bool]) -> Tensor {
     out
 }
 
-/// Adds `scale * src` into `dst` elementwise.
+/// Adds `scale * src` into `dst` elementwise, split over the shared pool
+/// in fixed-size blocks: one fused multiply-add per element, so the
+/// result is the same at every thread count.
 ///
 /// # Panics
 ///
@@ -80,7 +84,10 @@ pub fn add_scaled(dst: &mut Tensor, src: &Tensor, scale: f32) {
         dst.shape(),
         src.shape()
     );
-    axpy(dst.data_mut(), src.data(), scale);
+    let sv = src.data();
+    parallel::par_chunks_mut(dst.data_mut(), ELEMENTWISE_BLOCK, |blk, d| {
+        axpy(d, &sv[blk * ELEMENTWISE_BLOCK..][..d.len()], scale);
+    });
 }
 
 /// `dst[j] = fma(src[j], scale, dst[j])` over equal-length slices: the axpy

@@ -218,11 +218,19 @@ impl Tensor {
         }
     }
 
-    /// Multiplies every element by `s` in place.
+    /// Multiplies every element by `s` in place, split over the shared
+    /// pool in fixed-size blocks (one rounding per element, so the result
+    /// is the same at every thread count).
     pub fn scale(&mut self, s: f32) {
-        for a in self.data.iter_mut() {
-            *a *= s;
-        }
+        crate::parallel::par_chunks_mut(
+            &mut self.data,
+            crate::ops::ELEMENTWISE_BLOCK,
+            |_, block| {
+                for a in block {
+                    *a *= s;
+                }
+            },
+        );
     }
 
     /// The sum of all elements (accumulated in `f64` for stability).

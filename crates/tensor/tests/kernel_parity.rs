@@ -373,7 +373,7 @@ fn skinny_gemm_thread_matrix_is_bit_identical() {
 /// `im2col` patches at widths 1 and 4, which the safe kernel is not.
 #[test]
 fn batch_weight_gradient_thread_matrix_is_bit_identical() {
-    use diva_tensor::{im2col, nchw_to_rows, Backend, Kernel, PatchBuffer};
+    use diva_tensor::{im2col, nchw_to_rows, Backend, ConvInput, Kernel};
     let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let mut rng = DivaRng::seed_from_u64(8);
     for (geom, batch) in [
@@ -396,7 +396,7 @@ fn batch_weight_gradient_thread_matrix_is_bit_identical() {
         let (p, q) = geom.out_hw();
         let gy = Tensor::uniform(&[batch, geom.cout, p, q], -1.0, 1.0, &mut rng);
         let grad = |backend: Backend| {
-            backend.install(|| PatchBuffer::lower(&x, &geom).backward_weight_batch(&gy))
+            backend.install(|| ConvInput::new(x.clone(), &geom).backward_weight_batch(&gy))
         };
         let baseline = bits(&grad(Backend::serial().with_kernel(Kernel::Safe)));
         for threads in 1..=4 {
