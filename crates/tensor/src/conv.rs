@@ -493,7 +493,7 @@ impl Lowering {
             for pi in t.rows.clone() {
                 let first = self.index(t, pi, t.cols.start);
                 let positions = pi * q + t.cols.start..pi * q + t.cols.end;
-                match src.col_run(0, col) {
+                match src.col_run(col) {
                     // Rows unit-stride (a tile): a run of the tile row.
                     Some(run) => {
                         let run = &run[positions];

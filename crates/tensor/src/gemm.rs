@@ -229,10 +229,10 @@ impl<'a> MatRef<'a> {
             .collect()
     }
 
-    /// Column `j` from row `i0` on as a slice, if rows are unit-stride (a
-    /// transposed view); else `None`.
-    pub(crate) fn col_run(&self, i0: usize, j: usize) -> Option<&'a [f32]> {
-        (self.rs == 1).then(|| &self.data[i0 + j * self.cs..])
+    /// Column `j` as a slice, if rows are unit-stride (a transposed view);
+    /// else `None`.
+    pub(crate) fn col_run(&self, j: usize) -> Option<&'a [f32]> {
+        (self.rs == 1).then(|| &self.data[j * self.cs..])
     }
 
     /// The view of columns `col0..` of this operand.
