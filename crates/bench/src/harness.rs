@@ -98,49 +98,6 @@ impl Harness {
         self
     }
 
-    /// The speedup of `candidate` over `baseline` measured in interleaved
-    /// pairs: one iteration of each per pair, baseline first, for about
-    /// the time budget (at least five pairs after one warm-up pair).
-    /// Returns, and prints, the median of the per-pair ratios
-    /// `baseline / candidate`. Each ratio compares two iterations run back
-    /// to back, so a host whose speed drifts between samples moves both
-    /// sides of it; a single slow baseline iteration moves one ratio, not
-    /// the median.
-    pub fn paired_speedup<R1, R2>(
-        &mut self,
-        name: &str,
-        mut baseline: impl FnMut() -> R1,
-        mut candidate: impl FnMut() -> R2,
-    ) -> f64 {
-        let time = |f: &mut dyn FnMut()| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        };
-        let mut base = || {
-            black_box(baseline());
-        };
-        let mut cand = || {
-            black_box(candidate());
-        };
-        time(&mut base);
-        time(&mut cand);
-        let start = Instant::now();
-        let mut ratios = Vec::new();
-        while ratios.len() < SAMPLES || start.elapsed() < self.budget {
-            let b = time(&mut base);
-            ratios.push(b / time(&mut cand));
-        }
-        ratios.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let median = ratios[ratios.len() / 2];
-        println!(
-            "{:<48} {median:>10.3}x   ({} pairs)",
-            format!("{}/{name}", self.suite),
-            ratios.len()
-        );
-        median
-    }
-
     /// All measurements so far, in execution order.
     pub fn results(&self) -> &[Measurement] {
         &self.results
@@ -178,16 +135,6 @@ mod tests {
         let m = h.get("noop").expect("measurement recorded");
         assert!(m.secs_per_iter > 0.0);
         assert!(m.iters >= 1);
-        std::env::remove_var("DIVA_BENCH_SECS");
-    }
-
-    #[test]
-    fn paired_speedup_takes_the_median_ratio() {
-        std::env::set_var("DIVA_BENCH_SECS", "0.02");
-        let mut h = Harness::new("selftest");
-        let spin = |n: u32| (0..n).fold(0u64, |a, i| black_box(a + u64::from(i)));
-        let ratio = h.paired_speedup("spin", || spin(200_000), || spin(20_000));
-        assert!(ratio > 1.0, "a 10x shorter loop measured {ratio}x");
         std::env::remove_var("DIVA_BENCH_SECS");
     }
 

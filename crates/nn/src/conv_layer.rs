@@ -7,9 +7,10 @@
 //! underutilizes systolic arrays.
 //!
 //! This layer runs the **implicit-lowering** backward: the forward keeps
-//! the layer's NCHW input in a [`ConvInput`], and every GEMM — the
-//! forward, and the per-batch, per-example and norm-only weight gradients
-//! — forms the lowered patch operand from that input while it packs it.
+//! the layer's NCHW input in a [`ConvInput`], and every GEMM reads the
+//! lowered patch operand from that input without forming it — the forward
+//! while it packs it, the per-batch, per-example and norm-only weight
+//! gradients in place, row by row of the padded input.
 //! No patch matrix is stored: DP-SGD(R)'s two backward passes share the
 //! same forward cache, which holds the input (the size of one activation),
 //! not its 9×-expanded `im2col`. The per-example results are bit-identical
@@ -98,9 +99,9 @@ impl Conv2dLayer {
     /// `need_input_grad` is set (a first-layer convolution's input gradient
     /// is dead work — a full `(B·P·Q, C_out, C_in·R·S)` GEMM plus its fold).
     ///
-    /// The weight-gradient GEMMs read each example's NCHW slice of the
-    /// output gradient as it stands, against the input kept in the
-    /// forward, lowered as they pack it.
+    /// The weight-gradient GEMMs pack each example's NCHW slice of the
+    /// output gradient and read the input kept in the forward in place,
+    /// lowered as they read it.
     pub fn backward_opt(
         &self,
         cache: &Conv2dCache,
@@ -125,9 +126,9 @@ impl Conv2dLayer {
             }
             // Per-example derivation is independent across the batch
             // (Algorithm 1 lines 16–25): the `(C_in·R·S, P·Q, C_out)`
-            // per-example GEMMs fan out over the shared pool, each packing
-            // its example's lowered input and writing straight into the
-            // example's arena (or scratch) row.
+            // per-example GEMMs fan out over the shared pool, each reading
+            // its example's lowered input in place and writing straight
+            // into the example's arena (or scratch) row.
             GradMode::PerExample => {
                 ParamGrads::PerExample(PerExampleGrads::build(b, &self.params(), |i, row| {
                     self.write_example(cache, grad_out, i, row)

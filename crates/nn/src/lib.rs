@@ -30,8 +30,8 @@
 //! scheduled hierarchically on the same pool (idle workers steal them;
 //! results are bit-identical regardless). Convolution layers keep their
 //! NCHW input from the forward (`diva_tensor::ConvInput`) and every GEMM
-//! forms the lowered patch operand while packing it, so no patch matrix
-//! is stored across DP-SGD(R)'s two backward passes. See
+//! reads the lowered patch operand from it without forming it, so no
+//! patch matrix is stored across DP-SGD(R)'s two backward passes. See
 //! `ARCHITECTURE.md` at the workspace root for the full layer map.
 //!
 //! # Example

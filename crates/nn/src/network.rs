@@ -108,7 +108,7 @@ impl Network {
     /// Because this pass runs against the *same* `caches` as the preceding
     /// `NormOnly` pass, every convolution layer reads the input it kept in
     /// the forward (see `diva_tensor::ConvInput`), lowering it as its
-    /// weight-gradient GEMM packs it.
+    /// weight-gradient GEMM reads it.
     ///
     /// # Panics
     ///

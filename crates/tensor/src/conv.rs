@@ -12,10 +12,10 @@
 //! * [`ConvInput`] keeps a layer's NCHW input batch for the backward, and
 //!   every GEMM that reads its lowered form — the forward, the per-batch
 //!   weight gradient, and all `B` per-example weight gradients of DP-SGD —
-//!   forms that operand while packing it, example by example, as cuDNN's
-//!   implicit GEMM does: no patch matrix is stored. [`conv2d`] and
-//!   [`conv2d_backward_data`] are the stateless entry points to the same
-//!   per-example GEMMs.
+//!   reads that operand straight from the input, as cuDNN's implicit GEMM
+//!   does: the forward while packing it, the weight gradients in place. No
+//!   patch matrix is stored. [`conv2d`] and [`conv2d_backward_data`] are
+//!   the stateless entry points to the same per-example GEMMs.
 //! * [`im2col`], [`conv2d_backward_weight`], [`nchw_to_rows`] and
 //!   [`col2im`] are the naive whole-batch lowering — a patch matrix, a
 //!   rows-layout gradient, one big GEMM, a patch matrix folded back — kept
@@ -23,38 +23,38 @@
 //!
 //! # NCHW in place, one example per task
 //!
-//! No convolution GEMM writes a whole-batch intermediate. Each runs one
-//! example per pool task. Write `col_i` for example `i`'s lowered input in
-//! the `(C_in·R·S, P·Q)` orientation, the transpose of its `im2col` rows:
+//! No convolution GEMM writes a whole-batch intermediate, and none forms
+//! the lowered input on the blocked route. Write `col_i` for example `i`'s
+//! lowered input in the `(C_in·R·S, P·Q)` orientation, the transpose of
+//! its `im2col` rows:
 //!
-//! * forward: `W × col_i`, straight into the example's NCHW output, whose
-//!   `(C_out, P·Q)` planes are the product's rows; the bias is added
-//!   afterwards;
-//! * data gradient: `Wᵀ × G(Y)_i` into a `(C_in·R·S, P·Q)` tile, which the
-//!   task folds into `G(X)_i` as [`col2im`] would, reading each tile row
-//!   contiguously (on the reference route, the `(P·Q, C_in·R·S)` product
-//!   `G(Y)_iᵀ × W`);
-//! * weight gradients: `G(Y)_i × col_iᵀ`, with `G(Y)_i`'s `(C_out, P·Q)`
-//!   NCHW slice the A operand as it stands. The per-batch GEMM hands the
-//!   blocked driver each example's K panels in turn, so every panel lies
-//!   within one example.
+//! * forward: `W × col_i`, one example per pool task, straight into the
+//!   example's NCHW output, whose `(C_out, P·Q)` planes are the product's
+//!   rows; the bias is added afterwards. The B packing fills each strip
+//!   row of `col_i` from the input (a [`Lowered`] view): one patch
+//!   column's run of output positions, padding as explicit zeros;
+//! * data gradient: `Wᵀ × G(Y)_i`, one example per pool task, into a
+//!   `(C_in·R·S, P·Q)` tile, which the task folds into `G(X)_i` as
+//!   [`col2im`] would, reading each tile row contiguously (on the reference
+//!   route, the `(P·Q, C_in·R·S)` product `G(Y)_iᵀ × W`);
+//! * weight gradients: `col_i × G(Y)_iᵀ`, the transpose of `G(W)`, summed
+//!   over the examples' K panels in turn. `col_i` is read in place as the A
+//!   operand, row by row from the example's input with its zero border
+//!   written out ([`microkernel_rows`]), and only `G(Y)_i`'s `(C_out, P·Q)`
+//!   NCHW slice is packed. A large per-batch product splits its patch
+//!   columns over the pool.
 //!
-//! On the blocked route the lowered operand is never formed: the GEMM's
-//! B packing gathers each packed strip row from the example's input (a
-//! [`Lowered`] view): for `col_i` one patch column's run of output
-//! positions, for `col_iᵀ` one output position's patch columns, padding as
-//! explicit zeros. The two scalar routes form a per-example tile in
-//! thread-local scratch: the tiny-K forward (a first layer's
-//! `C_in·R·S < 16`) runs the reference loop's arithmetic over the long
-//! rows of `col_i`, and the reference route runs the scalar loop itself on
-//! the example's `im2col` rows.
+//! The two scalar routes form a per-example tile in thread-local scratch:
+//! the tiny-K forward (a first layer's `C_in·R·S < 16`) runs the reference
+//! loop's arithmetic over the long rows of `col_i`, and the reference route
+//! runs the scalar loop itself on the example's `im2col` rows.
 //!
 //! Every element comes out with the bits of the whole-batch GEMM. The route
 //! (blocked kernel or the scalar reference loop's arithmetic, see
 //! `gemm::Route`) is decided once, from the whole-batch shape, and
 //! replayed per example, so each element keeps its kernel, its K panels
-//! and its FMA sequence. The blocked forward and data gradient compute the
-//! transposes of the batch products `patches × Wᵀ` and `G(Y) × W`; a fused
+//! and its FMA sequence. The blocked routes compute the transposes of the
+//! batch products `patches × Wᵀ`, `G(Y) × W` and `G(Y) × patches`; a fused
 //! multiply-add rounds only its exact result, so it is commutative in its
 //! two factors and the transpose changes no bit. The scalar routes keep
 //! the reference loop's zero skip on the operand it always tested: the
@@ -71,7 +71,8 @@
 //! [`Lowering`]), instead of bounds-checking every element.
 
 use crate::gemm::{
-    gemm_panels, gemm_reference, gemm_serial, panels, with_scratch, MatRef, Panel, Route,
+    gemm_reference, gemm_serial, microkernel_rows, pack_b, with_scratch, MatRef, Route,
+    COL_SPLIT_THRESHOLD, KC, MR, NR,
 };
 use crate::matmul::matmul_tn;
 use crate::parallel;
@@ -84,6 +85,12 @@ thread_local! {
     /// patch gradient, or on the scalar routes its lowered input (113 KB
     /// for a 16→32 channel 3×3 convolution on 14×14), reused across calls.
     static TILE_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread copy of one example's input with its zero border, which
+    /// the weight-gradient kernel reads `col_i` from.
+    static PAD_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread packed K panel of one example's `G(Y)_iᵀ` for the
+    /// weight-gradient kernel.
+    static GRAD_PANEL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Geometry of a 2-D convolution: channel counts, filter size, stride,
@@ -250,9 +257,6 @@ struct Tap {
     rows: Range<usize>,
     /// The output columns at which the tap lands inside the input.
     cols: Range<usize>,
-    /// Whether the tap ends its filter row (`kj = k − 1`): otherwise the
-    /// next patch column is `(ci, ki, kj + 1)`.
-    row_end: bool,
 }
 
 /// A convolution's lowering, worked out once per geometry: for every patch
@@ -282,7 +286,6 @@ impl Lowering {
                     offset: (ci * h + ki) * w + kj,
                     rows: in_rows[ki].clone(),
                     cols: in_cols[kj].clone(),
-                    row_end: kj + 1 == k,
                 }
             })
             .collect();
@@ -306,17 +309,8 @@ impl Lowering {
         Lowered {
             lowering: self,
             image,
-            columns: true,
             row0: 0,
             col0: 0,
-        }
-    }
-
-    /// `image`'s `im2col` rows, `(P·Q, C_in·R·S)`, as a GEMM operand.
-    fn rows<'a>(&'a self, image: &'a [f32]) -> Lowered<'a> {
-        Lowered {
-            columns: false,
-            ..self.columns(image)
         }
     }
 
@@ -387,87 +381,32 @@ impl Lowering {
         }
     }
 
-    /// Fills `strip`'s rows, `W` wide, with the `im2col` rows of output
-    /// positions `s0, s0 + 1, …` at the patch columns `taps`, zero past
-    /// them. At stride 1 the row of the next position along an output row
-    /// is mostly this row moved down one lane: tap `(ci, ki, kj)` reads,
-    /// one position on, the element tap `(ci, ki, kj + 1)` read, or both
-    /// fall in the padding. Only the lanes ending a filter row, and the
-    /// strip's last, are loaded again. A row that starts an output row is
-    /// a gather where every tap lands inside the input.
-    fn position_rows<const W: usize>(
-        &self,
-        image: &[f32],
-        taps: &[Tap],
-        s0: usize,
-        strip: &mut [f32],
-    ) {
-        let (w, stride, q) = (self.geom.in_w, self.geom.stride, self.q);
-        let jw = taps.len();
-        // Each tap's read relative to the position's `(pi·W + qi)·stride`,
-        // wrapping: the sum is the element's index wherever it is inside.
-        let mut rel = [0usize; W];
-        for (r, t) in rel.iter_mut().zip(taps) {
-            *r = t.offset.wrapping_sub(self.shift);
-        }
-        // The lanes a moved-down row loads again.
-        let mut fresh = [0usize; W];
-        let mut n_fresh = 0;
-        for (j, t) in taps.iter().enumerate() {
-            if t.row_end || j + 1 == jw {
-                fresh[n_fresh] = j;
-                n_fresh += 1;
-            }
-        }
-        let inside = |range: fn(&Tap) -> &Range<usize>| {
-            taps.iter()
-                .map(range)
-                .fold(0..usize::MAX, |a, b| a.start.max(b.start)..a.end.min(b.end))
-        };
-        let (rows, cols) = (inside(|t| &t.rows), inside(|t| &t.cols));
-        let last = image.len().saturating_sub(1);
-        let load = |j: usize, pi: usize, qi: usize, origin: usize| {
-            let t = &taps[j];
-            if t.rows.contains(&pi) && t.cols.contains(&qi) {
-                image[origin.wrapping_add(rel[j])]
-            } else {
-                0.0
-            }
-        };
-        let (mut pi, mut qi) = (s0 / q, s0 % q);
-        for kk in 0..strip.len() / W {
-            let (done, row) = strip.split_at_mut(kk * W);
-            let row = &mut row[..W];
-            let origin = (pi * w + qi) * stride;
-            let interior = rows.contains(&pi) && cols.contains(&qi);
-            if kk > 0 && qi > 0 && stride == 1 {
-                row[..W - 1].copy_from_slice(&done[done.len() - W + 1..]);
-                row[W - 1] = 0.0;
-                for &j in &fresh[..n_fresh] {
-                    row[j] = if interior {
-                        image[origin.wrapping_add(rel[j])]
-                    } else {
-                        load(j, pi, qi, origin)
-                    };
-                }
-            } else if interior {
-                // Every index is in bounds, so the clamp never binds; it
-                // only lets the gather go without bounds checks (lanes past
-                // `taps` read some element and are zeroed below).
-                for (v, &r) in row.iter_mut().zip(&rel) {
-                    *v = image[origin.wrapping_add(r).min(last)];
-                }
-                row[jw..].fill(0.0);
-            } else {
-                for (j, v) in row[..jw].iter_mut().enumerate() {
-                    *v = load(j, pi, qi, origin);
-                }
-                row[jw..].fill(0.0);
-            }
-            qi += 1;
-            if qi == q {
-                qi = 0;
-                pi += 1;
+    /// The plane extent of the padded input: `(H + 2·pad, W + 2·pad)`, or
+    /// the filter's reach where it overhangs that.
+    fn padded_hw(&self) -> (usize, usize) {
+        let g = &self.geom;
+        let (p, q) = g.out_hw();
+        let reach =
+            |len: usize, outputs: usize| (len + 2 * g.pad).max((outputs - 1) * g.stride + g.k);
+        (reach(g.in_h, p), reach(g.in_w, q))
+    }
+
+    /// Writes `image` with its zero border over `padded`, `C_in` planes of
+    /// [`Lowering::padded_hw`]: every tap of every output position reads
+    /// inside it.
+    fn pad(&self, image: &[f32], padded: &mut [f32]) {
+        let (w, pad) = (self.geom.in_w, self.geom.pad);
+        let (hp, wp) = self.padded_hw();
+        padded.fill(0.0);
+        for (plane, src) in padded
+            .chunks_exact_mut(hp * wp)
+            .zip(image.chunks_exact(self.geom.in_h * w))
+        {
+            for (row, src) in plane[pad * wp..]
+                .chunks_exact_mut(wp)
+                .zip(src.chunks_exact(w))
+            {
+                row[pad..pad + w].copy_from_slice(src);
             }
         }
     }
@@ -518,17 +457,15 @@ impl Lowering {
     }
 }
 
-/// One example's convolution input viewed as a lowered GEMM operand that
-/// is never formed: `col_i`, `(C_in·R·S, P·Q)` with a row per patch
-/// column, or its transpose, the example's `im2col` rows. Only the blocked
-/// GEMM's B packing reads it, through [`Lowered::pack_strip`].
+/// One example's convolution input viewed as its lowered form `col_i`,
+/// `(C_in·R·S, P·Q)` with a row per patch column: the forward's B operand,
+/// never formed, which the blocked GEMM's B packing reads through
+/// [`Lowered::pack_strip`].
 #[derive(Clone, Copy)]
 pub(crate) struct Lowered<'a> {
     lowering: &'a Lowering,
     /// The example's `(C_in, H, W)` input.
     image: &'a [f32],
-    /// `col_i` if set, else the `im2col` rows.
-    columns: bool,
     /// The view's first row.
     row0: usize,
     /// The view's first column.
@@ -554,23 +491,17 @@ impl Lowered<'_> {
 
     /// Packs columns `j0..j0 + jw` of this operand's first `strip.len() /
     /// W` rows into one `W`-wide strip, `strip[kk][jr]`, zero past `jw`:
-    /// the slots the formed matrix's row-major packing would fill, each
-    /// strip row written in turn. A `col_i` row is a run of one tap's
-    /// positions ([`Lowering::tap_run`]), an `im2col` row a gather of one
-    /// position's taps ([`Lowering::position_rows`]).
+    /// the slots the formed matrix's row-major packing would fill. Each
+    /// strip row is a run of one tap's output positions
+    /// ([`Lowering::tap_run`]).
     pub(crate) fn pack_strip<const W: usize>(&self, j0: usize, jw: usize, strip: &mut [f32]) {
         let l = self.lowering;
-        if self.columns {
-            let s0 = self.col0 + j0;
-            let start = (s0 / l.q, s0 % l.q);
-            for (row, t) in strip.chunks_exact_mut(W).zip(&l.taps[self.row0..]) {
-                let (vals, zeros) = row.split_at_mut(jw);
-                l.tap_run(t, self.image, start, vals);
-                zeros.fill(0.0);
-            }
-        } else {
-            let taps = &l.taps[self.col0 + j0..][..jw];
-            l.position_rows::<W>(self.image, taps, self.row0, strip);
+        let s0 = self.col0 + j0;
+        let start = (s0 / l.q, s0 % l.q);
+        for (row, t) in strip.chunks_exact_mut(W).zip(&l.taps[self.row0..]) {
+            let (vals, zeros) = row.split_at_mut(jw);
+            l.tap_run(t, self.image, start, vals);
+            zeros.fill(0.0);
         }
     }
 }
@@ -789,11 +720,11 @@ pub fn conv2d_backward_weight(input: &Tensor, grad_out: &Tensor, geom: &Conv2dGe
 /// A convolution layer's NCHW input batch, kept from the forward for every
 /// backward pass that shares the forward's cache — both of DP-SGD(R)'s.
 ///
-/// No patch matrix is kept: each weight-gradient GEMM forms example `i`'s
-/// lowered input while it packs it (see the module docs), with the
-/// gradient formulated as `G(W) = G(Y) × patches`: A = each example's
-/// `(C_out, P·Q)` NCHW slice of the output gradient, B = the example's
-/// `im2col` rows, never written out.
+/// No patch matrix is kept: the weight gradients run as
+/// `G(W)ᵀ = Σ_i col_i × G(Y)_iᵀ` (see the module docs), with A = example
+/// `i`'s lowered input `col_i`, read in place from its kept input, and
+/// B = the example's `(C_out, P·Q)` NCHW slice of the output gradient,
+/// packed as its transpose.
 ///
 /// Numerics: for every **per-example** window the GEMM routing, the
 /// K-panel boundaries and the per-element accumulation order match the
@@ -852,7 +783,7 @@ impl ConvInput {
 
     /// The per-batch weight gradient `(C_out, C_in, R, S)` from the kept
     /// input and the `(N, C_out, P, Q)` output gradient: the
-    /// `(C_out, B·P·Q, C_in·R·S)` GEMM of the reweighted second pass, one
+    /// `(C_in·R·S, B·P·Q, C_out)` GEMM of the reweighted second pass, one
     /// K panel of one example at a time.
     ///
     /// # Panics
@@ -882,9 +813,9 @@ impl ConvInput {
     }
 
     /// Shared weight-gradient core over the examples `ex`:
-    /// `G(W)[co][d] = Σ_i Σ_s gy_i[co][s] · patches_i[s][d]`, each example's
-    /// NCHW gradient slice the A operand and its `im2col` rows the B
-    /// operand, written over `gw`.
+    /// `G(W)[co][d] = Σ_i Σ_s gy_i[co][s] · patches_i[s][d]`, written over
+    /// `gw`. On the reference route each example's NCHW gradient slice is
+    /// the A operand and its `im2col` rows, formed in a tile, the B operand.
     fn weight_grad_window(&self, grad_out: &Tensor, ex: Range<usize>, gw: &mut [f32]) {
         let g = &self.lowering.geom;
         assert_eq!(
@@ -901,16 +832,11 @@ impl ConvInput {
         let (p, q) = g.out_hw();
         let pq = p * q;
         let gy = |i: usize| MatRef::row_major(&grad_out.data()[i * cout * pq..][..cout * pq], pq);
-        // Both kernels accumulate into their output.
-        gw.fill(0.0);
         if Route::of(cout, ex.len() * pq, patch) == Route::Blocked {
-            // Each example's own K panels: they break at every example
-            // boundary, then every `KC`, and each packs its example's rows.
-            let per_example: Vec<Panel> = ex
-                .flat_map(|i| panels(pq, gy(i), self.lowering.rows(self.image(i))))
-                .collect();
-            gemm_panels(cout, patch, &per_example, gw);
+            self.weight_grad_blocked(grad_out.data(), ex, gw);
         } else {
+            // The scalar loop accumulates into its output.
+            gw.fill(0.0);
             // One example at a time, on its `im2col` rows: every element
             // still takes its terms in ascending row order.
             with_scratch(&TILE_SCRATCH, pq * patch, |rows| {
@@ -920,6 +846,100 @@ impl ConvInput {
                 }
             });
         }
+    }
+
+    /// [`ConvInput::weight_grad_window`]'s blocked route, run as its
+    /// transpose `G(W)ᵀ = Σ_i col_i × G(Y)_iᵀ` and written transposed over
+    /// `gw`. A product of at least `COL_SPLIT_THRESHOLD` multiply-adds
+    /// splits its rows, the patch columns, over the pool in `MR`-aligned
+    /// blocks; each block packs every example's `G(Y)_iᵀ` itself.
+    ///
+    /// The bits are those of the blocked GEMM `Σ_i G(Y)_i × col_iᵀ` over
+    /// each example's K panels in turn (split at every example boundary,
+    /// then every `KC`): every element takes one fused multiply-add per
+    /// output position, positions ascending, from +0.0 within a panel, and
+    /// adds each panel's sum to its running total in panel order. The FMA
+    /// is commutative in its two factors, so taking `col_i`'s value first
+    /// changes no bit; padding still enters as explicit zero products.
+    fn weight_grad_blocked(&self, grad_out: &[f32], ex: Range<usize>, gw: &mut [f32]) {
+        let g = &self.lowering.geom;
+        let (cout, patch) = (g.cout, g.patch_len());
+        let (p, q) = g.out_hw();
+        let workers = if cout * ex.len() * p * q * patch < COL_SPLIT_THRESHOLD {
+            1
+        } else {
+            parallel::effective_threads()
+        };
+        let rows = patch.div_ceil(MR).div_ceil(workers) * MR;
+        let mut gw_t = vec![0.0f32; patch * cout];
+        parallel::par_chunks_mut(&mut gw_t, rows * cout, |blk, c| {
+            self.weight_grad_rows(grad_out, ex.clone(), blk * rows, c);
+        });
+        for (col, row) in gw_t.chunks_exact(cout).enumerate() {
+            for (co, &v) in row.iter().enumerate() {
+                gw[co * patch + col] = v;
+            }
+        }
+    }
+
+    /// Adds rows `t0..` of `G(W)ᵀ` over the examples `ex` into `c`,
+    /// `(rows, C_out)` row-major. Per example and K panel, `G(Y)_iᵀ`'s
+    /// panel is packed into `NR`-wide strips, and each `MR × NR` tile runs
+    /// [`microkernel_rows`] over it with `col_i`'s rows read in place from
+    /// the example's padded input ([`Lowering::pad`]), one output row of
+    /// positions at a time: `col_i` is never formed or packed.
+    fn weight_grad_rows(&self, grad_out: &[f32], ex: Range<usize>, t0: usize, c: &mut [f32]) {
+        let l = &self.lowering;
+        let g = &l.geom;
+        let (cout, k, stride, q) = (g.cout, g.k, g.stride, l.q);
+        let pq = g.out_hw().0 * q;
+        let (hp, wp) = l.padded_hw();
+        // Patch column `col`'s read in the padded input, relative to output
+        // position `(pi, qi)`'s `(pi·wp + qi)·stride`.
+        let offset = |col: usize| {
+            let (ci, ki, kj) = (col / (k * k), col / k % k, col % k);
+            (ci * hp + ki) * wp + kj
+        };
+        let n_strips = cout.div_ceil(NR);
+        with_scratch(&PAD_SCRATCH, g.cin * hp * wp, |padded| {
+            with_scratch(&GRAD_PANEL_SCRATCH, n_strips * NR * KC.min(pq), |packed| {
+                for i in ex {
+                    l.pad(self.image(i), padded);
+                    let gy_t = MatRef::transposed(&grad_out[i * cout * pq..][..cout * pq], pq);
+                    for k0 in (0..pq).step_by(KC) {
+                        let kb = KC.min(pq - k0);
+                        let strips = &mut packed[..n_strips * kb * NR];
+                        pack_b(gy_t.rows_from(k0).into(), kb, cout, strips);
+                        for (sa, c_rows) in c.chunks_mut(MR * cout).enumerate() {
+                            let rh = c_rows.len() / cout;
+                            // Rows past the last patch column repeat it;
+                            // their sums are dropped.
+                            let offs: [usize; MR] =
+                                std::array::from_fn(|ir| offset(t0 + sa * MR + ir.min(rh - 1)));
+                            for (sb, b_panel) in strips.chunks_exact(kb * NR).enumerate() {
+                                let mut acc = [[0.0f32; NR]; MR];
+                                let mut s = k0;
+                                while s < k0 + kb {
+                                    let (pi, qi) = (s / q, s % q);
+                                    let len = (q - qi).min(k0 + kb - s);
+                                    let origin = (pi * wp + qi) * stride;
+                                    let a = offs.map(|o| &padded[origin + o..]);
+                                    let b = &b_panel[(s - k0) * NR..][..len * NR];
+                                    acc = microkernel_rows(a, stride, b, acc);
+                                    s += len;
+                                }
+                                let (j0, jw) = (sb * NR, NR.min(cout - sb * NR));
+                                for (crow, arow) in c_rows.chunks_exact_mut(cout).zip(&acc) {
+                                    for (cv, &v) in crow[j0..j0 + jw].iter_mut().zip(arow) {
+                                        *cv += v;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            });
+        });
     }
 }
 

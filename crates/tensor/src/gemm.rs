@@ -4,16 +4,14 @@
 //!
 //! Structure (classic BLIS-style three-level blocking, all safe Rust):
 //!
-//! * One driver, [`gemm_panels`], runs every blocked GEMM over a list of K
-//!   panels ([`Panel`]: A and B viewed from the panel's first K index).
-//!   [`gemm`] splits K at every multiple of `KC`; the convolution weight
-//!   gradient breaks it at every example boundary first.
+//! * One driver, [`gemm_panels`], runs every blocked GEMM of matrices over
+//!   a list of K panels ([`Panel`]: A and B viewed from the panel's first K
+//!   index), split at every multiple of `KC`.
 //! * The driver splits C over the shared pool ([`crate::parallel`]) in one
 //!   decision ([`Split::of`]): a tall M in row blocks; a skinny M (a batch
 //!   size or a channel count) large enough to split in `NR`-aligned column
-//!   blocks, or in `MR`-aligned row blocks when N fits one strip (a first
-//!   convolution's weight gradient); anything smaller on the calling
-//!   thread. Every block runs the one worker body, [`gemm_block`]: for each
+//!   blocks, or in `MR`-aligned row blocks when N fits one strip; anything
+//!   smaller on the calling thread. Every block runs the one worker body, [`gemm_block`]: for each
 //!   panel in order it packs its own B columns into `NR`-wide strips
 //!   (k-major within a strip) and runs the panel over its rows, so every
 //!   element keeps its exact FMA sequence at any thread count.
@@ -26,12 +24,16 @@
 //!
 //! Packing absorbs transposition: both A and B are described by arbitrary
 //! (row, column) strides, so NT/TN/TT flavours cost the same as NN and the
-//! micro-kernel only ever sees contiguous data. Packing also absorbs a
-//! convolution's lowering: a B operand may be one example's NCHW input
-//! viewed as its `im2col` patch rows or their transpose ([`Operand`]), and
-//! [`pack_b`] writes each lowered value, padding as an explicit zero, into
-//! the slot a packed copy of the formed matrix would give it. No patch
-//! matrix is ever formed for the blocked kernel.
+//! micro-kernel only ever sees contiguous data. Packing also absorbs the
+//! convolution forward's lowering: a B operand may be one example's NCHW
+//! input viewed as `col_i`, the transpose of its `im2col` patch rows
+//! ([`Operand`]), and [`pack_b`] writes each lowered value, padding as an
+//! explicit zero, into the slot a packed copy of the formed matrix would
+//! give it. The convolution weight gradients read their lowered A operand
+//! in place instead ([`microkernel_rows`], driven from the `conv` module
+//! over each example's K panels in turn, split at every example boundary,
+//! then every `KC`), and pack only B. No patch matrix is ever formed for
+//! the blocked kernels.
 //!
 //! Numerics: within one K panel the per-element accumulation order is the
 //! same k-ascending order as the scalar reference; splitting K into panels
@@ -82,17 +84,17 @@ pub fn avx512_enabled() -> bool {
 /// Micro-tile height (rows of C held in registers). With `NR = 16` the
 /// accumulator occupies 12 256-bit registers — enough independent FMA
 /// chains to hide the FMA latency without spilling.
-const MR: usize = 6;
+pub(crate) const MR: usize = 6;
 /// Micro-tile width (columns of C held in registers): 16 `f32` per row,
 /// which LLVM lowers to two 256-bit vectors even where AVX-512 is
 /// available. That is a codegen outcome, not a measured optimum: on a
 /// 2-vCPU AVX-512 Xeon VM an explicit 512-bit arm (since deleted) was
 /// faster in 10 of 11 paired rounds, by about 4% of a training step.
-const NR: usize = 16;
+pub(crate) const NR: usize = 16;
 /// K-dimension panel length. Large panels amortize the accumulator
 /// write-back; the packed `MR × KC` A strip (18 KiB) stays L1-resident
 /// while the B strip streams from L2. Tuned empirically at 256³–512³.
-const KC: usize = 768;
+pub(crate) const KC: usize = 768;
 /// M-dimension block height per packing round: an `MC × KC` packed A block
 /// is ~216 KiB, comfortably L2-resident.
 const MC: usize = 72;
@@ -173,7 +175,7 @@ const ROWS_PER_WORKER_MIN: usize = 48;
 /// gradient 28.9M); the per-example GEMMs inside DP-SGD's batch fan-out
 /// stay under it and keep their single task (a per-example conv2 weight
 /// gradient, 32×196×144, is 0.9M).
-const COL_SPLIT_THRESHOLD: usize = 1 << 21;
+pub(crate) const COL_SPLIT_THRESHOLD: usize = 1 << 21;
 
 /// C rows per pool chunk of the tiny-K path ([`gemm_tiny_k`]).
 const TINY_K_ROWS: usize = 256;
@@ -215,7 +217,7 @@ impl<'a> MatRef<'a> {
     }
 
     /// The view of rows `row0..` of this operand.
-    fn rows_from(self, row0: usize) -> Self {
+    pub(crate) fn rows_from(self, row0: usize) -> Self {
         Self {
             data: &self.data[row0 * self.rs..],
             ..self
@@ -250,7 +252,7 @@ impl<'a> MatRef<'a> {
 pub(crate) enum Operand<'a> {
     /// A matrix in memory.
     Mat(MatRef<'a>),
-    /// One example's patch rows or their transpose (see [`Lowered`]).
+    /// One example's lowered input `col_i` (see [`Lowered`]).
     Lowered(Lowered<'a>),
 }
 
@@ -311,16 +313,21 @@ pub(crate) fn gemm_reference(m: usize, k: usize, n: usize, a: MatRef, b: MatRef,
     }
 }
 
+/// Strip rows per block of [`pack_b`]'s column-major path: 4 KiB of packed
+/// strip, written lane by lane while it stays in L1.
+const PACK_B_ROWS: usize = 64;
+
 /// Packs B's first `kb × n` slab into `NR`-wide strips:
 /// `packed[strip][kk][jr]` with the tail strip zero-padded to `NR`.
 ///
 /// Row-major B (`cs == 1`, every GEMM flavour except `nt`/`tt`) takes a
 /// `copy_from_slice` fast path: each strip row is one contiguous 64-byte
-/// copy instead of `NR` strided element reads. A lowered convolution input
-/// fills each strip row from the NCHW image ([`Lowered::pack_strip`]).
-/// Same elements, same slots — packing layout is not part of the numeric
-/// contract.
-fn pack_b(b: Operand, kb: usize, n: usize, packed: &mut [f32]) {
+/// copy instead of `NR` strided element reads; column-major B (`rs == 1`)
+/// reads each lane's column contiguously instead. A lowered convolution
+/// input fills each strip row from the NCHW image
+/// ([`Lowered::pack_strip`]). Same elements, same slots — packing layout is
+/// not part of the numeric contract.
+pub(crate) fn pack_b(b: Operand, kb: usize, n: usize, packed: &mut [f32]) {
     debug_assert_eq!(packed.len(), n.div_ceil(NR) * kb * NR);
     for (strip, panel) in packed.chunks_mut(kb * NR).enumerate() {
         let j0 = strip * NR;
@@ -331,6 +338,28 @@ fn pack_b(b: Operand, kb: usize, n: usize, packed: &mut [f32]) {
                     let src = &b.data[kk * b.rs + j0..kk * b.rs + j0 + jw];
                     row[..jw].copy_from_slice(src);
                     row[jw..].fill(0.0);
+                }
+            }
+            // Column-major B (`rs == 1`, an `nt`/`tt` flavour or a
+            // convolution's output gradient read as `G(Y)_iᵀ`): each strip
+            // lane is a contiguous column, written down the strip in blocks
+            // of rows that stay L1-resident across the lanes.
+            Operand::Mat(b) if b.rs == 1 => {
+                for (blk, rows) in panel.chunks_mut(PACK_B_ROWS * NR).enumerate() {
+                    let (k0, len) = (blk * PACK_B_ROWS, rows.len() / NR);
+                    for jr in 0..NR {
+                        let lane = rows.chunks_exact_mut(NR);
+                        if jr < jw {
+                            let col = &b.data[(j0 + jr) * b.cs + k0..][..len];
+                            for (row, &v) in lane.zip(col) {
+                                row[jr] = v;
+                            }
+                        } else {
+                            for row in lane {
+                                row[jr] = 0.0;
+                            }
+                        }
+                    }
                 }
             }
             Operand::Mat(b) => {
@@ -424,6 +453,41 @@ fn microkernel(kb: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]
             }
         }
     }
+}
+
+/// [`microkernel`] with A read in place instead of from a packed panel:
+/// `acc[ir] += a[ir][k·stride] × b_panel[k]` over the rows `k` of the
+/// packed B strip `b_panel`, where each `a[ir]` is a row of A in the
+/// caller's memory (a convolution input row, say). Exactly one `mul_add`
+/// per output element per k, k ascending, with A's element as its first
+/// factor, as in [`microkernel`]. The accumulators go in and out by value,
+/// so they stay in registers across the loop.
+#[inline(always)]
+pub(crate) fn microkernel_rows(
+    a: [&[f32]; MR],
+    stride: usize,
+    b_panel: &[f32],
+    mut acc: [[f32; NR]; MR],
+) -> [[f32; NR]; MR] {
+    let len = b_panel.len() / NR;
+    let mut step = |ak: [f32; MR], bv: &[f32]| {
+        for (row, aik) in acc.iter_mut().zip(ak) {
+            for (c, &b) in row.iter_mut().zip(bv) {
+                *c = aik.mul_add(b, *c);
+            }
+        }
+    };
+    if stride == 1 {
+        let a = a.map(|row| &row[..len]);
+        for (k, bv) in (0..len).zip(b_panel.chunks_exact(NR)) {
+            step(a.map(|row| row[k]), bv);
+        }
+    } else {
+        for (k, bv) in (0..len).zip(b_panel.chunks_exact(NR)) {
+            step(a.map(|row| row[k * stride]), bv);
+        }
+    }
+    acc
 }
 
 /// Computes rows `row0..row0 + rows` of one `kb`-deep panel of C against

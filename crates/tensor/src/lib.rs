@@ -25,13 +25,13 @@
 //! persistent worker pool (`pool` module — sound because a region never
 //! returns before all its tasks finish). GEMM is a cache-blocked,
 //! register-tiled, multi-threaded kernel (see the `gemm` module and
-//! [`parallel`]) whose one micro-kernel is safe Rust written so the
+//! [`parallel`]) whose micro-kernels are safe Rust written so the
 //! autovectorizer emits wide FMA code; the seed's scalar loop is retained
 //! as [`matmul_reference`] and [`Kernel::Reference`] for parity testing and
 //! benchmarking. The convolutions run their GEMMs on NCHW data in place,
-//! one example per pool task, packing the lowered input straight from the
-//! NCHW batch instead of storing a patch matrix, with the bits of the
-//! whole-batch lowering (see [`ConvInput`] and [`conv2d_backward_data`]).
+//! reading the lowered input straight from the NCHW batch instead of
+//! storing a patch matrix, with the bits of the whole-batch lowering (see
+//! [`ConvInput`] and [`conv2d_backward_data`]).
 //!
 //! # Execution configuration
 //!
