@@ -115,47 +115,33 @@ fn bench_conv(h: &mut Harness, sink: &mut PerfSink) {
     let (p, q) = geom.out_hw();
     let macs = 8 * p * q * geom.patch_len() * geom.cout;
 
-    let pass = |backend: Backend| {
-        backend.install(|| {
-            let f = conv2d(black_box(&x), &w, &geom);
-            let g = conv2d_backward_weight(&x, black_box(&gy), &geom);
-            (f, g)
-        })
-    };
     for (short, backend) in row_backends() {
-        h.bench(&format!("conv_64c_b8/{short}"), || pass(backend));
+        h.bench(&format!("conv_64c_b8/{short}"), || {
+            backend.install(|| {
+                let f = conv2d(black_box(&x), &w, &geom);
+                let g = conv2d_backward_weight(&x, black_box(&gy), &geom);
+                (f, g)
+            })
+        });
     }
 
-    // The scalar pass takes ~100 ms, so the harness times it in a handful
-    // of single-iteration samples whose median swings with the host.
-    // The gated ratio is therefore the median over interleaved
-    // scalar/optimized pairs instead of a ratio of two medians taken
-    // apart.
-    let [(_, scalar), ..] = row_backends();
-    for ((short, backend), name) in row_backends()
-        .into_iter()
-        .zip(["scalar", "serial", "parallel"])
-    {
+    let scalar = h.get("conv_64c_b8/scalar").unwrap().secs_per_iter;
+    for (short, backend) in [
+        ("scalar", "scalar"),
+        ("blocked_serial", "serial"),
+        ("blocked_parallel", "parallel"),
+    ] {
         let secs = h
             .get(&format!("conv_64c_b8/{short}"))
             .unwrap()
             .secs_per_iter;
-        let speedup = if name == "scalar" {
-            1.0
-        } else {
-            h.paired_speedup(
-                &format!("conv_64c_b8/{short}_vs_scalar"),
-                || pass(scalar),
-                || pass(backend),
-            )
-        };
         sink.push(
             PerfRecord::new("conv2d_fwd_plus_wgrad_64c_16x16_b8")
-                .tag("backend", name)
+                .tag("backend", backend)
                 .metric("ms", secs * 1e3)
                 // Forward + weight-gradient are two GEMMs of equal MAC count.
                 .metric("gflops", 2.0 * 2.0 * macs as f64 / secs / 1e9)
-                .metric("speedup_vs_scalar", speedup),
+                .metric("speedup_vs_scalar", scalar / secs),
         );
     }
 }
@@ -280,8 +266,7 @@ fn bench_nested_step(h: &mut Harness, sink: &mut PerfSink) {
 
 /// A small CNN whose first-layer per-example weight-gradient GEMM
 /// (`(C_out, P·Q, C_in·R·S) = (16, 196, 72)`) routes through the
-/// blocked/packed kernel, so the lowering-while-packing machinery sits on
-/// the measured path.
+/// blocked kernel, so the implicit lowering sits on the measured path.
 fn conv_step_net(rng: &mut DivaRng) -> Network {
     Network::new(vec![
         Layer::conv2d(8, 16, 3, 1, 1, 14, 14, rng),
@@ -360,11 +345,12 @@ fn naive_example_norm(x: &Tensor, gy: &Tensor, geom: &Conv2dGeom, i: usize) -> f
 /// unfused whole-batch lowering (`nchw_to_rows`, one GEMM, `col2im`), then,
 /// per example, slice the batch, re-lower the example with `im2col` inside
 /// `conv2d_backward_weight`, and take norms. The fused side is the current
-/// layer path: per-example GEMMs that pack each example's patch panels
-/// straight from the input kept in the forward, dead input gradient
-/// skipped. Each iteration re-runs the pass on one forward cache, and, as
-/// in a training step, every per-example GEMM packs the panels it reads:
-/// no iteration reuses an earlier one's packing.
+/// layer path: per-example GEMMs that read each example's lowered input in
+/// place from the input kept in the forward, packing only its output
+/// gradient, dead input gradient skipped. Each iteration re-runs the pass
+/// on one forward cache, and, as in a training step, every per-example
+/// GEMM packs the panels it reads: no iteration reuses an earlier one's
+/// packing.
 fn bench_conv_first_backward(h: &mut Harness, sink: &mut PerfSink) {
     const B: usize = 32;
     let label = "conv_dpsgdr_first_backward_b32";

@@ -711,7 +711,10 @@ mod tests {
     /// second runs every pool-split kernel of the step: two convolutions
     /// (so `col2im` runs), max pooling, a conv2 per-batch weight gradient
     /// (16×2800×72) and a dense layer (7×1600×192) past the column-split
-    /// floor, and a batch of 7 that splits unevenly.
+    /// floor, and a batch of 7 that splits unevenly. The third is the
+    /// benchmark CNN at batch 32: its first layer's weight gradients run
+    /// two K panels per example (784 positions), and the per-batch one
+    /// splits its nine patch columns 6:3 over the pool.
     #[test]
     fn serial_and_parallel_steps_are_bitwise_equal() {
         let mut rng = DivaRng::seed_from_u64(108);
@@ -736,6 +739,19 @@ mod tests {
             Layer::dense(192, 3, true, &mut rng),
         ]);
         let x_skinny = Tensor::uniform(&[7, 1, 20, 20], -1.0, 1.0, &mut rng);
+        let mnist = Network::new(vec![
+            Layer::conv2d(1, 16, 3, 1, 1, 28, 28, &mut rng),
+            Layer::relu(),
+            Layer::max_pool2d(2),
+            Layer::conv2d(16, 32, 3, 1, 1, 14, 14, &mut rng),
+            Layer::relu(),
+            Layer::max_pool2d(2),
+            Layer::flatten(),
+            Layer::dense(1568, 256, true, &mut rng),
+            Layer::relu(),
+            Layer::dense(256, 10, true, &mut rng),
+        ]);
+        let x_mnist = Tensor::uniform(&[32, 1, 28, 28], -1.0, 1.0, &mut rng);
         let params_bits = |net: &Network| -> Vec<u32> {
             net.layers()
                 .iter()
@@ -743,7 +759,11 @@ mod tests {
                 .flat_map(|p| p.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
                 .collect()
         };
-        for (name, net0, x) in [("small", &small, &x_small), ("skinny", &skinny, &x_skinny)] {
+        for (name, net0, x) in [
+            ("small", &small, &x_small),
+            ("skinny", &skinny, &x_skinny),
+            ("mnist", &mnist, &x_mnist),
+        ] {
             let labels: Vec<usize> = (0..x.shape().dim(0)).map(|i| i % 3).collect();
             for algorithm in [
                 TrainingAlgorithm::DpSgd,

@@ -6,8 +6,9 @@
 //! DP-SGD, DP-SGD(R) and plain SGD at `Backend::with_threads(1|2|3)`, then
 //! hashes every parameter's `f32` bits in layer order with 64-bit FNV-1a.
 //! A change that claims to keep the arithmetic must print the hashes its
-//! parent prints; within one build, every width must print the same hash,
-//! or the program exits non-zero.
+//! parent prints, and within one build every width prints the same hash
+//! (`serial_and_parallel_steps_are_bitwise_equal` in `diva-dp` asserts
+//! that on the same geometry).
 //!
 //! Run with: `cargo run --release --example step_bits`
 
@@ -63,40 +64,29 @@ fn param_hash(net: &Network) -> u64 {
 
 fn main() {
     let data = make_image_blobs(BATCHES * BATCH, SIDE, CLASSES, 0.8, &mut stream(SEED, 1));
-    let mut stable = true;
     for algorithm in [
         TrainingAlgorithm::DpSgd,
         TrainingAlgorithm::DpSgdReweighted,
         TrainingAlgorithm::Sgd,
     ] {
-        let hashes: Vec<u64> = WIDTHS
-            .iter()
-            .map(|&threads| {
-                let trainer = DpTrainer::builder()
-                    .config(DpSgdConfig {
-                        algorithm,
-                        clip_norm: 1.0,
-                        noise_multiplier: 1.1,
-                        learning_rate: 0.05,
-                    })
-                    .backend(Backend::with_threads(threads))
-                    .build();
-                let mut net = mnist_cnn(SEED);
-                let mut noise = stream(SEED, 4);
-                for s in 0..STEPS {
-                    let (x, labels) = data.batch((s % BATCHES) * BATCH, BATCH);
-                    trainer.step(&mut net, &x, &labels, &mut noise);
-                }
-                param_hash(&net)
-            })
-            .collect();
-        for (threads, h) in WIDTHS.iter().zip(&hashes) {
+        for threads in WIDTHS {
+            let trainer = DpTrainer::builder()
+                .config(DpSgdConfig {
+                    algorithm,
+                    clip_norm: 1.0,
+                    noise_multiplier: 1.1,
+                    learning_rate: 0.05,
+                })
+                .backend(Backend::with_threads(threads))
+                .build();
+            let mut net = mnist_cnn(SEED);
+            let mut noise = stream(SEED, 4);
+            for s in 0..STEPS {
+                let (x, labels) = data.batch((s % BATCHES) * BATCH, BATCH);
+                trainer.step(&mut net, &x, &labels, &mut noise);
+            }
+            let h = param_hash(&net);
             println!("{:<10} threads={threads}  {h:016x}", algorithm.label());
         }
-        stable &= hashes.iter().all(|&h| h == hashes[0]);
-    }
-    if !stable {
-        eprintln!("parameter bits differ between pool widths");
-        std::process::exit(1);
     }
 }
