@@ -161,7 +161,7 @@ fn main() {
              baseline's time to the optimized path's time, with BOTH sides measured in the\n\
              same process on the same host — so a drop means the optimized path lost ground\n\
              relative to its own baseline, not that the machine is slow. Likely causes, in\n\
-             order: (1) a change to the blocked GEMM, packing, patch-reuse or pool code\n\
+             order: (1) a change to the blocked GEMM, packing, conv lowering or pool code\n\
              made the optimized path genuinely slower (fix it, or re-record\n\
              BENCH_perf.json with justification in the PR); (2) the scalar reference was\n\
              accidentally optimized, shrinking the ratio (check gemm_reference /\n\

@@ -1,7 +1,8 @@
-//! Fused-vs-naive parity for the patch-reuse convolution backward.
+//! Fused-vs-naive parity for the implicit-lowering convolution backward.
 //!
-//! The fused path (shared batch `im2col` + strided per-example GEMM
-//! windows) must be **bit-identical** — not
+//! The fused path (the input kept from the forward, each example's lowered
+//! operand read in place by its weight-gradient GEMM) must be
+//! **bit-identical** — not
 //! epsilon-close — to the naive per-example `im2col` path it replaced, for
 //! every gradient mode, across odd spatial shapes, stride/padding combos,
 //! the DP-SGD batch sizes 1/2/33, and any worker-thread count. Bit
@@ -38,12 +39,13 @@ fn naive_example_grads(x: &Tensor, gy: &Tensor, geom: &Conv2dGeom, i: usize) -> 
 }
 
 /// Geometries with odd channel counts, non-square inputs, stride and
-/// padding variety; the last two are large enough to route the per-example
-/// GEMM through the blocked/packed kernel (`C_out·P·Q·C_in·R·S ≥ 48³`,
-/// `P·Q ≥ 16`), so both the reference and the packed code paths are
-/// pinned. The last is the benchmark CNN's first layer: its forward takes
-/// the tiny-K route (`C_in·R·S = 9`), and its weight gradient is one `NR`
-/// strip wide.
+/// padding variety; the last three are large enough to route the
+/// per-example GEMM through the blocked/packed kernel
+/// (`C_out·P·Q·C_in·R·S ≥ 48³`, `P·Q ≥ 16`), so both the reference and the
+/// packed code paths are pinned, at stride 2 too. The last is the
+/// benchmark CNN's first layer: its forward takes the tiny-K route
+/// (`C_in·R·S = 9`), and its weight gradient runs two K panels per
+/// example (`P·Q = 784`).
 fn parity_geoms() -> Vec<Conv2dGeom> {
     vec![
         Conv2dGeom::new(3, 5, 3, 1, 1, 9, 7),
@@ -51,6 +53,7 @@ fn parity_geoms() -> Vec<Conv2dGeom> {
         Conv2dGeom::new(5, 3, 1, 1, 0, 6, 6),
         Conv2dGeom::new(2, 6, 3, 2, 2, 7, 5),
         Conv2dGeom::new(8, 24, 3, 1, 1, 12, 12),
+        Conv2dGeom::new(16, 24, 3, 2, 1, 15, 13),
         Conv2dGeom::new(1, 16, 3, 1, 1, 28, 28),
     ]
 }

@@ -363,12 +363,12 @@ fn skinny_gemm_thread_matrix_is_bit_identical() {
     }
 }
 
-/// The per-batch convolution weight gradient runs a skinny GEMM over each
-/// example's K panels of the patch buffer, reading the NCHW gradient one
-/// example per panel; it splits its columns, or, when `C_in·R·S` fits one
-/// strip and is too long for one worker, its rows. It must be
-/// bitwise its 1-thread result at widths 1–4, from a one-strip `C_in·R·S`
-/// up to several strips with a ragged tail. Under `Kernel::Reference` it
+/// The per-batch convolution weight gradient runs over each example's K
+/// panels, reading the input in place and packing the NCHW gradient one
+/// example per panel; past its work floor it splits the `C_in·R·S` patch
+/// columns over the pool in `MR`-aligned blocks. It must be bitwise its
+/// 1-thread result at widths 1–4, from a one-strip `C_in·R·S` up to
+/// several strips with a ragged tail. Under `Kernel::Reference` it
 /// must be bitwise the scalar GEMM of the gradient rows' transpose with the
 /// `im2col` patches at widths 1 and 4, which the safe kernel is not.
 #[test]
@@ -377,14 +377,15 @@ fn batch_weight_gradient_thread_matrix_is_bit_identical() {
     let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let mut rng = DivaRng::seed_from_u64(8);
     for (geom, batch) in [
-        // M = 32, N = 144 (9 strips), K = 5·196.
+        // G(W)ᵀ is 144 × 32 (24 `MR` strips, 2 `NR` strips), K = 5·196.
         (Conv2dGeom::new(16, 32, 3, 1, 1, 14, 14), 5usize),
-        // M = 6, N = 108 (7 strips, ragged), K = 40·100, stride 2.
+        // 108 × 6 (one ragged `NR` strip), K = 40·100, stride 2.
         (Conv2dGeom::new(12, 6, 3, 2, 1, 20, 20), 40),
-        // M = 47, N = 9: a single strip.
+        // 9 × 47 (three `NR` strips, the last ragged).
         (Conv2dGeom::new(1, 47, 3, 1, 1, 28, 28), 4),
-        // M = 16, N = 9, K = 20·784: one strip and three `MR` row blocks,
-        // past the split's work floor (the benchmark CNN's conv1).
+        // 9 × 16, K = 20·784: two K panels per example and the nine
+        // patch columns split 6:3, past the split's work floor (the
+        // benchmark CNN's conv1).
         (Conv2dGeom::new(1, 16, 3, 1, 1, 28, 28), 20),
     ] {
         let x = Tensor::uniform(

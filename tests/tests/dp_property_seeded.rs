@@ -139,7 +139,7 @@ fn reweighted_backward_matches_two_pass_reference_on_cnns() {
         let (y, caches) = net.forward(&x);
         let loss = softmax_cross_entropy(&y, &labels);
 
-        // Pass 1: norms only (fused patch-reuse path).
+        // Pass 1: norms only (fused implicit-lowering path).
         let norm_pass = net.backward(&caches, &loss.grad_logits, GradMode::NormOnly);
         let norms = norm_pass.per_example_sq_norms();
 
