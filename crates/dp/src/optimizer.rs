@@ -17,8 +17,10 @@ use crate::mechanism::GaussianMechanism;
 pub enum TrainingAlgorithm {
     /// Non-private mini-batch SGD (paper Figure 2(a)).
     Sgd,
-    /// Vanilla DP-SGD: materializes all per-example weight gradients
-    /// (Algorithm 1, `DERIVE_DP_GRADIENTS`).
+    /// Vanilla DP-SGD: derives, clips and reduces every per-example weight
+    /// gradient (Algorithm 1, `DERIVE_DP_GRADIENTS`), a block of examples
+    /// at a time (`Network::clipped_sum`), so at most one block of them is
+    /// ever materialized.
     DpSgd,
     /// Reweighted DP-SGD(R): two backpropagation passes, per-example norms
     /// only (Algorithm 1, `DERIVE_REWEIGHTED_DP_GRADIENTS`).
@@ -348,10 +350,13 @@ impl DpTrainer {
     /// per-example gradient sum; noise is added once, to the total.
     ///
     /// This is how practitioners reach SGD-scale effective batches under
-    /// DP-SGD's per-example memory blow-up (the paper's Section III-A
-    /// problem): peak memory scales with the *microbatch*, privacy and the
-    /// update with the *total* batch. Equivalent to [`Self::step`] on the
-    /// concatenated batch (clipping is per-example, so splitting is exact).
+    /// DP-SGD's memory limits (the paper's Section III-A problem): privacy
+    /// and the update scale with the *total* batch, activation memory with
+    /// the *microbatch*. Per-example gradient memory does not need it:
+    /// [`Self::step`] already bounds that by one block of examples. So a
+    /// microbatch saves activation memory only. Equivalent to
+    /// [`Self::step`] on the concatenated batch (clipping is per-example,
+    /// so splitting is exact).
     ///
     /// # Panics
     ///
@@ -421,10 +426,14 @@ impl DpTrainer {
                 (g, loss.mean_loss, None)
             }
             TrainingAlgorithm::DpSgd => {
-                // Algorithm 1 lines 16–25: full per-example gradients.
-                let per_ex = net.backward(&caches, &loss.grad_logits, GradMode::PerExample);
-                let summary = clip_factors(&per_ex.per_example_sq_norms(), self.config.clip_norm);
-                let reduced = per_ex.weighted_reduce(&summary.factors);
+                // Algorithm 1 lines 16–25: every example's gradient is
+                // written, normed, clipped and reduced, a block of examples
+                // at a time.
+                let clip_norm = self.config.clip_norm;
+                let (reduced, sq_norms) = net.clipped_sum(&caches, &loss.grad_logits, |sq| {
+                    clip_factors(sq, clip_norm).factors
+                });
+                let summary = clip_factors(&sq_norms, clip_norm);
                 (reduced, loss.mean_loss, Some(summary))
             }
             TrainingAlgorithm::DpSgdReweighted => {

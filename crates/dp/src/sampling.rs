@@ -14,8 +14,12 @@ use crate::synthetic::Dataset;
 /// included independently with probability `q`.
 ///
 /// Returns `None` when the draw selects no examples (expected with
-/// probability `(1-q)^N`; DP-SGD treats that step as a noise-only update,
-/// which callers can implement by skipping).
+/// probability `(1-q)^N`). DP-SGD's analysis treats that step as a
+/// noise-only update: the parameters still move, by the noise alone. A
+/// caller that skips the step instead releases unchanged parameters, which
+/// no noise-only step can produce, so the accountant's ε no longer covers
+/// the run. A trainer that takes the noise-only step is open work
+/// (`ROADMAP.md`, item 6).
 ///
 /// # Panics
 ///

@@ -140,13 +140,24 @@ impl Conv2dLayer {
                 }))
             }
         };
-        let grad_input =
-            need_input_grad.then(|| conv2d_backward_data(grad_out, &self.weight, &self.geom));
+        let grad_input = self.grad_input(grad_out, need_input_grad);
         BackwardOutput { grad_input, grads }
     }
 
+    /// The data gradient `conv2d_backward_data`, when `need_input_grad` is
+    /// set.
+    pub(crate) fn grad_input(&self, grad_out: &Tensor, need_input_grad: bool) -> Option<Tensor> {
+        need_input_grad.then(|| conv2d_backward_data(grad_out, &self.weight, &self.geom))
+    }
+
     /// Writes example `i`'s `[G(W), G(b)]` over a per-example row.
-    fn write_example(&self, cache: &Conv2dCache, grad_out: &Tensor, i: usize, row: &mut [f32]) {
+    pub(crate) fn write_example(
+        &self,
+        cache: &Conv2dCache,
+        grad_out: &Tensor,
+        i: usize,
+        row: &mut [f32],
+    ) {
         let (weight, bias) = row.split_at_mut(self.geom.weight_len());
         cache.input.backward_weight_example(grad_out, i, weight);
         if self.bias.is_some() {

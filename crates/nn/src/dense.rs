@@ -95,11 +95,8 @@ impl Dense {
         mode: GradMode,
         need_input_grad: bool,
     ) -> BackwardOutput {
-        let (b, o) = grad_out.dims2();
-        assert_eq!(o, self.output, "gradient feature mismatch");
-        // G(X) = G(Y) × Wᵀ — the activation-gradient GEMM.
-        let grad_input = need_input_grad.then(|| matmul_nt(grad_out, &self.weight));
-
+        let b = grad_out.shape().dim(0);
+        let grad_input = self.grad_input(grad_out, need_input_grad);
         let grads = match mode {
             GradMode::PerBatch => {
                 // G(W) = Xᵀ × G(Y): (I, B, O) GEMM; K = B reduces over the batch.
@@ -133,10 +130,24 @@ impl Dense {
         BackwardOutput { grad_input, grads }
     }
 
-    /// Writes example `i`'s gradient over an arena row: `x_i ⊗ g_i` — the
-    /// `(I, 1, O)` GEMM of the paper's Figure 6, one product per element —
-    /// then `g_i` for the bias.
-    fn write_example(&self, cache: &DenseCache, grad_out: &Tensor, i: usize, row: &mut [f32]) {
+    /// The activation-gradient GEMM `G(X) = G(Y) × Wᵀ`, when
+    /// `need_input_grad` is set.
+    pub(crate) fn grad_input(&self, grad_out: &Tensor, need_input_grad: bool) -> Option<Tensor> {
+        let (_, o) = grad_out.dims2();
+        assert_eq!(o, self.output, "gradient feature mismatch");
+        need_input_grad.then(|| matmul_nt(grad_out, &self.weight))
+    }
+
+    /// Writes example `i`'s gradient over a per-example row: `x_i ⊗ g_i` —
+    /// the `(I, 1, O)` GEMM of the paper's Figure 6, one product per
+    /// element — then `g_i` for the bias.
+    pub(crate) fn write_example(
+        &self,
+        cache: &DenseCache,
+        grad_out: &Tensor,
+        i: usize,
+        row: &mut [f32],
+    ) {
         let g = grad_out.row(i);
         let (weight, bias) = row.split_at_mut(self.input * self.output);
         for (dst, &x) in weight.chunks_exact_mut(self.output).zip(cache.x.row(i)) {

@@ -101,27 +101,9 @@ impl Embedding {
         grad_out: &Tensor,
         mode: GradMode,
     ) -> BackwardOutput {
-        let (b, t) = (cache.batch, cache.seq);
-        assert_eq!(
-            grad_out.shape().dims(),
-            &[b, t, self.dim],
-            "embedding gradient shape mismatch"
-        );
-        let grad_input = Some(Tensor::zeros(&[b, t]));
-
-        // Writes example `ex`'s dense `(vocab, dim)` gradient over `g`.
-        let write_example = |ex: usize, g: &mut [f32]| {
-            g.fill(0.0);
-            for ti in 0..t {
-                let id = cache.ids[ex * t + ti];
-                let src = (ex * t + ti) * self.dim;
-                let dst = id * self.dim;
-                for d in 0..self.dim {
-                    g[dst + d] += grad_out.data()[src + d];
-                }
-            }
-        };
-
+        let b = cache.batch;
+        let grad_input = Some(self.grad_input(cache, grad_out));
+        let write_example = |ex: usize, g: &mut [f32]| self.write_example(cache, grad_out, ex, g);
         let grads = match mode {
             GradMode::PerBatch => {
                 let mut g = Tensor::zeros(&[self.vocab, self.dim]);
@@ -140,6 +122,38 @@ impl Embedding {
             }
         };
         BackwardOutput { grad_input, grads }
+    }
+
+    /// The (constant, zero) `(B, T)` input gradient; see [`Self::backward`].
+    pub(crate) fn grad_input(&self, cache: &EmbeddingCache, grad_out: &Tensor) -> Tensor {
+        let (b, t) = (cache.batch, cache.seq);
+        assert_eq!(
+            grad_out.shape().dims(),
+            &[b, t, self.dim],
+            "embedding gradient shape mismatch"
+        );
+        Tensor::zeros(&[b, t])
+    }
+
+    /// Writes example `ex`'s dense `(vocab, dim)` gradient over a
+    /// per-example row.
+    pub(crate) fn write_example(
+        &self,
+        cache: &EmbeddingCache,
+        grad_out: &Tensor,
+        ex: usize,
+        g: &mut [f32],
+    ) {
+        let t = cache.seq;
+        g.fill(0.0);
+        for ti in 0..t {
+            let id = cache.ids[ex * t + ti];
+            let src = (ex * t + ti) * self.dim;
+            let dst = id * self.dim;
+            for d in 0..self.dim {
+                g[dst + d] += grad_out.data()[src + d];
+            }
+        }
     }
 
     /// Immutable parameter views: `[table]`.

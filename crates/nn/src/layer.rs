@@ -22,7 +22,10 @@ use diva_tensor::DivaRng;
 ///   mini-batch (paper Figure 2(a)).
 /// * [`GradMode::PerExample`] — vanilla DP-SGD: `B` separate weight
 ///   gradients that are later clipped and reduced (Figure 2(b),
-///   Algorithm 1 lines 16–25). This is the memory-hungry variant.
+///   Algorithm 1 lines 16–25), materialized as a `(B, P)` arena per
+///   layer. This is the memory-hungry variant; the trainer derives the
+///   same gradients a block of examples at a time instead
+///   ([`crate::Network::clipped_sum`]).
 /// * [`GradMode::NormOnly`] — the first pass of DP-SGD(R): per-example
 ///   gradients are formed transiently, their squared L2 norms accumulated,
 ///   and the gradients discarded (Algorithm 1 lines 28–42).
@@ -64,6 +67,14 @@ impl ParamGrads {
             other => panic!("expected per-batch gradients, got {other:?}"),
         }
     }
+}
+
+/// A parameter layer's row writer bound to what it reads: `write(i, row)`
+/// writes example `i`'s gradient over `row`, overwriting all of it.
+pub(crate) type RowWriter<'a> = Box<dyn Fn(usize, &mut [f32]) + Sync + 'a>;
+
+fn row_writer<'a>(write: impl Fn(usize, &mut [f32]) + Sync + 'a) -> Option<RowWriter<'a>> {
+    Some(Box::new(write))
 }
 
 /// The result of a layer backward pass: the gradient flowing to the
@@ -313,6 +324,48 @@ impl Layer {
             (Layer::Sigmoid(l), LayerCache::Sigmoid(c)) => l.backward(c, grad_out),
             (Layer::Tanh(l), LayerCache::Tanh(c)) => l.backward(c, grad_out),
             _ => panic!("layer/cache type mismatch in backward"),
+        }
+    }
+
+    /// The data-gradient half of [`Layer::backward_opt`], with exactly its
+    /// calls: the input gradient (under the same `need_input_grad`
+    /// contract) and, for a parameter layer, its row writer — the one the
+    /// `PerExample` arena and the `NormOnly` scratch rows run — holding what
+    /// it reads (the layer's output gradient; LSTM's gate gradients `dz_t`;
+    /// GroupNorm's per-example `dγ`, `dβ`). No weight gradient is derived.
+    pub(crate) fn backward_data<'a>(
+        &'a self,
+        cache: &'a LayerCache,
+        grad_out: Tensor,
+        need_input_grad: bool,
+    ) -> (Option<Tensor>, Option<RowWriter<'a>>) {
+        match (self, cache) {
+            (Layer::Dense(l), LayerCache::Dense(c)) => (
+                l.grad_input(&grad_out, need_input_grad),
+                row_writer(move |i, row| l.write_example(c, &grad_out, i, row)),
+            ),
+            (Layer::Conv2d(l), LayerCache::Conv2d(c)) => (
+                l.grad_input(&grad_out, need_input_grad),
+                row_writer(move |i, row| l.write_example(c, &grad_out, i, row)),
+            ),
+            (Layer::Embedding(l), LayerCache::Embedding(c)) => (
+                Some(l.grad_input(c, &grad_out)),
+                row_writer(move |i, row| l.write_example(c, &grad_out, i, row)),
+            ),
+            (Layer::Lstm(l), LayerCache::Lstm(c)) => {
+                let (grad_x, dz_per_t) = l.bptt(c, &grad_out);
+                let write = move |i, row: &mut [f32]| l.write_example(c, &dz_per_t, i, row);
+                (Some(grad_x), row_writer(write))
+            }
+            (Layer::GroupNorm(l), LayerCache::GroupNorm(c)) => {
+                let (grad_x, dgammas, dbetas) = l.backward_data(c, &grad_out);
+                let write = move |i, row: &mut [f32]| l.write_example(&dgammas, &dbetas, i, row);
+                (Some(grad_x), row_writer(write))
+            }
+            _ => {
+                let out = self.backward_opt(cache, &grad_out, GradMode::PerBatch, need_input_grad);
+                (out.grad_input, None)
+            }
         }
     }
 

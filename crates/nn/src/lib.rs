@@ -16,12 +16,14 @@
 //! squared norms, and immediately discards them — which is exactly the
 //! memory saving DP-SGD(R) exploits (paper Section II-C).
 //!
-//! `PerExample` gradients are written once into a `(B, P)` arena per layer
-//! (a [`diva_tensor::Buffer`] recycled through the shared buffer pool),
-//! with each example's norm taken as its row is written and the
-//! clip-weighted reduce run as one column-split `K = B` pass
-//! ([`PerExampleGrads`], the software counterpart of DiVa's
-//! post-processing unit).
+//! Vanilla DP-SGD's clipped sum ([`Network::clipped_sum`]) streams the
+//! examples through one recycled block of per-example rows (a
+//! [`diva_tensor::Buffer`] from the shared buffer pool): each example's row
+//! is written once, its norm taken while the row is hot, and the block
+//! reduced with its clip factors by a column-split pass — the software
+//! counterpart of DiVa's post-processing unit. `PerExample` materializes
+//! the same rows as a `(B, P)` arena per layer ([`PerExampleGrads`]), the
+//! oracle the stream matches bit for bit.
 //!
 //! Compute: every GEMM a layer issues runs on `diva_tensor`'s blocked
 //! kernel, and the per-example fan-outs (`PerExample` / `NormOnly`) are

@@ -163,6 +163,49 @@ impl Lstm {
     /// BPTT backward pass; `grad_out` is `(B, T, hidden)` (gradients with
     /// respect to every hidden state output).
     pub fn backward(&self, cache: &LstmCache, grad_out: &Tensor, mode: GradMode) -> BackwardOutput {
+        let (grad_x, dz_per_t) = self.bptt(cache, grad_out);
+        let dims = cache.x.shape().dims();
+        let (b, t_len, i_dim) = (dims[0], dims[1], dims[2]);
+        let h_dim = self.hidden;
+        let grads = match mode {
+            GradMode::PerBatch => {
+                let mut gw_ih = Tensor::zeros(&[i_dim, 4 * h_dim]);
+                let mut gw_hh = Tensor::zeros(&[h_dim, 4 * h_dim]);
+                let mut gb = Tensor::zeros(&[4 * h_dim]);
+                for t in 0..t_len {
+                    let x_t = time_slice(&cache.x, t);
+                    gw_ih.add_assign(&matmul_tn(&x_t, &dz_per_t[t]));
+                    gw_hh.add_assign(&matmul_tn(&cache.h[t], &dz_per_t[t]));
+                    for r in 0..b {
+                        for (acc, &v) in gb.data_mut().iter_mut().zip(dz_per_t[t].row(r)) {
+                            *acc += v;
+                        }
+                    }
+                }
+                ParamGrads::PerBatch(vec![gw_ih, gw_hh, gb])
+            }
+            GradMode::PerExample => {
+                ParamGrads::PerExample(PerExampleGrads::build(b, &self.params(), |r, row| {
+                    self.write_example(cache, &dz_per_t, r, row)
+                }))
+            }
+            GradMode::NormOnly => {
+                ParamGrads::SqNorms(per_example::sq_norms(b, &self.params(), |r, row| {
+                    self.write_example(cache, &dz_per_t, r, row)
+                }))
+            }
+        };
+
+        BackwardOutput {
+            grad_input: Some(grad_x),
+            grads,
+        }
+    }
+
+    /// Backpropagation through time: the input gradient `(B, T, I)` and the
+    /// gate pre-activation gradient `dz_t`, one `(B, 4H)` tensor per
+    /// timestep in ascending `t` — what the row writer reads.
+    pub(crate) fn bptt(&self, cache: &LstmCache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {
         let dims = cache.x.shape().dims();
         let (b, t_len, i_dim) = (dims[0], dims[1], dims[2]);
         let h_dim = self.hidden;
@@ -217,46 +260,19 @@ impl Lstm {
             dz_per_t.push(dz);
         }
         dz_per_t.reverse(); // index by t ascending
-
-        let grads = match mode {
-            GradMode::PerBatch => {
-                let mut gw_ih = Tensor::zeros(&[i_dim, 4 * h_dim]);
-                let mut gw_hh = Tensor::zeros(&[h_dim, 4 * h_dim]);
-                let mut gb = Tensor::zeros(&[4 * h_dim]);
-                for t in 0..t_len {
-                    let x_t = time_slice(&cache.x, t);
-                    gw_ih.add_assign(&matmul_tn(&x_t, &dz_per_t[t]));
-                    gw_hh.add_assign(&matmul_tn(&cache.h[t], &dz_per_t[t]));
-                    for r in 0..b {
-                        for (acc, &v) in gb.data_mut().iter_mut().zip(dz_per_t[t].row(r)) {
-                            *acc += v;
-                        }
-                    }
-                }
-                ParamGrads::PerBatch(vec![gw_ih, gw_hh, gb])
-            }
-            GradMode::PerExample => {
-                ParamGrads::PerExample(PerExampleGrads::build(b, &self.params(), |r, row| {
-                    self.write_example(cache, &dz_per_t, r, row)
-                }))
-            }
-            GradMode::NormOnly => {
-                ParamGrads::SqNorms(per_example::sq_norms(b, &self.params(), |r, row| {
-                    self.write_example(cache, &dz_per_t, r, row)
-                }))
-            }
-        };
-
-        BackwardOutput {
-            grad_input: Some(grad_x),
-            grads,
-        }
+        (grad_x, dz_per_t)
     }
 
     /// Writes example `r`'s `[G(W_ih), G(W_hh), G(b)]` over a per-example
     /// row: the `(I, L, 4H)` and `(H, L, 4H)` GEMMs of Figure 6's
     /// time-series row, as `L` outer-product accumulations.
-    fn write_example(&self, cache: &LstmCache, dz_per_t: &[Tensor], r: usize, row: &mut [f32]) {
+    pub(crate) fn write_example(
+        &self,
+        cache: &LstmCache,
+        dz_per_t: &[Tensor],
+        r: usize,
+        row: &mut [f32],
+    ) {
         let h4 = 4 * self.hidden;
         row.fill(0.0);
         let (gw_ih, rest) = row.split_at_mut(self.input * h4);

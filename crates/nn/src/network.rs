@@ -3,6 +3,7 @@
 use diva_tensor::Tensor;
 
 use crate::layer::{GradMode, Layer, LayerCache, ParamGrads};
+use crate::per_example;
 
 /// A feed-forward stack of [`Layer`]s applied in order.
 ///
@@ -95,6 +96,68 @@ impl Network {
             }
         }
         NetworkGrads { layers: grads }
+    }
+
+    /// Vanilla DP-SGD's clipped sum (paper Algorithm 1 lines 16–25)
+    /// without a batch-sized arena: returns `Σᵢ cᵢ · gᵢ` as per-batch
+    /// gradients, and each example's squared norm `‖gᵢ‖²`.
+    ///
+    /// The data-gradient chain runs over the whole batch first, with
+    /// exactly [`Network::backward`]'s calls, and each parameter layer
+    /// keeps what its row writer reads (its output gradient; LSTM's gate
+    /// gradients; GroupNorm's per-example `dγ`, `dβ`). Examples then
+    /// stream through one recycled block buffer a few at a time: a block's
+    /// rows are written and normed, `clip` maps the block's squared norms
+    /// to its clip factors `cᵢ`, and the block is reduced into the sum.
+    /// Per-example gradient memory is one block, not `B` rows per layer.
+    ///
+    /// The result is bitwise that of the materialized path —
+    /// [`GradMode::PerExample`], [`NetworkGrads::per_example_sq_norms`],
+    /// the same `clip`, [`NetworkGrads::weighted_reduce`] — at any pool
+    /// width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `caches` does not match this network, or `clip` returns
+    /// other than one factor per squared norm.
+    pub fn clipped_sum(
+        &self,
+        caches: &[LayerCache],
+        grad_loss: &Tensor,
+        clip: impl FnMut(&[f64]) -> Vec<f64>,
+    ) -> (NetworkGrads, Vec<f64>) {
+        assert_eq!(
+            caches.len(),
+            self.layers.len(),
+            "cache count {} does not match layer count {}",
+            caches.len(),
+            self.layers.len()
+        );
+        let mut writers = Vec::new();
+        let mut grad = Some(grad_loss.clone());
+        for (idx, (layer, cache)) in self.layers.iter().zip(caches).enumerate().rev() {
+            let grad_out = grad
+                .take()
+                .expect("non-first layers must derive an input gradient");
+            let (grad_input, writer) = layer.backward_data(cache, grad_out, idx > 0);
+            if let Some(write) = writer {
+                writers.push((idx, layer, write));
+            }
+            grad = grad_input;
+        }
+        writers.reverse();
+        let params: Vec<_> = writers.iter().map(|(_, layer, _)| layer.params()).collect();
+        let (sums, sq_norms) = per_example::clipped_sum(
+            grad_loss.shape().dim(0),
+            &params,
+            |w, i, row| (writers[w].2)(i, row),
+            clip,
+        );
+        let mut layers = vec![ParamGrads::None; self.layers.len()];
+        for ((idx, ..), sum) in writers.iter().zip(sums) {
+            layers[*idx] = ParamGrads::PerBatch(sum);
+        }
+        (NetworkGrads { layers }, sq_norms)
     }
 
     /// The fused clip-and-reduce backward of DP-SGD(R) (paper Algorithm 1
@@ -226,7 +289,8 @@ impl NetworkGrads {
     /// are materialized. Each arena reduces through
     /// [`crate::PerExampleGrads::weighted_sum`]: column blocks across the
     /// shared pool, examples accumulated in order, so the result is
-    /// bit-identical whatever the thread count.
+    /// bit-identical whatever the thread count. [`Network::clipped_sum`]
+    /// gives the same bits without holding the arena.
     ///
     /// # Panics
     ///

@@ -124,6 +124,44 @@ impl GroupNorm {
         grad_out: &Tensor,
         mode: GradMode,
     ) -> BackwardOutput {
+        let (grad_input, dgammas, dbetas) = self.backward_data(cache, grad_out);
+        let (n, c) = (cache.dims[0], cache.dims[1]);
+        let grads = match mode {
+            GradMode::PerBatch => {
+                let mut dgamma = Tensor::zeros(&[c]);
+                let mut dbeta = Tensor::zeros(&[c]);
+                for ni in 0..n {
+                    dgamma.add_assign(&dgammas[ni]);
+                    dbeta.add_assign(&dbetas[ni]);
+                }
+                ParamGrads::PerBatch(vec![dgamma, dbeta])
+            }
+            GradMode::PerExample => {
+                ParamGrads::PerExample(PerExampleGrads::build(n, &self.params(), |ni, row| {
+                    self.write_example(&dgammas, &dbetas, ni, row)
+                }))
+            }
+            GradMode::NormOnly => ParamGrads::SqNorms(
+                dgammas
+                    .iter()
+                    .zip(&dbetas)
+                    .map(|(g, b)| g.squared_norm() + b.squared_norm())
+                    .collect(),
+            ),
+        };
+        BackwardOutput {
+            grad_input: Some(grad_input),
+            grads,
+        }
+    }
+
+    /// The input gradient and each example's `(dγ, dβ)`: what the row
+    /// writer reads.
+    pub(crate) fn backward_data(
+        &self,
+        cache: &GroupNormCache,
+        grad_out: &Tensor,
+    ) -> (Tensor, Vec<Tensor>, Vec<Tensor>) {
         let (n, c, h, w) = (cache.dims[0], cache.dims[1], cache.dims[2], cache.dims[3]);
         let cg = c / self.groups;
         let group_len = cg * h * w;
@@ -166,35 +204,20 @@ impl GroupNorm {
             }
         }
 
-        let grads = match mode {
-            GradMode::PerBatch => {
-                let mut dgamma = Tensor::zeros(&[c]);
-                let mut dbeta = Tensor::zeros(&[c]);
-                for ni in 0..n {
-                    dgamma.add_assign(&dgammas[ni]);
-                    dbeta.add_assign(&dbetas[ni]);
-                }
-                ParamGrads::PerBatch(vec![dgamma, dbeta])
-            }
-            GradMode::PerExample => {
-                ParamGrads::PerExample(PerExampleGrads::build(n, &self.params(), |ni, row| {
-                    let (dgamma, dbeta) = row.split_at_mut(c);
-                    dgamma.copy_from_slice(dgammas[ni].data());
-                    dbeta.copy_from_slice(dbetas[ni].data());
-                }))
-            }
-            GradMode::NormOnly => ParamGrads::SqNorms(
-                dgammas
-                    .iter()
-                    .zip(&dbetas)
-                    .map(|(g, b)| g.squared_norm() + b.squared_norm())
-                    .collect(),
-            ),
-        };
-        BackwardOutput {
-            grad_input: Some(grad_input),
-            grads,
-        }
+        (grad_input, dgammas, dbetas)
+    }
+
+    /// Writes example `ni`'s `[dγ, dβ]` over a per-example row.
+    pub(crate) fn write_example(
+        &self,
+        dgammas: &[Tensor],
+        dbetas: &[Tensor],
+        ni: usize,
+        row: &mut [f32],
+    ) {
+        let (dgamma, dbeta) = row.split_at_mut(self.channels);
+        dgamma.copy_from_slice(dgammas[ni].data());
+        dbeta.copy_from_slice(dbetas[ni].data());
     }
 
     /// Immutable parameter views: `[gamma, beta]`.

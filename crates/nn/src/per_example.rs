@@ -1,31 +1,42 @@
-//! The per-example gradient arena and the software post-processing unit
-//! (PPU) of vanilla DP-SGD.
+//! Per-example gradient rows and the software post-processing unit (PPU)
+//! of vanilla DP-SGD.
 //!
 //! Algorithm 1 (lines 16–25) derives every example's weight gradient, takes
-//! its norm, clips it and reduces. Here one layer's per-example gradients
-//! live in a single `(B, P)` row-major arena ([`PerExampleGrads`]): row `i`
-//! is example `i`'s gradient, the layer's parameter tensors laid end to end.
+//! its norm, clips it and reduces. Each parameter layer writes example `i`'s
+//! gradient — its parameter tensors laid end to end, a *row* — with one row
+//! writer, and three paths run the writers:
 //!
-//! * **Written once, into recycled rows.** The batch-parallel task that
-//!   derives example `i` writes row `i` in place — no per-example tensor, no
-//!   copy. The backing [`Buffer`] comes from `diva_tensor`'s recycled
-//!   buffer pool, unfilled, and goes back to it on drop, so a training loop
-//!   reuses the same pages step after step instead of faulting a fresh
-//!   multi-MiB allocation in every step.
+//! * **Streamed** ([`clipped_sum`], behind `Network::clipped_sum`, which
+//!   the DP-SGD trainer runs). An example's gradient is needed only until
+//!   its norm and clip factor are known, so examples pass through one
+//!   recycled block buffer a few at a time: the block's rows are written
+//!   and normed, the caller's clip rule turns their norms into factors, and
+//!   the block is reduced into the sum. Per-example gradient memory is one
+//!   block, never `B` rows.
+//! * **Materialized** ([`PerExampleGrads`], `GradMode::PerExample`): one
+//!   layer's gradients in a `(B, P)` arena, row `i` example `i`'s. It is the
+//!   oracle the stream is pinned to bit for bit.
+//! * **Norms only** ([`sq_norms`], `GradMode::NormOnly`, the first pass of
+//!   DP-SGD(R)): each example's row goes into a scratch [`Buffer`], its norm
+//!   is taken and the buffer handed back.
+//!
+//! All three share the same arithmetic:
+//!
+//! * **Written once, into recycled rows.** The pool task that derives
+//!   example `i` writes its row in place — no per-example tensor, no copy.
+//!   Rows live in [`Buffer`]s from `diva_tensor`'s recycled buffer pool,
+//!   taken unfilled and returned on drop, so a training loop reuses the
+//!   same pages step after step instead of faulting a fresh multi-MiB
+//!   allocation in every step.
 //! * **Norms while hot.** DiVa's PPU derives gradient norms from output rows
 //!   as they drain from the GEMM engine, so per-example gradients never make
 //!   a second trip (`diva_pearray`'s `Ppu`). In software, the task that
-//!   wrote row `i` takes its squared norm right after writing it, while the
-//!   row is still in cache; `NetworkGrads::per_example_sq_norms` then only
-//!   adds `B` numbers per layer.
+//!   wrote a row takes its squared norm right after writing it, while the
+//!   row is still in cache.
 //! * **Reduced in parallel.** The clip-weighted reduce is the `(1, B, P)`
-//!   GEMM `factorsᵀ × G` over the arena, cut into column blocks across the
-//!   pool ([`diva_tensor::weighted_row_sum`]).
-//!
-//! `NormOnly` (the first pass of DP-SGD(R)) runs the same row writers
-//! through [`sq_norms`]: each example's row goes into a scratch [`Buffer`],
-//! its norm is taken and the buffer handed back, so memory scales with the
-//! examples in flight, never with `B`.
+//!   GEMM `factorsᵀ × G`, cut into column blocks across the pool
+//!   ([`diva_tensor::weighted_row_sum`]); the stream runs it over each
+//!   block's rows in turn, continuing the same accumulators.
 
 use std::fmt;
 
@@ -171,6 +182,111 @@ where
         write(i, &mut row);
         row_sq_norm(&row, &offsets)
     })
+}
+
+/// DP-SGD's clip-weighted sum `Σᵢ cᵢ · gᵢ` over `batch` examples of a
+/// network whose parameter layers have parameters `params` (layer order),
+/// streamed through blocks of examples instead of a `(B, P)` arena per
+/// layer. Returns each layer's reduced gradient, one tensor per parameter,
+/// and each example's squared norm.
+///
+/// A network row is every layer's arena row laid end to end. For each
+/// block, one pool task per example writes the example's row into one
+/// recycled block buffer — `write(l, i, segment)` writes layer `l`'s
+/// segment and must overwrite it — and takes each layer's norm while the
+/// row is hot. `clip` turns the block's squared norms into clip factors,
+/// and one [`weighted_row_sum`] over the block continues a flat accumulator
+/// that starts at +0.0.
+///
+/// Every number is the arena's: the rows, each layer's norm and their sum
+/// in layer order ([`crate::NetworkGrads::per_example_sq_norms`]), the
+/// `f32` factors, and each accumulator element's chain of one fused
+/// multiply-add per example in example order
+/// ([`PerExampleGrads::weighted_sum`]). So the result is bitwise the
+/// arena's at any pool width and block size.
+///
+/// A block holds the smallest multiple of four examples that is at least
+/// the pool width: every worker gets an example, and the reduce keeps its
+/// four-row sweep.
+///
+/// # Panics
+///
+/// Panics if `clip` returns other than one factor per example.
+pub(crate) fn clipped_sum<W, F>(
+    batch: usize,
+    params: &[Vec<&Tensor>],
+    write: W,
+    mut clip: F,
+) -> (Vec<Vec<Tensor>>, Vec<f64>)
+where
+    W: Fn(usize, usize, &mut [f32]) + Sync,
+    F: FnMut(&[f64]) -> Vec<f64>,
+{
+    let layouts: Vec<_> = params.iter().map(|p| layout(p)).collect();
+    // Layer `l`'s segment of a network row is `bounds[l]..bounds[l + 1]`.
+    let bounds: Vec<usize> = std::iter::once(0)
+        .chain(layouts.iter().scan(0, |end, (_, offsets)| {
+            *end += row_width(offsets);
+            Some(*end)
+        }))
+        .collect();
+    let width = row_width(&bounds);
+    if width == 0 {
+        // No parameters: nothing to write, norm or reduce.
+        return (layouts.iter().map(|_| Vec::new()).collect(), Vec::new());
+    }
+    let block = parallel::effective_threads().next_multiple_of(4);
+    let mut rows = Buffer::for_overwrite(block.min(batch) * width);
+    let mut acc = Buffer::full(width, 0.0);
+    let mut sq_norms = Vec::with_capacity(batch);
+    for start in (0..batch).step_by(block) {
+        let mut slots: Vec<(&mut [f32], f64)> = rows
+            .chunks_mut(width)
+            .take(batch - start)
+            .map(|row| (row, 0.0))
+            .collect();
+        parallel::par_chunks_mut(&mut slots, 1, |k, slot| {
+            let (row, norm) = &mut slot[0];
+            *norm = layouts
+                .iter()
+                .zip(bounds.windows(2))
+                .enumerate()
+                .map(|(l, ((_, offsets), seg))| {
+                    let segment = &mut row[seg[0]..seg[1]];
+                    write(l, start + k, segment);
+                    row_sq_norm(segment, offsets)
+                })
+                .reduce(|total, norm| total + norm)
+                .unwrap_or(0.0);
+        });
+        let norms: Vec<f64> = slots.into_iter().map(|(_, norm)| norm).collect();
+        let factors = clip(&norms);
+        assert_eq!(
+            factors.len(),
+            norms.len(),
+            "one clip factor per example required"
+        );
+        let weights: Vec<f32> = factors.iter().map(|&w| w as f32).collect();
+        weighted_row_sum(&rows, width, &weights, &mut acc);
+        sq_norms.extend(norms);
+    }
+    let sums = layouts
+        .iter()
+        .zip(&bounds)
+        .map(|((shapes, offsets), &base)| {
+            shapes
+                .iter()
+                .zip(offsets.windows(2))
+                .map(|(shape, seg)| {
+                    let mut sum = Tensor::for_overwrite(shape);
+                    sum.data_mut()
+                        .copy_from_slice(&acc[base + seg[0]..base + seg[1]]);
+                    sum
+                })
+                .collect()
+        })
+        .collect();
+    (sums, sq_norms)
 }
 
 /// Parameter shapes and segment offsets (`params.len() + 1` entries) of an

@@ -2,7 +2,7 @@
 //!
 //! A training step allocates the same large buffers every step:
 //! activations, `im2col` patch matrices, GEMM outputs, data-gradient
-//! temporaries and `diva-nn`'s per-example gradient arena. Each is past
+//! temporaries and `diva-nn`'s per-example gradient rows. Each is past
 //! the allocator's mmap or trim threshold, so a fresh `Vec` per step goes
 //! back to the kernel when the step frees it and is faulted in again,
 //! zeroed, on the next step. [`Buffer`] keeps those pages mapped: a
@@ -133,7 +133,8 @@ pub fn buffer_stats() -> BufferStats {
 ///   returned one is freed, so buffers a workload stopped asking for age
 ///   out. Sixteen holds every large buffer a steady-state DP-SGD,
 ///   DP-SGD(R) or SGD step of the benchmark CNN and MLP leaves idle, the
-///   multi-MiB per-example arena among them, so such a loop never evicts.
+///   multi-MiB block of per-example rows among them, so such a loop never
+///   evicts.
 /// * **Contents.** [`Buffer::full`] fills, and a clone copies, every
 ///   element. [`Buffer::for_overwrite`] skips the fill for a producer that
 ///   writes every element before anything reads one, so an earlier user's
